@@ -128,7 +128,6 @@ def subspace_badness(
     target: LiftedSpan,
     psi: RateFunction,
     height: int,
-    jobs: int = 1,
 ) -> BadnessOutcome:
     """Scan all nonzero integer points with sup norm up to `height`.
 
@@ -161,7 +160,7 @@ def subspace_badness(
             thickness=Thickness.exact(eps),
             z0_range=(0, s),
         )
-        for x in enumerate_slab(spec, jobs=jobs):
+        for x in enumerate_slab(spec):
             if sup_norm(x) != s:
                 continue
             cx = canon_sign(x)
@@ -321,14 +320,6 @@ def vector_badness(
 
 # ---------------------------------------------------------------------
 # the two-sided comparison between vector and subspace readings
-
-
-@dataclass(frozen=True)
-class SandwichRow:
-    x0: int
-    moved: Tuple[int, ...]
-    m_value: Rat
-    d_value: Rat
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,9 @@ comparisons downstream.  Example:
     cert_height = 512
 
 Exit codes: 0 completed, 1 invariant violation detected, 2 invalid
-config or usage.  BADLAB_PRECISION_BITS caps interval refinement.
+config or usage, a refused size guard, or a comparison the exact
+arithmetic could not settle.  BADLAB_PRECISION_BITS caps interval
+refinement.
 """
 
 from __future__ import annotations
@@ -43,8 +45,18 @@ from .badness import (
     subspace_badness,
     vector_badness,
 )
-from .exactnum import Rat, as_rat, format_rat, parse_rat, rat, rat_ceil
+from .exactnum import (
+    PrecisionError,
+    Rat,
+    UndecidableComparison,
+    as_rat,
+    format_rat,
+    parse_rat,
+    rat,
+    rat_ceil,
+)
 from .experiment import (
+    RNG_NAME,
     DivergingSeriesError,
     ExperimentConfig,
     RejectionError,
@@ -53,6 +65,7 @@ from .experiment import (
 )
 from .geometry import AffineSubspace, lift
 from .lattice import (
+    BoxTooLargeError,
     badness_slab,
     approach_slab,
     enumerate_slab,
@@ -99,7 +112,7 @@ class RawConfig:
     cert_height: int
     thresholds: Tuple[Rat, ...]
 
-    def experiment(self, jobs: int = 1) -> ExperimentConfig:
+    def experiment(self) -> ExperimentConfig:
         cert = subspace_badness(lift(self.B), self.psi, self.cert_height)
         if isinstance(cert, ZeroHit):
             raise ValueError(
@@ -119,7 +132,6 @@ class RawConfig:
             T_range=(self.T_min, self.T_max),
             seed=self.seed,
             thresholds=self.thresholds,
-            jobs=jobs,
         )
 
 
@@ -252,7 +264,7 @@ def config_from_echo(echo: dict) -> ExperimentConfig:
 
 def _write_manifest(
     out_dir: str, command: str, params: dict, started: float,
-    cfg_hash: Optional[str] = None, seed: Optional[int] = None,
+    cfg_hash: Optional[str] = None, seed: Optional[int] = None, **extra,
 ) -> None:
     import os
 
@@ -265,6 +277,7 @@ def _write_manifest(
         "started_at": started,
         "finished_at": time.time(),
         "params": params,
+        **extra,
     }
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -276,7 +289,22 @@ def _fail_config(err: Exception) -> None:
     sys.exit(2)
 
 
-@click.group()
+# Failures of the exact machinery itself rather than of a checked property:
+# a size guard refused the work, or a comparison could not be settled.
+_UNSETTLED = (BoxTooLargeError, UndecidableComparison, PrecisionError,
+              ArithmeticError)
+
+
+class _Group(click.Group):
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except _UNSETTLED as err:
+            click.echo(f"{type(err).__name__}: {err}", err=True)
+            sys.exit(2)
+
+
+@click.group(cls=_Group)
 @click.version_option(__version__, prog_name="badlab")
 def main() -> None:
     """Exact experiments around badly approximable subspaces."""
@@ -292,8 +320,7 @@ def main() -> None:
 @click.option("--x-max", "x_max", type=int, default=None,
               help="q range top for the vector scan")
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None)
-@click.option("--jobs", type=int, default=1)
-def badness(config_path, height, vector_text, x_max, out_dir, jobs):
+def badness(config_path, height, vector_text, x_max, out_dir):
     """Certify the badness infimum of B, or scan a single vector."""
     started = time.time()
     try:
@@ -308,8 +335,7 @@ def badness(config_path, height, vector_text, x_max, out_dir, jobs):
         res = vector_badness(w, raw.psi, x_max or raw.X)
         payload = res.to_json_dict()
     else:
-        out = subspace_badness(lift(raw.B), raw.psi, height or raw.cert_height,
-                               jobs=jobs)
+        out = subspace_badness(lift(raw.B), raw.psi, height or raw.cert_height)
         if isinstance(out, ZeroHit):
             payload = {"kind": "zero_hit", "witness": list(out.witness),
                        "shell": out.shell}
@@ -337,8 +363,7 @@ def badness(config_path, height, vector_text, x_max, out_dir, jobs):
 @click.option("--set", "which", type=click.Choice(["omega", "pi", "zeta"]),
               default="omega", show_default=True)
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None)
-@click.option("--jobs", type=int, default=1)
-def enumerate_cmd(config_path, T, which, out_dir, jobs):
+def enumerate_cmd(config_path, T, which, out_dir):
     """List integer points of a slab or layer at scale T."""
     started = time.time()
     try:
@@ -347,12 +372,12 @@ def enumerate_cmd(config_path, T, which, out_dir, jobs):
             if raw.gamma is None:
                 raise ValueError("omega enumeration needs a gamma key")
             spec = badness_slab(lift(raw.B), raw.gamma, raw.psi, raw.R, T)
-            pts = enumerate_slab(spec, jobs=jobs)
+            pts = enumerate_slab(spec)
         elif which == "pi":
             spec = approach_slab(lift(raw.A), raw.phi, raw.R, T)
-            pts = enumerate_slab(spec, jobs=jobs)
+            pts = enumerate_slab(spec)
         else:
-            _, pts = zeta_layer(lift(raw.A), raw.phi, raw.R, T, jobs=jobs)
+            _, pts = zeta_layer(lift(raw.A), raw.phi, raw.R, T)
     except (ValueError, OSError) as err:
         _fail_config(err)
     click.echo(f"{which} T={T}: {len(pts)} points")
@@ -379,8 +404,7 @@ def enumerate_cmd(config_path, T, which, out_dir, jobs):
 @click.option("--counts-to", "counts_to", type=int, default=0,
               help="fill zeta/pi/ratio columns for T up to this bound")
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None)
-@click.option("--jobs", type=int, default=1)
-def series(config_path, N, counts_to, out_dir, jobs):
+def series(config_path, N, counts_to, out_dir):
     """Emit the comparison series table up to N."""
     started = time.time()
     try:
@@ -394,7 +418,7 @@ def series(config_path, N, counts_to, out_dir, jobs):
         first = max(1, rat_ceil(raw.phi.domain_start / as_rat(raw.R)))
         scan = packing_ratio_scan(
             lift(raw.A), raw.psi, raw.phi, raw.R, a, b,
-            T_values=range(first, counts_to + 1), jobs=jobs,
+            T_values=range(first, counts_to + 1),
         )
     rows = _series_rows(ps, scan)
     click.echo(f"S_{N} = {rows[-1][4]}")
@@ -446,13 +470,12 @@ def _series_rows(ps, scan) -> List[list]:
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", "out_dir", required=True,
               type=click.Path(file_okay=False))
-@click.option("--jobs", type=int, default=1)
-def montecarlo(config_path, out_dir, jobs):
+def montecarlo(config_path, out_dir):
     """Sample A and test the almost-every conclusion quantitatively."""
     started = time.time()
     try:
         raw = parse_config(config_path)
-        cfg = raw.experiment(jobs=jobs)
+        cfg = raw.experiment()
     except (ValueError, OSError) as err:
         _fail_config(err)
     try:
@@ -464,10 +487,10 @@ def montecarlo(config_path, out_dir, jobs):
         click.echo(f"sampling failed: {err}", err=True)
         sys.exit(1)
     elapsed = time.time() - started
-    write_outputs(report, out_dir, timing_s=elapsed)
+    write_outputs(report, out_dir)
     _write_manifest(out_dir, "montecarlo", {"config": config_path},
                     started, cfg_hash=config_hash(cfg.describe()),
-                    seed=cfg.seed)
+                    seed=cfg.seed, timing_seconds=elapsed, rng=RNG_NAME)
     ok = not report.bound_violations
     click.echo(
         f"samples={len(report.samples)} zero_hits={report.zero_count} "
@@ -482,8 +505,7 @@ def montecarlo(config_path, out_dir, jobs):
 @click.option("--T", "T", required=True, type=int)
 @click.option("--translates", type=int, default=20, show_default=True)
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None)
-@click.option("--jobs", type=int, default=1)
-def verify(config_path, T, translates, out_dir, jobs):
+def verify(config_path, T, translates, out_dir):
     """Check slab triviality for every scale up to T, then the packing step."""
     started = time.time()
     try:
@@ -494,7 +516,7 @@ def verify(config_path, T, translates, out_dir, jobs):
         _fail_config(err)
     span = lift(raw.B)
     for t in range(1, T + 1):
-        rep = verify_omega_trivial(span, raw.gamma, raw.psi, raw.R, t, jobs=jobs)
+        rep = verify_omega_trivial(span, raw.gamma, raw.psi, raw.R, t)
         if not rep.ok:
             click.echo(
                 f"triviality FAILED at T={t}: counterexample {rep.counterexample}"

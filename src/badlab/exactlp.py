@@ -479,23 +479,15 @@ def _level_bounds(level: HPoly, prefix: List[Rat], k: int):
     return lo, hi
 
 
-def enumerate_integer_points(
-    poly: HPoly,
-    chain: Optional[List[HPoly]] = None,
-    prefix_lo: Optional[int] = None,
-    prefix_hi: Optional[int] = None,
-):
+def enumerate_integer_points(poly: HPoly):
     """Yield integer points of the polyhedron in lexicographic order.
 
     Every variable must be bounded both ways (the chain supplies interval
-    bounds per level); unbounded directions raise UnboundedError.  The
-    optional prefix window restricts the first coordinate, which is how
-    enumeration splits across workers.
+    bounds per level); unbounded directions raise UnboundedError.
     """
     if poly.infeasible_const:
         return
-    if chain is None:
-        chain = projection_chain(poly)
+    chain = projection_chain(poly)
     if chain[0].infeasible_const:
         return
     n = poly.nvars
@@ -505,13 +497,7 @@ def enumerate_integer_points(
         lo, hi = _level_bounds(chain[k + 1], prefix, k)
         if lo is None or hi is None:
             raise UnboundedError(f"variable {k} unbounded in enumeration")
-        ilo, ihi = rat_ceil(lo), rat_floor(hi)
-        if k == 0:
-            if prefix_lo is not None:
-                ilo = max(ilo, prefix_lo)
-            if prefix_hi is not None:
-                ihi = min(ihi, prefix_hi)
-        for v in range(ilo, ihi + 1):
+        for v in range(rat_ceil(lo), rat_floor(hi) + 1):
             prefix.append(rat(v))
             if k == n - 1:
                 yield tuple(int(p) for p in prefix)

@@ -8,8 +8,9 @@ lattice enumerator and the per-candidate minimax over the ray parameter
 is the exact line distance.
 
 Everything written to samples.csv, tails.csv, and report.json is a pure
-function of the config; wall-clock timing goes to run_manifest.json,
-which is the one output file allowed to differ between identical runs.
+function of the config; wall-clock timing goes to the command's
+manifest.json, the one output file allowed to differ between identical
+runs.
 """
 
 from __future__ import annotations
@@ -123,7 +124,6 @@ class ExperimentConfig:
     T_range: Tuple[int, int]
     seed: int
     thresholds: Tuple[Rat, ...] = ()
-    jobs: int = 1
 
     def __post_init__(self):
         R = as_rat(self.R)
@@ -295,8 +295,7 @@ class _LayerCache:
     def layer(self, T: int) -> List[Tuple[int, ...]]:
         if T not in self._layers:
             _, pts = zeta_layer(
-                self.config.lifted_A, self.config.phi,
-                self.config.R, T, jobs=self.config.jobs,
+                self.config.lifted_A, self.config.phi, self.config.R, T
             )
             self._layers[T] = pts
         return self._layers[T]
@@ -594,9 +593,8 @@ def rat_min_one(x: Rat) -> Rat:
 # serialization
 
 
-def write_outputs(report: TheoremReport, out_dir: str, timing_s: Optional[float] = None) -> None:
-    """samples.csv, tails.csv, report.json (deterministic) and
-    run_manifest.json (timing, not compared between runs)."""
+def write_outputs(report: TheoremReport, out_dir: str) -> None:
+    """samples.csv, tails.csv and report.json, all deterministic."""
     import os
 
     os.makedirs(out_dir, exist_ok=True)
@@ -623,8 +621,4 @@ def write_outputs(report: TheoremReport, out_dir: str, timing_s: Optional[float]
             wr.writerow([T0, format_rat(bound)])
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
         json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    manifest = {"timing_seconds": timing_s, "rng": RNG_NAME}
-    with open(os.path.join(out_dir, "run_manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

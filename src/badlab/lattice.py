@@ -18,16 +18,25 @@ an oracle for the other.
 
 from __future__ import annotations
 
+import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 from . import kernels
-from .exactlp import HPoly, invert_matrix, lp_max, lp_min
+from .exactlp import (
+    HPoly,
+    enumerate_integer_points,
+    invert_matrix,
+    lp_max,
+    lp_min,
+)
 from .exactnum import (
     HPInterval,
     Rat,
     as_rat,
+    format_rat,
     rat,
     rat_abs,
     rat_ceil,
@@ -42,7 +51,6 @@ from .geometry import (
     distance_via_functionals,
     dual_functionals,
     line_distance,
-    solve_in_basis,
     sup_norm,
     vec_scale,
     vec_sub,
@@ -112,11 +120,7 @@ class Thickness:
 
     def describe(self) -> str:
         if self.value is not None:
-            from .exactnum import format_rat
-
             return format_rat(self.value)
-        from .exactnum import format_rat
-
         return (
             f"{format_rat(self.scale)}*[{self.rate.describe()}]"
             f"({format_rat(self.arg)})"
@@ -225,52 +229,27 @@ def _span_functionals(spec: SlabSpec):
     return None
 
 
-def enumerate_slab(
-    spec: SlabSpec,
-    jobs: int = 1,
-    box_guard: int = BOX_GUARD,
-) -> List[Tuple[int, ...]]:
+def enumerate_slab(spec: SlabSpec) -> List[Tuple[int, ...]]:
     """All integer points of the slab, in lexicographic order.
 
     Projection-chain enumeration; when the thickness is irrational the
     chain is built for a certified upper bound and every candidate is
     confirmed against the true thickness.
     """
-    if spec.box_candidates() > box_guard:
+    if spec.box_candidates() > BOX_GUARD:
         raise BoxTooLargeError(
             f"candidate box holds {spec.box_candidates()} points "
-            f"(guard {box_guard}); refuse to enumerate"
+            f"(guard {BOX_GUARD}); refuse to enumerate"
         )
-    eps = spec.thickness.upper_rational()
-    poly = build_slab_poly(spec, eps)
-    from .exactlp import enumerate_integer_points, projection_chain
-
-    chain = projection_chain(poly)
-    needs = _needs_filter(spec)
-    functionals = _span_functionals(spec) if needs else None
-
-    def run(win_lo: Optional[int] = None, win_hi: Optional[int] = None):
-        pts = enumerate_integer_points(
-            poly, chain, prefix_lo=win_lo, prefix_hi=win_hi
-        )
-        if not needs:
-            return list(pts)
-        return [
-            p for p in pts if spec.thickness.cmp_dist(
-                _exact_distance(spec, p, functionals)
-            ) <= 0
-        ]
-
-    lo, hi = spec.z0_range
-    if jobs <= 1 or hi - lo < 2 * jobs:
-        return run()
-    # split the z0 window; chunks stay in order so the merge is just a concat
-    bounds = [lo + (hi - lo + 1) * k // jobs for k in range(jobs)] + [hi + 1]
-    out: List[Tuple[int, ...]] = []
-    for k in range(jobs):
-        if bounds[k] < bounds[k + 1]:
-            out.extend(run(bounds[k], bounds[k + 1] - 1))
-    return out
+    poly = build_slab_poly(spec, spec.thickness.upper_rational())
+    pts = enumerate_integer_points(poly)
+    if not _needs_filter(spec):
+        return list(pts)
+    functionals = _span_functionals(spec)
+    return [
+        p for p in pts
+        if spec.thickness.cmp_dist(_exact_distance(spec, p, functionals)) <= 0
+    ]
 
 
 def naive_slab_scan(spec: SlabSpec) -> List[Tuple[int, ...]]:
@@ -289,8 +268,6 @@ def naive_slab_scan(spec: SlabSpec) -> List[Tuple[int, ...]]:
     rows_c: List[Tuple[int, ...]] = []
     rows_r: List[int] = []
     for u in funcs:
-        from math import lcm
-
         dens = [int(c.denominator) for c in u] + [int(eps_hi.denominator)]
         L = lcm(*dens)
         iu = tuple(int(c * L) for c in u)
@@ -345,7 +322,7 @@ def approach_slab(
 
 
 def zeta_layer(
-    A_span: LiftedSpan, phi: RateFunction, R, T: int, jobs: int = 1
+    A_span: LiftedSpan, phi: RateFunction, R, T: int
 ) -> Tuple[int, List[Tuple[int, ...]]]:
     """Count and list the layer z0 = T of the approach slab at scale T."""
     R = as_rat(R)
@@ -356,14 +333,12 @@ def zeta_layer(
         thickness=Thickness.of_rate(phi, R * T),
         z0_range=(T, T),
     )
-    pts = enumerate_slab(spec, jobs=jobs)
+    pts = enumerate_slab(spec)
     return len(pts), pts
 
 
-def pi_count(
-    A_span: LiftedSpan, phi: RateFunction, R, T: int, jobs: int = 1
-) -> int:
-    return len(enumerate_slab(approach_slab(A_span, phi, R, T), jobs=jobs))
+def pi_count(A_span: LiftedSpan, phi: RateFunction, R, T: int) -> int:
+    return len(enumerate_slab(approach_slab(A_span, phi, R, T)))
 
 
 # ---------------------------------------------------------------------
@@ -379,14 +354,14 @@ class OmegaReport:
 
 
 def verify_omega_trivial(
-    B_span: LiftedSpan, gamma, psi: RateFunction, R, T: int, jobs: int = 1
+    B_span: LiftedSpan, gamma, psi: RateFunction, R, T: int
 ) -> OmegaReport:
     """Check that the badness slab at scale T holds no nonzero lattice point.
 
     The origin always belongs to the slab; triviality means it is alone.
     On failure the first nonzero point in lexicographic order is returned.
     """
-    pts = enumerate_slab(badness_slab(B_span, gamma, psi, R, T), jobs=jobs)
+    pts = enumerate_slab(badness_slab(B_span, gamma, psi, R, T))
     zero = (0,) * B_span.ambient
     nonzero = [p for p in pts if p != zero]
     if nonzero:
@@ -458,8 +433,6 @@ def half_dilation_check(
             dot = sum(ci * vi for ci, vi in zip(coeffs, c))
             shifted.add(two, rhs + 2 * dot)
         shifted.dedupe()
-        from .exactlp import enumerate_integer_points
-
         cands = list(enumerate_integer_points(shifted))
         pts = [
             p
@@ -519,7 +492,6 @@ def covering_count(
     phi: RateFunction,
     R,
     T: int,
-    jobs: int = 1,
 ) -> CoveringReport:
     if not B_span.is_subspace_of(A_span):
         raise ValueError("badness target must lie inside the approach span")
@@ -580,9 +552,7 @@ def covering_count(
     centers = coords_of(center_z)
 
     # certify the box by its vertices (closed sets, exact tests)
-    import itertools as _it
-
-    for signs in _it.product((-1, 1), repeat=n):
+    for signs in itertools.product((-1, 1), repeat=n):
         coord = [centers[i] + signs[i] * radii[i] for i in range(n)]
         z = [sum(coord[k] * U[k][j] for k in range(n)) for j in range(n)]
         if not omega_poly.contains([2 * v for v in z]):
@@ -607,7 +577,7 @@ def covering_count(
     for c in counts:
         nu *= c
 
-    pts = enumerate_slab(pi_spec, jobs=jobs)
+    pts = enumerate_slab(pi_spec)
 
     def cell_of(p) -> Tuple[int, ...]:
         cs = coords_of(p)
@@ -651,11 +621,9 @@ def covering_count(
     max_occ = max((len(v) for v in occupancy.values()), default=0)
     # a tile may capture points assigned to nearby cells; look the
     # neighbouring cells up directly (windows are small)
-    import itertools as _it2
-
     for cell in sorted(occupancy):
         pool = list(occupancy[cell])
-        for offs in _it2.product(*[range(-w, w + 1) for w in win]):
+        for offs in itertools.product(*[range(-w, w + 1) for w in win]):
             if all(o == 0 for o in offs):
                 continue
             other = tuple(cell[i] + offs[i] for i in range(n))

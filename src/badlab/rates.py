@@ -130,14 +130,6 @@ def interval_eval(f: RateFunction, T: RatLike, bits: int) -> HPInterval:
     return out
 
 
-def eval_at(f: RateFunction, T: RatLike, bits: int = 64):
-    """f(T) as an exact Rat when possible, else a certified HPInterval."""
-    exact = eval_exact(f, T)
-    if exact is not None:
-        return exact
-    return interval_eval(f, T, bits)
-
-
 def float_eval(f: RateFunction, T) -> float:
     """Double-precision evidence value; never used in certified paths."""
     t = float(T)
@@ -311,7 +303,8 @@ def _peak_value_le_one(psi, phi, A: Rat, D: Rat, S: int) -> bool:
     At the peak, log T* = -D/A is rational, so
     r(T*) = (c_phi/c_psi) * exp(D) * (-D/A)^(-D),
     which interval arithmetic decides.  Peaks at or below the start are
-    covered by the monotone segment check.
+    covered by the monotone segment check.  A peak value that agrees with
+    1 up to the precision cap raises UndecidableComparison.
     """
     ratio_log = -D / A
     # peak at or before the start point is covered by the check at S;
@@ -327,11 +320,7 @@ def _peak_value_le_one(psi, phi, A: Rat, D: Rat, S: int) -> bool:
         base = HPInterval.from_rat(ratio_log, bits)
         return HPInterval.from_rat(cr, bits) * e_d * base.pow_rat(-D)
 
-    try:
-        return refine_cmp(rat(1), evaluator) >= 0
-    except UndecidableComparison:
-        # peak value agrees with 1 beyond the cap; treat as touching
-        return True
+    return refine_cmp(rat(1), evaluator) >= 0
 
 
 def parse_rate(kind: str, **fields) -> RateFunction:

@@ -309,7 +309,6 @@ def packing_ratio_scan(
     T_values: Sequence[int],
     certificate=None,
     gamma=None,
-    jobs: int = 1,
 ) -> PackingScan:
     """Per-T table of pi_count/mu and cumulative-zeta/mu.
 
@@ -328,9 +327,9 @@ def packing_ratio_scan(
     rows: List[PackingRow] = []
     cum = 0
     for T in Ts:
-        z, _ = zeta_layer(target, phi, R, T, jobs=jobs)
+        z, _ = zeta_layer(target, phi, R, T)
         cum += z
-        p = pi_count(target, phi, R, T, jobs=jobs)
+        p = pi_count(target, phi, R, T)
         m = mu_term(T, R, psi, a, b)
         m_hi = m.hi if isinstance(m, HPInterval) else m
         rows.append(

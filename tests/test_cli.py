@@ -3,7 +3,9 @@ import json
 import pytest
 from click.testing import CliRunner
 
+import badlab.cli
 from badlab.cli import config_from_echo, config_hash, main, parse_config
+from badlab.exactnum import PrecisionError, UndecidableComparison
 
 GOLDEN_CFG = "configs/golden.cfg"
 
@@ -151,6 +153,29 @@ def test_enumerate_counts(runner, tmp_path):
     assert "omega T=50: 1 points" in res.output
 
 
+def test_enumerate_box_guard_exits_two(runner):
+    res = runner.invoke(
+        main,
+        ["enumerate", "--config", GOLDEN_CFG, "--T", "100000", "--set", "omega"],
+    )
+    assert res.exit_code == 2
+    assert res.stderr.startswith("BoxTooLargeError: ")
+    assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize(
+    "exc", [UndecidableComparison, PrecisionError, ArithmeticError, OverflowError]
+)
+def test_unsettled_arithmetic_exits_two(runner, monkeypatch, exc):
+    def boom(*args, **kwargs):
+        raise exc("cap reached")
+
+    monkeypatch.setattr(badlab.cli, "verify_omega_trivial", boom)
+    res = runner.invoke(main, ["verify", "--config", GOLDEN_CFG, "--T", "1"])
+    assert res.exit_code == 2
+    assert res.stderr == f"{exc.__name__}: cap reached\n"
+
+
 def test_enumerate_omega_needs_gamma(runner, tmp_path):
     text = "\n".join(
         l for l in CONTROL_CFG.splitlines() if not l.startswith("gamma")
@@ -221,7 +246,10 @@ def test_montecarlo_small_run(runner, tmp_path):
     rebuilt = config_from_echo(report["config"])
     assert config_hash(rebuilt.describe()) == manifest["config_hash"]
     assert report["zero_count"] == 0
-    assert "timing_seconds" in json.loads((out1 / "run_manifest.json").read_text())
+    assert manifest["timing_seconds"] > 0
+    assert manifest["rng"] == "philox4x64-10"
+    assert {p.name for p in out1.iterdir()} == {
+        "report.json", "samples.csv", "tails.csv", "manifest.json"}
 
 
 def test_raw_config_experiment_roundtrip(tmp_path):

@@ -209,11 +209,3 @@ def test_enumerate_unbounded_raises():
     poly.add([rat(0), rat(1)], rat(1))  # y unbounded below
     with pytest.raises(UnboundedError):
         list(enumerate_integer_points(poly))
-
-
-def test_enumerate_prefix_window():
-    poly = _box(0, 4)
-    full = list(enumerate_integer_points(poly))
-    lowhalf = list(enumerate_integer_points(poly, prefix_lo=0, prefix_hi=2))
-    tophalf = list(enumerate_integer_points(poly, prefix_lo=3, prefix_hi=4))
-    assert lowhalf + tophalf == full

@@ -311,19 +311,17 @@ def test_small_run_deterministic(small_run):
 def test_write_outputs_layout(small_run, tmp_path):
     _, rep = small_run
     out = tmp_path / "run"
-    write_outputs(rep, str(out), timing_s=1.23)
+    write_outputs(rep, str(out))
     names = {p.name for p in out.iterdir()}
-    assert names == {"samples.csv", "tails.csv", "report.json", "run_manifest.json"}
+    assert names == {"samples.csv", "tails.csv", "report.json"}
     report = json.loads((out / "report.json").read_text())
     assert "timing" not in json.dumps(report)
-    manifest = json.loads((out / "run_manifest.json").read_text())
-    assert manifest["timing_seconds"] == 1.23
     lines = (out / "samples.csv").read_text().splitlines()
     assert len(lines) == 1 + len(rep.samples)
     assert lines[0].startswith("index,")
-    # a second write is byte-identical apart from the timing manifest
+    # a second write is byte-identical
     out2 = tmp_path / "run2"
-    write_outputs(rep, str(out2), timing_s=9.99)
+    write_outputs(rep, str(out2))
     assert (out / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
     assert (out / "samples.csv").read_bytes() == (out2 / "samples.csv").read_bytes()
     assert (out / "tails.csv").read_bytes() == (out2 / "tails.csv").read_bytes()

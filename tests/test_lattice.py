@@ -155,11 +155,6 @@ def test_pruned_equals_naive_random():
         assert enumerate_slab(spec) == naive_slab_scan(spec)
 
 
-def test_enumerate_jobs_split_matches():
-    spec = badness_slab(golden_span(), rat(4, 10), UNIT, 1, 30)
-    assert enumerate_slab(spec, jobs=4) == enumerate_slab(spec)
-
-
 def test_half_dilation_golden_ok():
     rep = half_dilation_check(golden_span(), rat(23, 100), UNIT, 1, 10, translates=40, seed=1)
     assert rep.ok and rep.max_points <= 1

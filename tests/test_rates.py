@@ -1,10 +1,11 @@
 import pytest
 from mpmath import mp
 
-from badlab.exactnum import HPInterval, rat, rat_pow
+from badlab.exactnum import HPInterval, UndecidableComparison, rat, rat_pow
 from badlab.rates import (
     PowerLaw,
     PowerLog,
+    _peak_value_le_one,
     admissible_pair,
     cmp_rates_at,
     cmp_refine,
@@ -144,6 +145,18 @@ def test_admissible_interior_peak():
     phi = PowerLog(rat(1), rat(1, 2), rat(1), rat(2))
     rep = admissible_pair(psi, phi)
     assert not rep.ok
+
+
+def test_peak_undecided_at_cap_raises(monkeypatch):
+    # peak value 2*cr/e exceeds 1 by about 2^-140, past a 64-bit cap
+    monkeypatch.setenv("BADLAB_PRECISION_BITS", "64")
+    with mp.workprec(400):
+        cr = rat(int(mp.ceil(mp.e / 2 * mp.mpf(2) ** 140)), 2**140)
+    with pytest.raises(UndecidableComparison):
+        _peak_value_le_one(
+            PowerLaw(rat(1), rat(0)), PowerLaw(cr, rat(0)),
+            A=rat(1, 2), D=rat(-1), S=3,
+        )
 
 
 def test_admissible_scaled_coefficient():
