@@ -60,6 +60,7 @@ from .experiment import (
     DivergingSeriesError,
     ExperimentConfig,
     RejectionError,
+    require_convergent,
     run_theorem1,
     write_outputs,
 )
@@ -184,8 +185,9 @@ def parse_config(path: str) -> RawConfig:
     phi = rate_from_text(need("phi"))
     rep = admissible_pair(psi, phi)
     if not rep.ok:
+        where = "" if rep.witness_T is None else f" at T={rep.witness_T}"
         raise ValueError(
-            f'rates inadmissible at T={rep.witness_T} '
+            f'rates inadmissible{where} '
             '(hypothesis "phi(T) <= psi(T)"): ' + rep.note
         )
     R = _parse_scalar(need("R"))
@@ -475,14 +477,17 @@ def montecarlo(config_path, out_dir):
     started = time.time()
     try:
         raw = parse_config(config_path)
+        # refuse a divergent series before building the certificate
+        diag = require_convergent(raw.psi, raw.phi, raw.A.dim, raw.B.dim,
+                                  raw.R, raw.T_max)
         cfg = raw.experiment()
-    except (ValueError, OSError) as err:
-        _fail_config(err)
-    try:
-        report = run_theorem1(cfg)
     except DivergingSeriesError as err:
         click.echo(f"refused: {err}", err=True)
         sys.exit(2)
+    except (ValueError, OSError) as err:
+        _fail_config(err)
+    try:
+        report = run_theorem1(cfg, diag)
     except RejectionError as err:
         click.echo(f"sampling failed: {err}", err=True)
         sys.exit(1)

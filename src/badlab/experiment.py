@@ -24,12 +24,11 @@ from .exactlp import HPoly, lp_max, lp_min
 from .exactnum import HPInterval, Rat, as_rat, format_rat, rat, rat_floor
 from .geometry import (
     AffineSubspace,
-    LiftedSpan,
     Vec,
     as_vec,
-    cheb_distance,
     lift,
     line_distance,
+    line_witness,
     sup_norm,
     vec_add,
     vec_scale,
@@ -38,10 +37,11 @@ from .lattice import zeta_layer
 from .rates import (
     RateFunction,
     admissible_pair,
+    cmp_refine,
     eval_exact,
     interval_eval,
 )
-from .series import convergence_diagnostic, exponent_analysis
+from .series import DiagnosticReport, convergence_diagnostic, exponent_analysis
 
 _MASK64 = (1 << 64) - 1
 _PHILOX_M0 = 0xD2E7470EE14C6C93
@@ -286,11 +286,12 @@ class MemberWitness:
 
 
 class _LayerCache:
-    """Z_T layers and thickness bounds, shared across samples."""
+    """Z_T layers and phi(RT) enclosures, shared across samples."""
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
         self._layers: Dict[int, List[Tuple[int, ...]]] = {}
+        self._phi: Dict[int, Tuple[Rat, Rat]] = {}
 
     def layer(self, T: int) -> List[Tuple[int, ...]]:
         if T not in self._layers:
@@ -300,16 +301,18 @@ class _LayerCache:
             self._layers[T] = pts
         return self._layers[T]
 
-
-def _cmp_dist_phi(dist: Rat, phi: RateFunction, arg: Rat) -> int:
-    """Ordering of an exact distance against phi(arg)."""
-    ev = eval_exact(phi, arg)
-    if ev is not None:
-        d = dist - ev
-        return -1 if d < 0 else (0 if d == 0 else 1)
-    from .exactnum import refine_cmp
-
-    return refine_cmp(dist, lambda bits: interval_eval(phi, arg, bits))
+    def phi_enclosure(self, T: int) -> Tuple[Rat, Rat]:
+        """Rationals lo <= phi(RT) <= hi: the exact value twice when
+        phi(RT) is rational, else the ends of a 64-bit interval_eval."""
+        if T not in self._phi:
+            arg = self.config.R * T
+            ev = eval_exact(self.config.phi, arg)
+            if ev is not None:
+                self._phi[T] = (ev, ev)
+            else:
+                iv = interval_eval(self.config.phi, arg, 64)
+                self._phi[T] = (iv.lo, iv.hi)
+        return self._phi[T]
 
 
 def u_t_member(
@@ -318,21 +321,26 @@ def u_t_member(
 ) -> Tuple[bool, Optional[MemberWitness]]:
     """Does some layer point z admit t with sup_norm(t*(1,w) - z) <= phi(RT)?
 
-    The minimum over t is the exact distance from z to the ray span, so
-    the decision per candidate is a single certified comparison.
+    The minimum over t is the exact distance d from z to the ray span.
+    It is compared with the cached enclosure lo <= phi(RT) <= hi: d < lo
+    is a member and d > hi is not; with phi(RT) rational lo == hi and the
+    compare is exact.  Only a d inside an irrational enclosure goes on to
+    interval refinement, which raises if it cannot separate.
     """
     wv = as_vec(w)
     if sup_norm(wv) > config.R:
         raise ValueError("w outside the R ball")
     cache = cache or _LayerCache(config)
     lifted_w = (rat(1),) + wv
-    arg = config.R * T
+    lo, hi = cache.phi_enclosure(T)
     for z in cache.layer(T):
         d = line_distance(z, lifted_w)
-        if _cmp_dist_phi(d, config.phi, arg) <= 0:
-            span = LiftedSpan((lifted_w,), config.A.ambient + 1)
-            _, tvec = cheb_distance(z, span)
-            return True, MemberWitness(z=tuple(int(v) for v in z), t=tvec[0])
+        if d > hi:
+            continue
+        if d < lo or lo == hi or cmp_refine(d, config.phi, config.R * T) <= 0:
+            return True, MemberWitness(
+                z=tuple(int(v) for v in z), t=line_witness(z, lifted_w, d)
+            )
     return False, None
 
 
@@ -504,16 +512,33 @@ def _quantiles(vals: List[Rat]) -> Dict[str, Rat]:
     }
 
 
-def run_theorem1(config: ExperimentConfig) -> TheoremReport:
-    diag = convergence_diagnostic(
-        config.psi, config.phi, config.a_dim, config.b_dim, config.R,
-        N=max(10**3, config.T_range[1]),
-    )
+def require_convergent(
+    psi: RateFunction, phi: RateFunction, a: int, b: int, R, T_max: int,
+) -> DiagnosticReport:
+    """The pipeline's series diagnostic; DivergingSeriesError if it diverges.
+
+    It needs only the rates, dimensions, R and the top scale, so a caller
+    can run it before paying for the badness certificate.
+    """
+    diag = convergence_diagnostic(psi, phi, a, b, R, N=max(10**3, T_max))
     if not diag.converges:
         raise DivergingSeriesError(
             "comparison series diverges (p=%s, q=%s); the almost-every "
             "statement needs a convergent series"
             % (diag.exponent.p, diag.exponent.q)
+        )
+    return diag
+
+
+def run_theorem1(
+    config: ExperimentConfig, diag: Optional[DiagnosticReport] = None,
+) -> TheoremReport:
+    """The full pipeline.  `diag` is require_convergent's report for this
+    config when the caller already ran it; otherwise it is run here."""
+    if diag is None:
+        diag = require_convergent(
+            config.psi, config.phi, config.a_dim, config.b_dim, config.R,
+            config.T_range[1],
         )
     samples = sample_on_A(config, config.sample_count)
     cache = _LayerCache(config)

@@ -15,6 +15,7 @@ functionals (the vertices of the orthogonal L1-ball section), which turn
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -27,7 +28,7 @@ from .exactlp import (
     solve_square,
     vec_dot,
 )
-from .exactnum import Rat, as_rat, rat, rat_abs, rat_floor
+from .exactnum import Rat, as_rat, den, num, rat, rat_abs, rat_floor
 
 Vec = Tuple[Rat, ...]
 
@@ -43,7 +44,7 @@ def as_vec(coords: Sequence) -> Vec:
 def sup_norm(v: Sequence) -> Rat:
     out = rat(0)
     for c in v:
-        a = rat_abs(as_rat(c))
+        a = abs(as_rat(c))
         if a > out:
             out = a
     return out
@@ -187,25 +188,64 @@ def cheb_distance(z: Sequence, span: LiftedSpan) -> Tuple[Rat, Vec]:
     return val, tuple(x[:m])
 
 
+def _num_den(c) -> Tuple[int, int]:
+    if isinstance(c, int):
+        return c, 1
+    r = as_rat(c)
+    return num(r), den(r)
+
+
+def _cleared(*vecs: Sequence) -> Tuple[int, List[List[int]]]:
+    """The lcm D of every coordinate's denominator, and each vector times D."""
+    parts = [[_num_den(c) for c in v] for v in vecs]
+    scale = math.lcm(*(q for v in parts for _, q in v))
+    return scale, [[p * (scale // q) for p, q in v] for v in parts]
+
+
 def line_distance(z: Sequence, a: Sequence) -> Rat:
     """min_t sup_i |z_i - t a_i| for a nonzero direction a, closed form.
 
     Equals max over coordinate pairs of |z_j a_k - z_k a_j|/(|a_j|+|a_k|);
     agrees with the simplex route and is what inner loops use for
-    one-dimensional spans.
+    one-dimensional spans.  All denominators are cleared once by their
+    lcm D, so with Z = D z and A = D a the pair terms are the integer
+    ratios |Z_j A_k - Z_k A_j| / (|A_j| + |A_k|), compared by
+    cross-multiplication; the maximum, divided by D, is the distance.
     """
-    zv, av = as_vec(z), as_vec(a)
-    best = rat(0)
-    n = len(zv)
+    scale, (zi, ai) = _cleared(z, a)
+    best_num, best_den = 0, 1
+    n = len(zi)
     for j in range(n):
         for k in range(j + 1, n):
-            denom = rat_abs(av[j]) + rat_abs(av[k])
+            denom = abs(ai[j]) + abs(ai[k])
             if denom == 0:
                 continue
-            val = rat_abs(zv[j] * av[k] - zv[k] * av[j]) / denom
-            if val > best:
-                best = val
-    return best
+            val = abs(zi[j] * ai[k] - zi[k] * ai[j])
+            if val * best_den > best_num * denom:
+                best_num, best_den = val, denom
+    return rat(best_num, scale * best_den)
+
+
+def line_witness(z: Sequence, a: Sequence, d) -> Rat:
+    """Smallest t with sup_i |z_i - t a_i| <= d, for d >= line_distance(z, a).
+
+    Each coordinate with a_i != 0 allows t in an interval whose lower end
+    is z_i/a_i - d/|a_i|; coordinates with a_i = 0 hold for every t
+    because d is at least the distance.  The intervals meet, so the
+    largest lower end lies in all of them.  With Z = D z, A = D a and
+    d = p/q that end is (sgn(A_i) Z_i q - p D) / (q |A_i|), compared by
+    cross-multiplication like the pair terms of line_distance.
+    """
+    scale, (zi, ai) = _cleared(z, a)
+    p, q = _num_den(d)
+    best_num, best_den = None, 1
+    for zc, ac in zip(zi, ai):
+        if ac == 0:
+            continue
+        lower = (zc if ac > 0 else -zc) * q - p * scale
+        if best_num is None or lower * best_den > best_num * abs(ac):
+            best_num, best_den = lower, abs(ac)
+    return rat(best_num, q * best_den)
 
 
 def dual_functionals(span: LiftedSpan) -> List[Vec]:

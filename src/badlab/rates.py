@@ -26,6 +26,7 @@ from .exactnum import (
     rat,
     rat_ceil,
     rat_cmp_power,
+    rat_floor,
     rat_pow,
     rat_pow_rat,
     rat_sign,
@@ -263,17 +264,13 @@ def admissible_pair(
         raise UndecidableComparison("no violation found while doubling")
 
     if A > 0:
-        peak_ok = True
-        if D < 0:
-            # interior max of r at log T = -D/A; check both neighbours
-            ratio_log = -D / A
-            t_star = math.exp(float(ratio_log))
-            for Tc in {max(S, math.floor(t_star)), max(S, math.ceil(t_star))}:
-                if not _cmp_phi_le_psi(psi, phi, Tc):
-                    return AdmissibleReport(False, witness_T=int(Tc))
-            peak_ok = _peak_value_le_one(psi, phi, A, D, S)
-        if not peak_ok:
-            return AdmissibleReport(False, witness_T=None, note="interior peak > 1")
+        # with D < 0, r has an interior max at log T = -D/A; a peak value
+        # <= 1 bounds r everywhere, so no neighbour of the peak can fail
+        if D < 0 and not _peak_value_le_one(psi, phi, A, D, S):
+            return AdmissibleReport(
+                False, witness_T=_peak_neighbour(psi, phi, A, D, S),
+                note="interior peak > 1",
+            )
         if not _cmp_phi_le_psi(psi, phi, S):
             return AdmissibleReport(False, witness_T=S)
     elif A == 0:
@@ -321,6 +318,24 @@ def _peak_value_le_one(psi, phi, A: Rat, D: Rat, S: int) -> bool:
         return HPInterval.from_rat(cr, bits) * e_d * base.pow_rat(-D)
 
     return refine_cmp(rat(1), evaluator) >= 0
+
+
+def _peak_neighbour(psi, phi, A: Rat, D: Rat, S: int) -> Optional[int]:
+    """An integer next to the peak T* = exp(-D/A) where phi > psi, or None.
+
+    T* is enclosed by an HPInterval at the starting precision.  The
+    neighbours floor(T*) and ceil(T*) are tried only when that enclosure
+    pins floor(T*); a far peak (log T* in the thousands) leaves them
+    unknown, and the caller reports the peak without a witness.
+    """
+    iv = HPInterval.from_rat(-D / A, 64).exp()
+    low = rat_floor(iv.lo)
+    if low != rat_floor(iv.hi):
+        return None
+    for Tc in (low, low + 1):
+        if not _cmp_phi_le_psi(psi, phi, Tc):
+            return Tc
+    return None
 
 
 def parse_rate(kind: str, **fields) -> RateFunction:

@@ -15,7 +15,16 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
-from .exactnum import HPInterval, Rat, as_rat, rat, rat_ceil, rat_pow, rat_pow_rat
+from .exactnum import (
+    HPInterval,
+    Rat,
+    as_rat,
+    max_precision_bits,
+    rat,
+    rat_ceil,
+    rat_pow,
+    rat_pow_rat,
+)
 from .rates import RateFunction, eval_exact, interval_eval, float_eval
 from .lattice import pi_count, zeta_layer
 
@@ -64,6 +73,7 @@ def lambda_term(T: int, R, phi: RateFunction, a: int, bits: int = 96) -> Value:
     if a < 1:
         raise ValueError("need a >= 1")
     R = as_rat(R)
+    cap = max_precision_bits()
     cur = bits
     while True:
         left = _rate_value(phi, R * T, cur)
@@ -76,9 +86,10 @@ def lambda_term(T: int, R, phi: RateFunction, a: int, bits: int = 96) -> Value:
             ).pow_rat(rat(a))
             if out.sign_lo() > 0:
                 return out
-            cur *= 2
-            if cur > 4096:
-                raise ArithmeticError("could not separate lambda from zero")
+            if cur >= cap:
+                raise ArithmeticError(
+                    f"could not separate lambda from zero at {cur} bits")
+            cur = min(cur * 2, cap)
             continue
         out = rat_pow(left / T, a) - rat_pow(right / (T + 1), a)
         assert out > 0
@@ -236,6 +247,8 @@ def convergence_diagnostic(
     """
     if N < 10**3:
         raise ValueError("diagnostic wants N >= 1000")
+    if R <= 0:
+        raise ValueError("diagnostic wants R > 0")
     start = max(2, math.ceil(float(psi.domain_start) / float(R)),
                 math.ceil(float(phi.domain_start) / float(R)))
     increments = [_float_sum(start, N, R, psi, phi, a, b)]
@@ -384,8 +397,9 @@ def _mu_less(psi, a: int, b: int, R, T1: int, T2: int) -> bool:
     m2 = mu_term(T2, R, psi, a, b)
     if not isinstance(m1, HPInterval) and not isinstance(m2, HPInterval):
         return m1 < m2
+    cap = max_precision_bits()
     bits = 96
-    while bits <= 4096:
+    while True:
         i1 = mu_term(T1, R, psi, a, b, bits)
         i2 = mu_term(T2, R, psi, a, b, bits)
         i1 = i1 if isinstance(i1, HPInterval) else HPInterval.from_rat(i1, bits)
@@ -394,8 +408,10 @@ def _mu_less(psi, a: int, b: int, R, T1: int, T2: int) -> bool:
             return True
         if i2.hi < i1.lo:
             return False
-        bits *= 2
-    raise ArithmeticError("mu comparison undecided at precision cap")
+        if bits >= cap:
+            raise ArithmeticError(
+                f"mu comparison undecided at {bits} bits")
+        bits = min(bits * 2, cap)
 
 
 def lambda_all_positive(

@@ -89,6 +89,21 @@ def test_config_rejects_inadmissible_rates(runner, tmp_path):
     assert "phi(T) <= psi(T)" in res.output
 
 
+def test_series_far_peak_rates_inadmissible(runner, tmp_path):
+    # the interior peak sits at log T = 3000, out of float range
+    text = (open("configs/cubic.cfg").read()
+            .replace("psi = powerlaw c=1 alpha=1/2",
+                     "psi = powerlog c=1 alpha=0 delta=3 T0=2")
+            .replace("phi = powerlog c=1 alpha=1/2 delta=2 T0=2",
+                     "phi = powerlog c=1 alpha=1/1000 delta=0 T0=2"))
+    cfg = _write(tmp_path, "peak.cfg", text)
+    res = runner.invoke(main, ["series", "--config", cfg, "--N", "10"])
+    assert res.exit_code == 2
+    assert "config error: rates inadmissible (hypothesis" in res.output
+    assert "interior peak > 1" in res.output
+    assert "OverflowError" not in res.output
+
+
 def test_config_missing_key(runner, tmp_path):
     cfg = _write(tmp_path, "missing.cfg", "ambient = 1\n")
     res = runner.invoke(main, ["verify", "--config", cfg, "--T", "2"])
@@ -222,13 +237,32 @@ def test_verify_control_fails(runner, tmp_path):
     assert "triviality FAILED at T=2: counterexample (2, 1)" in res.output
 
 
-def test_montecarlo_refuses_divergent(runner, tmp_path):
+def test_montecarlo_refuses_divergent(runner, tmp_path, monkeypatch):
+    # the refusal comes before the height-1000 certificate is built
+    def no_certificate(*args, **kwargs):
+        raise AssertionError("certificate built for a divergent run")
+
+    monkeypatch.setattr(badlab.cli, "subspace_badness", no_certificate)
     out = tmp_path / "mc"
     res = runner.invoke(
         main, ["montecarlo", "--config", GOLDEN_CFG, "--out", str(out)]
     )
     assert res.exit_code == 2
     assert "refused" in res.output
+
+
+def test_montecarlo_negative_R_is_config_error(runner, tmp_path):
+    # the series diagnostic now runs before ExperimentConfig checks R >= 1;
+    # with power-law rates a negative R would reach float powers of
+    # negative numbers there
+    text = (SMALL_MC_CFG.replace("R = 2", "R = -1")
+            .replace("phi = powerlog c=1 alpha=1/2 delta=2 T0=2",
+                     "phi = powerlaw c=1 alpha=1"))
+    cfg = _write(tmp_path, "negR.cfg", text)
+    res = runner.invoke(
+        main, ["montecarlo", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2
+    assert "config error" in res.output
 
 
 def test_montecarlo_small_run(runner, tmp_path):

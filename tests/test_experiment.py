@@ -1,14 +1,19 @@
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from badlab.exactnum import rat
+from badlab.cli import parse_config
+from badlab.exactnum import UndecidableComparison, rat, refine_cmp
 from badlab.experiment import (
     DivergingSeriesError,
     ExperimentConfig,
     PhiloxStream,
     RejectionError,
     _LayerCache,
+    _parameter_box,
     chart_ball_measure,
     measure_estimate,
     run_theorem1,
@@ -16,9 +21,9 @@ from badlab.experiment import (
     u_t_member,
     write_outputs,
 )
-from badlab.geometry import AffineSubspace, sup_norm
+from badlab.geometry import AffineSubspace, line_distance, sup_norm
 from badlab.presets import preset_value
-from badlab.rates import PowerLaw
+from badlab.rates import PowerLaw, PowerLog, eval_exact, interval_eval
 
 GOLDEN = preset_value("golden")
 UNIT = PowerLaw(rat(1), rat(1))
@@ -212,6 +217,105 @@ def test_u_t_member_false_case(golden_config):
     cache = _LayerCache(golden_config)
     member, wit = u_t_member((rat(1, 2),), 9, golden_config, cache)
     assert not member and wit is None
+
+
+def _cmp_phi(x, cfg, T):
+    """x against phi(RT): exact when phi(RT) is rational, else refined."""
+    arg = cfg.R * T
+    return refine_cmp(
+        x, lambda bits: interval_eval(cfg.phi, arg, bits),
+        exact=eval_exact(cfg.phi, arg),
+    )
+
+
+def _member_by_definition(w, T, cfg, cache):
+    lifted = (rat(1),) + tuple(w)
+    for z in cache.layer(T):
+        if _cmp_phi(line_distance(z, lifted), cfg, T) <= 0:
+            return True, tuple(z)
+    return False, None
+
+
+@pytest.fixture(scope="module", params=["cubic.cfg", "golden.cfg"])
+def shipped_small(request):
+    # the shipped configs cut to T <= 16, with a certificate just tall enough
+    raw = parse_config("configs/" + request.param)
+    raw = dataclasses.replace(
+        raw, T_max=16, cert_height=int(raw.R * 16) + 1, samples=0
+    )
+    cfg = raw.experiment()
+    return cfg, _LayerCache(cfg), _parameter_box(cfg)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_u_t_member_matches_definition(shipped_small, data):
+    cfg, cache, box = shipped_small
+    # small T half the time: on cubic.cfg most hits are at T <= 4
+    T = data.draw(st.one_of(st.integers(2, 4), st.integers(2, 16)), label="T")
+    w = list(cfg.A.point)
+    for (lo, hi), direction in zip(box, cfg.A.directions):
+        k = data.draw(st.integers(0, int(hi - lo) * 2**64 - 1), label="k")
+        t = lo + rat(k, 2**64)
+        w = [c + t * v for c, v in zip(w, direction)]
+    if sup_norm(w) > cfg.R:
+        return
+    member, wit = u_t_member(w, T, cfg, cache)
+    expect, z = _member_by_definition(w, T, cfg, cache)
+    assert member == expect
+    if not member:
+        assert wit is None
+        return
+    # same first layer point, and the closed-form t lands in the slab
+    assert wit.z == z
+    gap = sup_norm([wit.t * c - zc for c, zc in zip((rat(1),) + tuple(w), z)])
+    assert gap == line_distance(z, (rat(1),) + tuple(w))
+    assert _cmp_phi(gap, cfg, T) <= 0
+
+
+def test_phi_enclosure_per_T(golden_config, cubic_config):
+    exact = _LayerCache(golden_config)
+    assert exact.phi_enclosure(7) == (rat(1, 7), rat(1, 7))
+    cache = _LayerCache(cubic_config)
+    lo, hi = cache.phi_enclosure(5)
+    assert lo < hi
+    iv = interval_eval(cubic_config.phi, cubic_config.R * 5, 256)
+    assert lo <= iv.lo and iv.hi <= hi
+    assert cache.phi_enclosure(5) is cache.phi_enclosure(5)
+
+
+@pytest.fixture()
+def log_phi_config(golden_cert):
+    # phi(T) = 1/(T log T) is irrational at every integer T >= 2
+    return ExperimentConfig(
+        A=AffineSubspace(point=(rat(0),), directions=((rat(1),),)),
+        B=AffineSubspace(point=(GOLDEN,), directions=()),
+        psi=UNIT, phi=PowerLog(rat(1), rat(1), rat(1), rat(2)), R=rat(1),
+        certificate=golden_cert, sample_count=0, X=100, T_range=(3, 8), seed=1,
+    )
+
+
+def _w_at_distance(z, d):
+    # for z = (T, z1) with z1 < 0, w = (z1 + d)/(T + d) lies in (-1, 0)
+    # and the ray (1, w) sits at sup distance exactly d from z
+    T, z1 = z
+    return (rat(z1) + d) / (T + d)
+
+
+def test_u_t_member_refines_inside_enclosure(log_phi_config, monkeypatch):
+    T = 5
+    cache = _LayerCache(log_phi_config)
+    z = cache.layer(T)[0]
+    lo, hi = cache.phi_enclosure(T)
+    d = (lo + hi) / 2
+    w = _w_at_distance(z, d)
+    assert line_distance(z, (rat(1), w)) == d
+    member, wit = u_t_member((w,), T, log_phi_config, cache)
+    assert member == (_cmp_phi(d, log_phi_config, T) < 0)
+    # a tie the cap cannot settle still raises instead of guessing
+    monkeypatch.setenv("BADLAB_PRECISION_BITS", "64")
+    with pytest.raises(UndecidableComparison):
+        u_t_member((w,), T, log_phi_config, cache)
 
 
 def test_chart_measure_golden(golden_config):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from badlab.exactlp import vec_dot
 from badlab.exactnum import rat
@@ -14,6 +16,7 @@ from badlab.geometry import (
     dual_functionals,
     lift,
     line_distance,
+    line_witness,
     nearest_int_dist,
     solve_in_basis,
     sup_norm,
@@ -111,6 +114,53 @@ def test_three_distance_routes_agree():
         d_line = line_distance(z, sp.basis[0])
         d_dual = distance_via_functionals(z, dual_functionals(sp))
         assert d_lp == d_line == d_dual
+
+
+def _rationals(max_den_bits):
+    return st.builds(
+        lambda p, k, q: rat(p, q << k),
+        st.integers(-(2**80), 2**80),
+        st.integers(0, max_den_bits),
+        st.integers(1, 9),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_integer_line_distance_matches_lp(data):
+    # the integer-cleared pair formula against the simplex, with dyadic
+    # denominators up to 2^270 as in the Monte Carlo samples
+    n = data.draw(st.integers(2, 4))
+    z = data.draw(st.lists(_rationals(270), min_size=n, max_size=n))
+    a = data.draw(
+        st.lists(_rationals(270), min_size=n, max_size=n).filter(
+            lambda v: any(c != 0 for c in v)
+        )
+    )
+    d_lp, _ = cheb_distance(z, LiftedSpan((tuple(a),), n))
+    assert line_distance(z, a) == d_lp
+    # the witness meets d at its smallest t: some coordinate with a_i != 0
+    # is tight on the side that a smaller t would break
+    for d in (d_lp, d_lp + data.draw(_rationals(8).map(abs), label="slack")):
+        t = line_witness(z, a, d)
+        assert sup_norm([zc - t * ac for zc, ac in zip(z, a)]) <= d
+        assert any(
+            ac != 0 and (zc - t * ac) * (1 if ac > 0 else -1) == d
+            for zc, ac in zip(z, a)
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(-50, 50), min_size=3, max_size=3),
+    st.integers(-(2**64), 2**64),
+    st.integers(-(2**64), 2**64),
+)
+def test_integer_line_distance_on_layer_points(z, p1, p2):
+    # layer points are plain int tuples; the ray is (1, w) with w dyadic
+    a = (rat(1), rat(p1, 2**64), rat(p2, 2**66))
+    d_lp, _ = cheb_distance(z, LiftedSpan((a,), 3))
+    assert line_distance(tuple(z), a) == d_lp
 
 
 def test_dual_functionals_plane_case():

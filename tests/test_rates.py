@@ -147,6 +147,28 @@ def test_admissible_interior_peak():
     assert not rep.ok
 
 
+def test_admissible_far_peak_no_float_overflow():
+    # phi/psi = T^(-1/1000) (log T)^3 peaks at log T = 3000, where a float
+    # exp overflows; the exact peak value 3000^3/e^3 > 1 decides it
+    psi = rate_from_text("powerlog c=1 alpha=0 delta=3 T0=2")
+    phi = rate_from_text("powerlog c=1 alpha=1/1000 delta=0 T0=2")
+    rep = admissible_pair(psi, phi)
+    assert not rep.ok
+    assert rep.note == "interior peak > 1"
+    assert rep.witness_T is None
+
+
+def test_admissible_near_peak_keeps_neighbour_witness():
+    # phi/psi = T^(-1/10) (log T)^2 peaks at log T = 20 with value 400/e^2;
+    # the enclosure of e^20 pins floor(T*), and a neighbour is a witness
+    psi = rate_from_text("powerlog c=1 alpha=0 delta=2 T0=2")
+    phi = rate_from_text("powerlaw c=1 alpha=1/10")
+    rep = admissible_pair(psi, phi)
+    assert not rep.ok and rep.note == "interior peak > 1"
+    assert rep.witness_T in (485165195, 485165196)
+    assert cmp_rates_at(phi, psi, rat(rep.witness_T)) > 0
+
+
 def test_peak_undecided_at_cap_raises(monkeypatch):
     # peak value 2*cr/e exceeds 1 by about 2^-140, past a 64-bit cap
     monkeypatch.setenv("BADLAB_PRECISION_BITS", "64")

@@ -221,3 +221,20 @@ def test_mu_monotone_and_lambda_positive():
     assert lambda_all_positive(UNIT, 2, 1, range(1, 60))
     with pytest.raises(ValueError):
         mu_strictly_increasing(UNIT, 1, 1, 1, 10)
+
+
+def test_precision_cap_governs_series_refinement(monkeypatch):
+    # at T = 2^100 neighbouring terms differ in the 100th bit: 96 bits
+    # cannot separate them, the default cap can, and a 64-bit cap stops
+    # after the first evaluation instead of doubling on
+    phi = PowerLog(rat(1), rat(1, 2), rat(2), rat(2))
+    T = 2**100
+    assert lambda_term(T, 2, phi, 1).sign_lo() > 0
+    assert mu_strictly_increasing(SQRT, 1, 0, 2, T + 1, spot_checks=(T,))
+    monkeypatch.setenv("BADLAB_PRECISION_BITS", "64")
+    with pytest.raises(ArithmeticError, match="at 96 bits"):
+        lambda_term(T, 2, phi, 1)
+    with pytest.raises(ArithmeticError, match="at 96 bits"):
+        mu_strictly_increasing(SQRT, 1, 0, 2, T + 1, spot_checks=(T,))
+    # the first evaluation stays at 96 bits whatever the cap
+    assert lambda_term(10, 2, phi, 1).prec == 96
