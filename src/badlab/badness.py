@@ -9,8 +9,10 @@ skips provably has a larger ratio.  The outcome is either a certificate
 witness pair) or a zero hit, an integer point on the target itself.
 
 The vector scan is the b = 0 specialization using distances to the
-nearest integer; the hot loop sits in badlab.kernels with a two-pass
-design whose float preselection is only ever a superset filter.
+nearest integer.  Its hot loop (badlab.kernels) keeps exact integer
+residues and returns the strict records of the sup distance; the exact
+minimizer of the ratio is always among them, because every rate is
+non-increasing, so no float ever narrows the candidates.
 """
 
 from __future__ import annotations
@@ -261,9 +263,13 @@ def vector_badness(
 ) -> VectorBadnessResult:
     """Minimize dist(q w, Z^d)/psi(q) over integers q in [q_min, X].
 
-    The kernel preselects candidate minimizers from exact residues with a
-    float ratio margin; the final choice between candidates is exact,
-    ties resolved toward the smallest q.
+    The kernel returns the strict records of the exact sup distance: the
+    q whose distance is below that of every smaller q in the range.  The
+    smallest minimizer is one of them.  If q' > q has dist(q' w) >=
+    dist(q w), then psi(q') <= psi(q) gives dist(q' w)/psi(q') >=
+    dist(q w)/psi(q), because psi is non-increasing (the rate
+    constructors enforce c > 0, alpha, delta >= 0 and T0 >= 2).  The
+    choice between records is exact, ties resolved toward the smallest q.
     """
     wv = as_vec(w)
     if not wv:
@@ -275,9 +281,7 @@ def vector_badness(
     for c in wv:
         D = D * int(c.denominator) // math.gcd(D, int(c.denominator))
     nums = [int(c.numerator) * (D // int(c.denominator)) for c in wv]
-    cands, zero_q = kernels.badness_scan(
-        nums, D, X, q_min, float(psi.alpha), float(psi.delta)
-    )
+    records, zero_q = kernels.badness_scan(nums, D, X, q_min)
     if zero_q is not None:
         return VectorBadnessResult(
             w=wv,
@@ -292,7 +296,7 @@ def vector_badness(
         )
     best_q = None
     best_d = None
-    for q in cands:
+    for q in records:
         d = sup_dist_to_lattice(wv, q)
         if best_q is None or cmp_scaled_ratios(d, q, best_d, best_q, psi) < 0:
             best_q, best_d = q, d

@@ -1,82 +1,25 @@
-"""Kernel dispatch: compiled extension when available, pure Python otherwise.
+"""The badness-scan kernel, behind the names perfbench/tracer.py wraps.
 
-The compiled module is optional; builds without a C compiler simply skip
-it.  BADLAB_FORCE_PURE=1 pins the pure kernels, which the benchmark and
-the equivalence tests use to compare both implementations.  Dispatch is
-per call: the compiled box scan only accepts problems whose intermediate
-products provably fit in 64-bit integers, and the compiled badness scan
-only power-of-two denominators up to 2^256; everything else falls back.
+There is one pure-Python kernel (badlab.kernels._pykernels).  This module
+exists only as the seam the benchmark reads: its tracer wraps both
+`badness_scan` here and the one in `_pykernels`, so the two must stay
+distinct function objects, and its set-up probe stamps each record with
+`backend_name()`.  The seam goes when the tracer moves to
+`_pykernels.badness_scan` (ROADMAP item 7).
 """
 
 from __future__ import annotations
 
-import os
 from typing import List, Optional, Sequence, Tuple
 
 from . import _pykernels
 
-_compiled = None
-if os.environ.get("BADLAB_FORCE_PURE") != "1":
-    try:
-        from . import _cykernels as _compiled  # type: ignore
-    except ImportError:
-        _compiled = None
-
-HAVE_COMPILED = _compiled is not None
-
 
 def backend_name() -> str:
-    return "compiled" if HAVE_COMPILED else "pure"
-
-
-_I64 = 1 << 62
-
-
-def _fits_i64(rows_c, rows_r, bounds) -> bool:
-    for (row, rhs) in zip(rows_c, rows_r):
-        if abs(rhs) >= _I64:
-            return False
-        acc = 0
-        for c, (lo, hi) in zip(row, bounds):
-            if abs(c) >= _I64:
-                return False
-            acc += abs(c) * max(abs(lo), abs(hi))
-        if acc >= _I64:
-            return False
-    for lo, hi in bounds:
-        if abs(lo) >= _I64 or abs(hi) >= _I64:
-            return False
-    return True
-
-
-def box_scan(
-    rows_c: Sequence[Tuple[int, ...]],
-    rows_r: Sequence[int],
-    bounds: Sequence[Tuple[int, int]],
-) -> List[Tuple[int, ...]]:
-    if _compiled is not None and bounds and _fits_i64(rows_c, rows_r, bounds):
-        return _compiled.box_scan_i64(list(rows_c), list(rows_r), list(bounds))
-    return _pykernels.box_scan(rows_c, rows_r, bounds)
+    return "pure"
 
 
 def badness_scan(
-    nums: Sequence[int],
-    denominator: int,
-    X: int,
-    q_min: int,
-    alpha: float,
-    delta: float = 0.0,
-    margin: float = 1e-6,
+    nums: Sequence[int], denominator: int, X: int, q_min: int
 ) -> Tuple[List[int], Optional[int]]:
-    if (
-        _compiled is not None
-        and denominator > 0
-        and denominator & (denominator - 1) == 0
-        and denominator <= (1 << 256)
-    ):
-        return _compiled.badness_scan_pow2(
-            list(nums), denominator, X, q_min, alpha, delta, margin
-        )
-    return _pykernels.badness_scan(
-        nums, denominator, X, q_min, alpha, delta, margin
-    )
+    return _pykernels.badness_scan(nums, denominator, X, q_min)

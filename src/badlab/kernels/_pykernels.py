@@ -1,38 +1,12 @@
-"""Pure-Python reference kernels.
+"""The badness-scan kernel: exact integer residues, no floats.
 
-These are the semantics the compiled kernels must reproduce bit for bit.
-They favour clarity over speed: the box scan is a plain product walk with
-exact integer row tests, and the badness scan keeps denominator-cleared
-residues as Python integers, so both are usable as oracles.
+The scan carries denominator-cleared residues as Python integers, so the
+per-q sup distance it compares is exact.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from typing import List, Optional, Sequence, Tuple
-
-
-def box_scan(
-    rows_c: Sequence[Tuple[int, ...]],
-    rows_r: Sequence[int],
-    bounds: Sequence[Tuple[int, int]],
-) -> List[Tuple[int, ...]]:
-    """Integer points of a box satisfying integer rows c . z <= r."""
-    out = []
-    ranges = [range(lo, hi + 1) for lo, hi in bounds]
-    for p in itertools.product(*ranges):
-        ok = True
-        for row, rhs in zip(rows_c, rows_r):
-            s = 0
-            for c, z in zip(row, p):
-                s += c * z
-            if s > rhs:
-                ok = False
-                break
-        if ok:
-            out.append(p)
-    return out
 
 
 def badness_scan(
@@ -40,50 +14,38 @@ def badness_scan(
     denominator: int,
     X: int,
     q_min: int,
-    alpha: float,
-    delta: float = 0.0,
-    margin: float = 1e-6,
 ) -> Tuple[List[int], Optional[int]]:
-    """Candidate minimizers of q -> dist(q * w, Z^d) * q^alpha * (log q)^delta.
+    """Strict records of q -> dist(q * w, Z^d) over q_min <= q <= X.
 
-    w_j = nums[j] / denominator.  Residues are carried exactly modulo the
-    denominator, so the per-q sup distance is exact; only the ratio used
-    for preselection is floating point, with a relative margin wide enough
-    that the true minimizer always survives into the candidate list.  The
-    exact decision between candidates happens in the caller.
+    w_j = nums[j] / denominator.  A q is a record when its sup distance
+    is strictly below that of every q' in [q_min, q).  For a
+    non-increasing rate psi the smallest minimizer of dist/psi over the
+    range is a record, so the caller's exact choice need only look at
+    these (best simultaneous approximations counted from q_min).
 
-    Returns (candidate q list, first q with distance exactly zero or None).
+    Returns (records, None), or ([q], q) for the first q whose distance
+    is exactly zero.
     """
     if q_min < 1 or q_min > X:
         raise ValueError("empty q range")
-    d = len(nums)
     D = denominator
     step = [n % D for n in nums]
     res = [(q_min - 1) * s % D for s in step]
-    ratios = [0.0] * (X - q_min + 1)
-    zero_q: Optional[int] = None
+    records: List[int] = []
+    best = D  # above every folded residue, which is at most D // 2
     for q in range(q_min, X + 1):
         m = 0
-        for j in range(d):
-            r = res[j] + step[j]
+        for j, s in enumerate(step):
+            r = res[j] + s
             if r >= D:
                 r -= D
             res[j] = r
             f = r if 2 * r <= D else D - r
             if f > m:
                 m = f
-        if m == 0:
-            if zero_q is None:
-                zero_q = q
-            ratios[q - q_min] = 0.0
-            continue
-        ratio = (m / D) * math.pow(q, alpha)
-        if delta != 0.0:
-            ratio *= math.pow(math.log(q), delta)
-        ratios[q - q_min] = ratio
-    best = min(ratios)
-    if zero_q is not None:
-        return [zero_q], zero_q
-    cut = best * (1.0 + margin)
-    cands = [q_min + i for i, r in enumerate(ratios) if r <= cut]
-    return cands, None
+        if m < best:
+            if m == 0:
+                return [q], q
+            best = m
+            records.append(q)
+    return records, None

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
-from . import kernels
 from .exactlp import (
     HPoly,
     enumerate_integer_points,
@@ -278,12 +277,19 @@ def naive_slab_scan(spec: SlabSpec) -> List[Tuple[int, ...]]:
         rows_r.append(rr)
     lo, hi = spec.z0_range
     b = rat_floor(spec.box_bound)
-    bounds = [(lo, hi)] + [(-b, b)] * (spec.ambient - 1)
-    pts = kernels.box_scan(rows_c, rows_r, bounds)
+    ranges = [range(lo, hi + 1)] + [range(-b, b + 1)] * (spec.ambient - 1)
+    pts = [
+        p
+        for p in itertools.product(*ranges)
+        if all(
+            sum(c * z for c, z in zip(row, p)) <= rhs
+            for row, rhs in zip(rows_c, rows_r)
+        )
+    ]
     if not _needs_filter(spec):
-        return [tuple(p) for p in pts]
+        return pts
     return [
-        tuple(p)
+        p
         for p in pts
         if spec.thickness.cmp_dist(_exact_distance(spec, p, funcs)) <= 0
     ]

@@ -4,8 +4,6 @@ Config files refer to classical badly approximable coordinates by name.
 Each stand-in is floor(value * 2^200) / 2^200, an exact rational within
 2^-200 < 6.3e-61 of the named irrational, so every downstream computation
 stays in exact arithmetic while tracking the intended target to 60 digits.
-The denominator is a power of two on purpose: the compiled badness kernel
-has a fast path for dyadic coordinates.
 
 golden denotes (sqrt(5) - 1) / 2, the fractional part of the golden ratio.
 """

@@ -188,19 +188,28 @@ def cmp_scaled_ratios(
 
     This is the comparison a badness scan performs between candidate
     ratios dist(x)/f(|x|).  For pure powers it reduces to an integer
-    comparison; log factors go through interval refinement.
+    comparison; log factors go through interval refinement only when
+    they pull against the power part.
     """
     d1, s1, d2, s2 = map(as_rat, (d1, s1, d2, s2))
     if d1 == 0 or d2 == 0:
         return rat_sign(d1 - d2)
     if s1 == s2:
         return rat_sign(d1 - d2)
+    # d1 * s1^a ? d2 * s2^a with a = u/v: cross to integer powers
+    u, v = num(f.alpha), den(f.alpha)
+    lhs = rat_pow(d1, v) * rat_pow(s1, u)
+    rhs = rat_pow(d2, v) * rat_pow(s2, u)
+    power = rat_sign(lhs - rhs)
     if f.delta == 0:
-        # d1 * s1^a ? d2 * s2^a with a = u/v: cross to integer powers
-        u, v = num(f.alpha), den(f.alpha)
-        lhs = rat_pow(d1, v) * rat_pow(s1, u)
-        rhs = rat_pow(d2, v) * rat_pow(s2, u)
-        return rat_sign(lhs - rhs)
+        return power
+    _check_domain(f, s1)
+    _check_domain(f, s2)
+    # (log s)^delta grows with s on the domain (s >= T0 >= 2), so when
+    # the power part ties or agrees with s1 ? s2 the log factor settles it
+    by_log = rat_sign(s1 - s2)
+    if power != -by_log:
+        return by_log
 
     def evaluator(bits: int) -> HPInterval:
         a = HPInterval.from_rat(d1, bits) / interval_eval(f, s1, bits)

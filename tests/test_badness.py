@@ -1,5 +1,10 @@
-import pytest
+from fractions import Fraction
 
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from badlab import kernels
 from badlab.badness import (
     BadnessCertificate,
     ZeroHit,
@@ -8,10 +13,10 @@ from badlab.badness import (
     sup_dist_to_lattice,
     vector_badness,
 )
-from badlab.exactnum import rat
+from badlab.exactnum import UndecidableComparison, rat, rat_ceil
 from badlab.geometry import LiftedSpan
 from badlab.presets import preset_value
-from badlab.rates import PowerLaw
+from badlab.rates import PowerLaw, PowerLog, cmp_scaled_ratios
 
 GOLDEN = preset_value("golden")
 CBRT2 = preset_value("cbrt2")
@@ -116,13 +121,90 @@ def test_vector_badness_two_coordinates():
     # the reported distance really is the sup distance at argmin
     assert res.min_dist == sup_dist_to_lattice((CBRT2, CBRT4), res.argmin_q)
     # and no smaller q beats it scaled by the rate
-    from badlab.rates import cmp_scaled_ratios
-
     for q in range(1, 40):
         d = sup_dist_to_lattice((CBRT2, CBRT4), q)
         assert cmp_scaled_ratios(
             d, q, res.min_dist, res.argmin_q, res.rate
         ) >= 0
+
+
+def _brute_vector_badness(w, psi, X, q_min):
+    """(argmin_q, min_dist, zero_q) by an exact comparison at every q."""
+    best_q = best_d = None
+    for q in range(q_min, X + 1):
+        d = sup_dist_to_lattice(w, q)
+        if best_q is None or cmp_scaled_ratios(d, q, best_d, best_q, psi) < 0:
+            best_q, best_d = q, d
+    return best_q, best_d, best_q if best_d == 0 else None
+
+
+@st.composite
+def _coordinate(draw):
+    if draw(st.booleans()):
+        den = 1 << draw(st.integers(0, 70))
+    else:
+        den = draw(st.integers(1, 10**6))
+    return Fraction(draw(st.integers(-3 * den, 3 * den)), den)
+
+
+_exponents = st.sampled_from(
+    [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(2)]
+)
+_coefficients = st.fractions(min_value=Fraction(1, 100), max_value=100)
+_rates = st.one_of(
+    st.builds(PowerLaw, _coefficients, _exponents),
+    st.builds(PowerLog, _coefficients, _exponents, _exponents,
+              st.integers(2, 5).map(Fraction)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    w=st.lists(_coordinate(), min_size=1, max_size=3),
+    psi=_rates,
+    X=st.integers(1, 400),
+    q_min=st.integers(1, 400),
+)
+def test_vector_badness_matches_brute_force(w, psi, X, q_min):
+    lo = max(q_min, rat_ceil(psi.domain_start))
+    assume(lo <= X)
+    try:
+        want = _brute_vector_badness(w, psi, X, lo)
+    except UndecidableComparison:
+        # an exact tie of irrational ratios, e.g. d(2w) log 2 = d(4w) log 4
+        assume(False)
+    res = vector_badness(w, psi, X, q_min=q_min)
+    assert (res.argmin_q, res.min_dist, res.zero_q) == want
+
+
+def _convergent_denominators(w, X):
+    """Denominators <= X of the continued-fraction convergents of w."""
+    p, q = w.numerator, w.denominator
+    out = []
+    k0, k1 = 1, 0
+    while q:
+        a, (p, q) = p // q, (q, p % q)
+        k0, k1 = k1, a * k1 + k0
+        if k1 > X:
+            break
+        if not out or out[-1] != k1:
+            out.append(k1)
+    return out
+
+
+def test_golden_records_are_convergents():
+    # d = 1: the strict records of ||q w|| are the convergent denominators
+    num, den = GOLDEN.numerator, GOLDEN.denominator
+    fib = [1, 2]
+    while fib[-1] + fib[-2] <= 10**4:
+        fib.append(fib[-1] + fib[-2])
+    assert fib[-1] == 6765
+    assert _convergent_denominators(GOLDEN, 10**4) == fib
+    assert kernels.badness_scan([num], den, 10**4, 1) == (fib, None)
+    # counted from q_min = 100, the records before 144 are not convergents
+    assert kernels.badness_scan([num], den, 10**4, 100) == (
+        [100, 102, 110] + [f for f in fib if f >= 144], None
+    )
 
 
 def test_sandwich_golden():

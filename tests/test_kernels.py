@@ -1,165 +1,21 @@
-import os
-import random
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
-import badlab
 from badlab import kernels
 from badlab.kernels import _pykernels
 
-compiled = pytest.mark.skipif(
-    not kernels.HAVE_COMPILED, reason="compiled kernels not built"
-)
-
 
 def test_backend_dispatch_reports():
-    assert kernels.backend_name() in ("pure", "compiled")
-
-
-def test_force_pure_env_pin():
-    code = (
-        "import badlab.kernels as k; print(k.backend_name())"
-    )
-    # the child must import the same badlab as this process, installed or
-    # not and from any working directory; the pin overrides any inherited
-    # value
-    src = str(Path(badlab.__file__).resolve().parents[1])
-    env = dict(os.environ, BADLAB_FORCE_PURE="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, env=env,
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "pure"
-
-
-def _random_box_instance(rng):
-    n = rng.choice((1, 2, 3, 4))
-    m = rng.randint(1, 5)
-    rows_c = [
-        tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(m)
-    ]
-    rows_r = [rng.randint(-10, 40) for _ in range(m)]
-    bounds = []
-    for _ in range(n):
-        lo = rng.randint(-7, 3)
-        bounds.append((lo, lo + rng.randint(0, 8)))
-    return rows_c, rows_r, bounds
-
-
-@compiled
-def test_box_scan_matches_pure_random():
-    from badlab.kernels import _cykernels
-
-    rng = random.Random(101)
-    for _ in range(200):
-        rows_c, rows_r, bounds = _random_box_instance(rng)
-        pure = _pykernels.box_scan(rows_c, rows_r, bounds)
-        fast = _cykernels.box_scan_i64(
-            [list(r) for r in rows_c], list(rows_r), list(bounds)
-        )
-        assert [tuple(p) for p in fast] == pure  # order included
-
-
-def test_box_scan_dispatch_huge_values_fall_back():
-    # coefficients beyond the 64-bit budget must still work (pure route)
-    big = 1 << 70
-    got = kernels.box_scan([(big,)], [big * 2], [(-2, 3)])
-    assert got == _pykernels.box_scan([(big,)], [big * 2], [(-2, 3)])
-    assert [tuple(p) for p in got] == [(-2,), (-1,), (0,), (1,), (2,)]
-
-
-def _random_badness_instance(rng):
-    k = rng.choice((1, 3, 16, 53, 64, 65, 128, 200, 256))
-    D = 1 << k
-    d = rng.choice((1, 2, 3))
-    nums = [rng.randrange(0, D) for _ in range(d)]
-    X = rng.randint(5, 400)
-    q_min = rng.randint(1, max(1, X // 3))
-    alpha = rng.choice((0.5, 1.0, 1.5))
-    delta = rng.choice((0.0, 0.0, 2.0))
-    return nums, D, X, q_min, alpha, delta
-
-
-@compiled
-def test_badness_scan_matches_pure_random():
-    from badlab.kernels import _cykernels
-
-    rng = random.Random(55)
-    for _ in range(300):
-        nums, D, X, q_min, alpha, delta = _random_badness_instance(rng)
-        pure = _pykernels.badness_scan(nums, D, X, q_min, alpha, delta)
-        fast = _cykernels.badness_scan_pow2(nums, D, X, q_min, alpha, delta)
-        assert fast == pure
-
-
-@compiled
-def test_badness_scan_golden_preset_case():
-    from badlab.kernels import _cykernels
-    from badlab.presets import preset_value
-
-    g = preset_value("golden")
-    D = int(g.denominator)
-    # the 2^-200 dyadic stand-in in lowest terms; still a power of two
-    assert D & (D - 1) == 0 and D > 1 << 190
-    nums = [int(g.numerator)]
-    pure = _pykernels.badness_scan(nums, D, 10**4, 1, 1.0)
-    fast = _cykernels.badness_scan_pow2(nums, D, 10**4, 1, 1.0)
-    assert fast == pure
-    # q = 1 is the global minimizer and prunes everything after it
-    assert pure == ([1], None)
-    # restricted to q >= 100 the record holder is the Fibonacci number 144
-    pure_r = _pykernels.badness_scan(nums, D, 10**4, 100, 1.0)
-    fast_r = _cykernels.badness_scan_pow2(nums, D, 10**4, 100, 1.0)
-    assert fast_r == pure_r
-    assert 144 in pure_r[0]
+    assert kernels.backend_name() == "pure"
+    # the benchmark's tracer wraps both names; one object would lose a count
+    assert kernels.badness_scan is not _pykernels.badness_scan
 
 
 def test_badness_scan_zero_detection_both():
-    # w = 3/8: distance hits zero first at q = 8
-    out = kernels.badness_scan([3], 8, 50, 1, 1.0)
-    assert out[1] == 8
-    assert 8 in out[0]
+    # w = 3/8: distance hits zero first at q = 8, after the records 1, 2, 3
+    assert kernels.badness_scan([3], 8, 50, 1) == ([8], 8)
+    assert kernels.badness_scan([3], 8, 7, 1) == ([1, 2, 3], None)
 
 
 def test_badness_scan_rejects_empty_range():
     with pytest.raises(ValueError):
-        _pykernels.badness_scan([1], 4, 10, 11, 1.0)
-
-
-def test_badness_scan_dispatch_non_pow2_falls_back():
-    # denominator 3 cannot take the compiled path; results must agree anyway
-    got = kernels.badness_scan([1], 3, 30, 1, 1.0)
-    pure = _pykernels.badness_scan([1], 3, 30, 1, 1.0)
-    assert got == pure
-    assert got[1] == 3
-
-
-@compiled
-def test_limb_rounding_boundary_cases():
-    # residues exercising the 53-bit round-to-even window: equality of the
-    # float preselection ratios implies the limb -> double conversion is
-    # correctly rounded
-    from badlab.kernels import _cykernels
-
-    for k in (53, 54, 64, 100):
-        D = 1 << k
-        picks = [
-            1, 2, 3,
-            (1 << 52) + 1, (1 << 53) - 1, (1 << 53) + 1,
-            D // 2 - 1, D // 2, D // 2 + 1, D - 1,
-            (D // 3) | 1, (D // 7) | 1,
-        ]
-        for n in picks:
-            n %= D
-            if n == 0:
-                continue
-            pure = _pykernels.badness_scan([n], D, 64, 1, 0.5)
-            fast = _cykernels.badness_scan_pow2([n], D, 64, 1, 0.5)
-            assert fast == pure, (k, n)
+        _pykernels.badness_scan([1], 4, 10, 11)

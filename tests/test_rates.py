@@ -1,7 +1,17 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
-from badlab.exactnum import HPInterval, UndecidableComparison, rat, rat_pow
+from badlab.exactnum import (
+    HPInterval,
+    UndecidableComparison,
+    rat,
+    rat_pow,
+    refine_cmp,
+)
 from badlab.rates import (
     PowerLaw,
     PowerLog,
@@ -114,6 +124,35 @@ def test_cmp_scaled_ratios_log_route():
     # d/g(s) = d*s*log(s): 1*2*log2 ~ 1.386 vs 1*3*log3 ~ 3.296
     assert cmp_scaled_ratios(rat(1), rat(2), rat(1), rat(3), g) == -1
     assert cmp_scaled_ratios(rat(5), rat(2), rat(1), rat(3), g) == 1
+    # power parts tie (3*2 == 2*3): the log factors decide
+    assert cmp_scaled_ratios(rat(3), rat(2), rat(2), rat(3), g) == -1
+    with pytest.raises(ValueError):
+        cmp_scaled_ratios(rat(1), rat(1), rat(1), rat(3), g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    d1=st.fractions(min_value=Fraction(1, 1000), max_value=10),
+    d2=st.fractions(min_value=Fraction(1, 1000), max_value=10),
+    s1=st.integers(2, 60),
+    s2=st.integers(2, 60),
+    alpha=st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)]),
+    delta=st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2)]),
+)
+def test_cmp_scaled_ratios_log_matches_intervals(d1, d2, s1, s2, alpha, delta):
+    assume(s1 != s2)
+    g = PowerLog(rat(1), alpha, delta, rat(2))
+
+    def evaluator(bits):
+        a = HPInterval.from_rat(d1, bits) / interval_eval(g, s1, bits)
+        b = HPInterval.from_rat(d2, bits) / interval_eval(g, s2, bits)
+        return a - b
+
+    try:
+        want = -refine_cmp(rat(0), evaluator)
+    except UndecidableComparison:
+        assume(False)  # an exact tie, e.g. d*log 4 = 2d*log 2
+    assert cmp_scaled_ratios(d1, s1, d2, s2, g) == want
 
 
 def test_admissible_equal_rates():
