@@ -12,7 +12,12 @@ The vector scan is the b = 0 specialization using distances to the
 nearest integer.  Its hot loop (badlab.kernels) keeps exact integer
 residues and returns the strict records of the sup distance; the exact
 minimizer of the ratio is always among them, because every rate is
-non-increasing, so no float ever narrows the candidates.
+non-increasing, so no float ever narrows the candidates.  The loop
+carries only the first residue r0 mod D and skips q when
+best <= r0 <= D - best: then the first folded distance min(r0, D - r0),
+and with it the sup over all coordinates, is at least the running
+record `best`, so q cannot be a record.  The skip is an exact integer
+test, and the other residues are computed only for the q that pass.
 """
 
 from __future__ import annotations

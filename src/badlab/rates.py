@@ -187,9 +187,16 @@ def cmp_scaled_ratios(
     """Ordering of d1/f(s1) against d2/f(s2) with d1, d2 >= 0.
 
     This is the comparison a badness scan performs between candidate
-    ratios dist(x)/f(|x|).  For pure powers it reduces to an integer
-    comparison; log factors go through interval refinement only when
-    they pull against the power part.
+    ratios dist(x)/f(|x|).  With alpha = u/v the coefficient cancels and
+    the v-th power of each side is exact up to its log factor:
+    d1/f(s1) ? d2/f(s2) is lhs/rhs ? (log s2 / log s1)^k with
+    lhs = d1^v s1^u, rhs = d2^v s2^u and k = delta*v.  Pure powers are
+    therefore one rational comparison.  A log factor is settled exactly
+    when the power parts tie or agree with it, and when s1 and s2 are
+    integer powers of one integer, whose log ratio is rational.  Otherwise
+    only (log s2 / log s1)^k is an interval, refined against the exact
+    lhs/rhs; for integers that are not powers of one base the log ratio is
+    transcendental (Gelfond-Schneider), so only the precision cap raises.
     """
     d1, s1, d2, s2 = map(as_rat, (d1, s1, d2, s2))
     if d1 == 0 or d2 == 0:
@@ -210,13 +217,46 @@ def cmp_scaled_ratios(
     by_log = rat_sign(s1 - s2)
     if power != -by_log:
         return by_log
+    k = f.delta * v
+    ratio = lhs / rhs
+    if den(s1) == 1 and den(s2) == 1:
+        logs = _log_ratio(num(s1), num(s2))
+        if logs is not None:
+            return rat_cmp_power(ratio, logs, num(k), den(k))
 
     def evaluator(bits: int) -> HPInterval:
-        a = HPInterval.from_rat(d1, bits) / interval_eval(f, s1, bits)
-        b = HPInterval.from_rat(d2, bits) / interval_eval(f, s2, bits)
-        return a - b
+        l1 = HPInterval.from_rat(s1, bits).log()
+        l2 = HPInterval.from_rat(s2, bits).log()
+        return (l2 / l1).pow_rat(k)
 
-    return -refine_cmp(rat(0), evaluator, max_bits=max_bits)
+    return refine_cmp(ratio, evaluator, max_bits=max_bits)
+
+
+def _log_ratio(s1: int, s2: int) -> Optional[Rat]:
+    """log s2 / log s1 for integers s1, s2 >= 2 when rational, else None.
+
+    It is rational exactly when both are powers of one integer g.  The
+    Euclidean algorithm on the exponents, done by exact division, finds
+    the largest such g (it stops with a == b == g), and fails at the first
+    division with a remainder when there is none.
+    """
+    a, b = s1, s2
+    while a != b:
+        if a > b:
+            a, b = b, a
+        if b % a:
+            return None
+        b //= a
+    return rat(_log_exact(s2, a), _log_exact(s1, a))
+
+
+def _log_exact(n: int, g: int) -> int:
+    """e with g^e == n, for n an exact power of g >= 2."""
+    e = 0
+    while n > 1:
+        n //= g
+        e += 1
+    return e
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from badlab.badness import (
     sup_dist_to_lattice,
     vector_badness,
 )
-from badlab.exactnum import UndecidableComparison, rat, rat_ceil
+from badlab.exactnum import rat, rat_ceil
 from badlab.geometry import LiftedSpan
 from badlab.presets import preset_value
 from badlab.rates import PowerLaw, PowerLog, cmp_scaled_ratios
@@ -168,13 +168,22 @@ _rates = st.one_of(
 def test_vector_badness_matches_brute_force(w, psi, X, q_min):
     lo = max(q_min, rat_ceil(psi.domain_start))
     assume(lo <= X)
-    try:
-        want = _brute_vector_badness(w, psi, X, lo)
-    except UndecidableComparison:
-        # an exact tie of irrational ratios, e.g. d(2w) log 2 = d(4w) log 4
-        assume(False)
+    want = _brute_vector_badness(w, psi, X, lo)
     res = vector_badness(w, psi, X, q_min=q_min)
     assert (res.argmin_q, res.min_dist, res.zero_q) == want
+
+
+def test_vector_badness_exact_log_tie_goes_to_smaller_q():
+    # w = 1/5, psi = 1/log T: the records from q = 2 are 2 (dist 2/5) and
+    # 4 (dist 1/5), and (2/5) log 2 == (1/5) log 4 exactly
+    psi = PowerLog(rat(1), rat(0), rat(1))
+    assert kernels.badness_scan([1], 5, 4, 2) == ([2, 4], None)
+    res = vector_badness((rat(1, 5),), psi, 4)
+    assert (res.argmin_q, res.min_dist) == (2, rat(2, 5))
+    lo, hi = res.gamma_bounds
+    # an enclosure of (2/5) log 2, log 2 = 0.6931471...
+    assert rat(2, 5) * rat(693147, 10**6) < lo
+    assert hi < rat(2, 5) * rat(693148, 10**6)
 
 
 def _convergent_denominators(w, X):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from badlab import kernels
 from badlab.kernels import _pykernels
@@ -19,3 +21,48 @@ def test_badness_scan_zero_detection_both():
 def test_badness_scan_rejects_empty_range():
     with pytest.raises(ValueError):
         _pykernels.badness_scan([1], 4, 10, 11)
+
+
+def _all_coordinates_scan(nums, D, X, q_min):
+    """Strict records of the folded sup residue, every coordinate every q."""
+    records = []
+    best = None
+    for q in range(q_min, X + 1):
+        m = max((min(q * n % D, D - q * n % D) for n in nums), default=0)
+        if m == 0:
+            return [q], q
+        if best is None or m < best:
+            best = m
+            records.append(q)
+    return records, None
+
+
+def test_badness_scan_first_coordinate_zero_is_not_a_zero():
+    # w = (1/2, 1/3): coordinate 0 is at residue 0 for every even q, but
+    # the sup distance is zero only at q = 6
+    assert kernels.badness_scan([3, 2], 6, 5, 1) == ([1, 2], None)
+    assert kernels.badness_scan([3, 2], 6, 20, 1) == ([6], 6)
+    assert kernels.badness_scan([3, 2], 6, 11, 7) == ([7, 8], None)
+    for X, q_min in ((5, 1), (20, 1), (20, 3), (11, 7)):
+        assert kernels.badness_scan([3, 2], 6, X, q_min) == \
+            _all_coordinates_scan([3, 2], 6, X, q_min)
+
+
+@st.composite
+def _scan_input(draw):
+    if draw(st.booleans()):
+        D = 1 << draw(st.integers(0, 270))
+    else:
+        D = draw(st.integers(1, 10**6))
+    nums = draw(st.lists(st.integers(-3 * D, 3 * D), min_size=1, max_size=3))
+    X = draw(st.integers(1, 400))
+    q_min = draw(st.integers(1, X))
+    return nums, D, X, q_min
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scan_input())
+def test_badness_scan_matches_all_coordinates_scan(case):
+    nums, D, X, q_min = case
+    assert _pykernels.badness_scan(nums, D, X, q_min) == \
+        _all_coordinates_scan(nums, D, X, q_min)

@@ -15,6 +15,7 @@ from badlab.exactnum import (
 from badlab.rates import (
     PowerLaw,
     PowerLog,
+    _log_ratio,
     _peak_value_le_one,
     admissible_pair,
     cmp_rates_at,
@@ -130,14 +131,43 @@ def test_cmp_scaled_ratios_log_route():
         cmp_scaled_ratios(rat(1), rat(1), rat(1), rat(3), g)
 
 
+def test_cmp_scaled_ratios_common_base_tie_is_exact():
+    # (8/100)*sqrt(4)*(log 4)^2 == (1/100)*sqrt(16)*(log 16)^2, both 64L^2/100
+    # with L = log 2: log 16 / log 4 = 2 is rational, so the tie is decided
+    g = PowerLog(rat(1), rat(1, 2), rat(2))
+    assert cmp_scaled_ratios(rat(8, 100), 4, rat(1, 100), 16, g) == 0
+    assert cmp_scaled_ratios(rat(1, 100), 16, rat(8, 100), 4, g) == 0
+    assert cmp_scaled_ratios(rat(9, 100), 4, rat(1, 100), 16, g) == 1
+    assert cmp_scaled_ratios(rat(7, 100), 4, rat(1, 100), 16, g) == -1
+    # fractional k = delta*v = 1/2: 16*2*sqrt(log 2) == 1*16*sqrt(log 16)
+    h = PowerLog(rat(1), rat(1), rat(1, 2))
+    assert cmp_scaled_ratios(16, 2, 1, 16, h) == 0
+    assert cmp_scaled_ratios(15, 2, 1, 16, h) == -1
+    # not one base: log 3 / log 2 is transcendental, the interval decides
+    assert cmp_scaled_ratios(rat(8, 100), 2, rat(1, 100), 3, g) == 1
+
+
+def test_log_ratio_of_common_base_powers():
+    assert _log_ratio(4, 16) == 2
+    assert _log_ratio(16, 4) == rat(1, 2)
+    assert _log_ratio(8, 32) == rat(5, 3)
+    assert _log_ratio(36, 216) == rat(3, 2)
+    assert _log_ratio(6, 12) is None
+    assert _log_ratio(2, 3) is None
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     d1=st.fractions(min_value=Fraction(1, 1000), max_value=10),
     d2=st.fractions(min_value=Fraction(1, 1000), max_value=10),
     s1=st.integers(2, 60),
     s2=st.integers(2, 60),
-    alpha=st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)]),
-    delta=st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2)]),
+    alpha=st.sampled_from(
+        [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)]
+    ),
+    delta=st.sampled_from(
+        [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)]
+    ),
 )
 def test_cmp_scaled_ratios_log_matches_intervals(d1, d2, s1, s2, alpha, delta):
     assume(s1 != s2)
