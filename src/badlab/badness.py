@@ -302,7 +302,8 @@ def vector_badness(
     best_q = None
     best_d = None
     for q in records:
-        d = sup_dist_to_lattice(wv, q)
+        # the sup distance from the integer residues, as the scan found it
+        d = rat(max(min(q * n % D, D - q * n % D) for n in nums), D)
         if best_q is None or cmp_scaled_ratios(d, q, best_d, best_q, psi) < 0:
             best_q, best_d = q, d
     assert best_q is not None

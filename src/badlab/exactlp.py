@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from math import lcm
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
-from .exactnum import Rat, as_rat, rat, rat_abs, rat_ceil, rat_floor, rat_sign
+from .exactnum import Rat, as_rat, den, num, rat, rat_abs
 
 Vec = Tuple[Rat, ...]
 
@@ -459,24 +461,23 @@ def projection_chain(poly: HPoly) -> List[HPoly]:
     return chain
 
 
-def _level_bounds(level: HPoly, prefix: List[Rat], k: int):
-    lo = None
-    hi = None
+def _integer_level(level: HPoly, k: int):
+    """Rows of `level` that bound x_k, cleared to integers: (a, a_k, b).
+
+    Each row a . x <= b of the level is scaled by the lcm of its
+    denominators, once; with integer x_0..x_{k-1} the bound on x_k is
+    then an integer floor or ceiling of (b - a . prefix) / a_k.
+    """
+    uppers, lowers = [], []
     for coeffs, rhs in level.rows:
         ck = coeffs[k]
         if ck == 0:
             continue
-        acc = rhs
-        for j in range(k):
-            acc -= coeffs[j] * prefix[j]
-        bound = acc / ck
-        if ck > 0:
-            if hi is None or bound < hi:
-                hi = bound
-        else:
-            if lo is None or bound > lo:
-                lo = bound
-    return lo, hi
+        L = lcm(*(den(c) for c in coeffs), den(rhs))
+        ints = [num(c) * (L // den(c)) for c in coeffs]
+        row = (tuple(ints[:k]), ints[k], num(rhs) * (L // den(rhs)))
+        (uppers if ck > 0 else lowers).append(row)
+    return uppers, lowers
 
 
 def enumerate_integer_points(poly: HPoly):
@@ -491,16 +492,20 @@ def enumerate_integer_points(poly: HPoly):
     if chain[0].infeasible_const:
         return
     n = poly.nvars
-    prefix: List[Rat] = []
+    levels = [_integer_level(chain[k + 1], k) for k in range(n)]
+    prefix: List[int] = []
 
     def rec(k: int):
-        lo, hi = _level_bounds(chain[k + 1], prefix, k)
-        if lo is None or hi is None:
+        uppers, lowers = levels[k]
+        if not uppers or not lowers:
             raise UnboundedError(f"variable {k} unbounded in enumeration")
-        for v in range(rat_ceil(lo), rat_floor(hi) + 1):
-            prefix.append(rat(v))
+        hi = min((b - sum(map(mul, a, prefix))) // ak for a, ak, b in uppers)
+        # ceil(r / ak) for ak < 0 is -(r // -ak)
+        lo = max(-((b - sum(map(mul, a, prefix))) // -ak) for a, ak, b in lowers)
+        for v in range(lo, hi + 1):
+            prefix.append(v)
             if k == n - 1:
-                yield tuple(int(p) for p in prefix)
+                yield tuple(prefix)
             else:
                 yield from rec(k + 1)
             prefix.pop()

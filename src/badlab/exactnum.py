@@ -22,6 +22,7 @@ from typing import Callable, Optional, Union
 from mpmath.libmp import (
     from_int,
     from_rational,
+    fzero,
     mpf_add,
     mpf_cmp,
     mpf_div,
@@ -287,7 +288,7 @@ class HPInterval:
     def from_rat(x: RatLike, prec: int) -> "HPInterval":
         x = as_rat(x)
         p, q = num(x), den(x)
-        return HPInterval(
+        return _iv(
             from_rational(p, q, prec, round_floor),
             from_rational(p, q, prec, round_ceiling),
             prec,
@@ -296,7 +297,7 @@ class HPInterval:
     @staticmethod
     def from_int_value(n: int, prec: int) -> "HPInterval":
         t = from_int(n)
-        return HPInterval(t, t, prec)
+        return _iv(t, t, prec)
 
     @property
     def lo(self) -> Rat:
@@ -313,10 +314,12 @@ class HPInterval:
         return f"HPInterval[{float(self.lo)}, {float(self.hi)}]@{self.prec}"
 
     # -- arithmetic ---------------------------------------------------
+    # Directed rounding is monotone, so every result below is ordered
+    # when its operands are, and is built without the inversion check.
 
     def __add__(self, other: "HPInterval") -> "HPInterval":
         p = min(self.prec, other.prec)
-        return HPInterval(
+        return _iv(
             mpf_add(self._lo, other._lo, p, round_floor),
             mpf_add(self._hi, other._hi, p, round_ceiling),
             p,
@@ -324,39 +327,58 @@ class HPInterval:
 
     def __sub__(self, other: "HPInterval") -> "HPInterval":
         p = min(self.prec, other.prec)
-        return HPInterval(
+        return _iv(
             mpf_sub(self._lo, other._hi, p, round_floor),
             mpf_sub(self._hi, other._lo, p, round_ceiling),
             p,
         )
 
     def __neg__(self) -> "HPInterval":
-        return HPInterval(mpf_neg(self._hi), mpf_neg(self._lo), self.prec)
+        return _iv(mpf_neg(self._hi), mpf_neg(self._lo), self.prec)
 
     def __mul__(self, other: "HPInterval") -> "HPInterval":
+        """Product by the sign cases of [a, b] * [c, d] (Moore 1966).
+
+        Each case names the two endpoint products that are the exact
+        minimum and maximum; rounding them down and up gives the same
+        endpoints as rounding all four products and taking the extremes.
+        Only two intervals that both straddle zero compare two candidates
+        for each end.
+        """
         p = min(self.prec, other.prec)
-        cands_lo = []
-        cands_hi = []
-        for a in (self._lo, self._hi):
-            for b in (other._lo, other._hi):
-                cands_lo.append(mpf_mul(a, b, p, round_floor))
-                cands_hi.append(mpf_mul(a, b, p, round_ceiling))
-        lo = cands_lo[0]
-        for c in cands_lo[1:]:
-            if mpf_cmp(c, lo) < 0:
-                lo = c
-        hi = cands_hi[0]
-        for c in cands_hi[1:]:
-            if mpf_cmp(c, hi) > 0:
-                hi = c
-        return HPInterval(lo, hi, p)
+        a, b, c, d = self._lo, self._hi, other._lo, other._hi
+        if not a[0]:  # a >= 0
+            if not c[0]:
+                lo, hi = (a, c), (b, d)
+            elif d[0] or d == fzero:
+                lo, hi = (b, c), (a, d)
+            else:
+                lo, hi = (b, c), (b, d)
+        elif b[0] or b == fzero:  # b <= 0
+            if not c[0]:
+                lo, hi = (a, d), (b, c)
+            elif d[0] or d == fzero:
+                lo, hi = (b, d), (a, c)
+            else:
+                lo, hi = (a, d), (a, c)
+        elif not c[0]:  # a < 0 < b
+            lo, hi = (a, d), (b, d)
+        elif d[0] or d == fzero:
+            lo, hi = (b, c), (a, c)
+        else:
+            return _mul_straddling(a, b, c, d, p)
+        return _iv(
+            mpf_mul(lo[0], lo[1], p, round_floor),
+            mpf_mul(hi[0], hi[1], p, round_ceiling),
+            p,
+        )
 
     def inverse(self) -> "HPInterval":
         if self.contains_zero():
             raise ZeroDivisionError("interval straddles zero")
         p = self.prec
         one = from_int(1)
-        return HPInterval(
+        return _iv(
             mpf_div(one, self._hi, p, round_floor),
             mpf_div(one, self._lo, p, round_ceiling),
             p,
@@ -369,7 +391,7 @@ class HPInterval:
         if self.sign_lo() <= 0:
             raise ValueError("log needs a strictly positive interval")
         p = self.prec
-        return HPInterval(
+        return _iv(
             mpf_log(self._lo, p, round_floor),
             mpf_log(self._hi, p, round_ceiling),
             p,
@@ -377,7 +399,7 @@ class HPInterval:
 
     def exp(self) -> "HPInterval":
         p = self.prec
-        return HPInterval(
+        return _iv(
             mpf_exp(self._lo, p, round_floor),
             mpf_exp(self._hi, p, round_ceiling),
             p,
@@ -387,11 +409,11 @@ class HPInterval:
         p = self.prec
         if e == 0:
             one = from_int(1)
-            return HPInterval(one, one, p)
+            return _iv(one, one, p)
         if e < 0:
             return self.inverse().pow_int(-e)
         if self.sign_lo() >= 0:
-            return HPInterval(
+            return _iv(
                 mpf_pow_int(self._lo, e, p, round_floor),
                 mpf_pow_int(self._hi, e, p, round_ceiling),
                 p,
@@ -442,6 +464,30 @@ class HPInterval:
         lo = self._lo if mpf_cmp(self._lo, other._lo) >= 0 else other._lo
         hi = self._hi if mpf_cmp(self._hi, other._hi) <= 0 else other._hi
         return HPInterval(lo, hi, max(self.prec, other.prec))
+
+
+_new = object.__new__
+
+
+def _iv(lo_mpf, hi_mpf, prec: int) -> HPInterval:
+    """HPInterval from endpoints already known to satisfy lo <= hi."""
+    out = _new(HPInterval)
+    out._lo = lo_mpf
+    out._hi = hi_mpf
+    out.prec = prec
+    return out
+
+
+def _mul_straddling(a, b, c, d, p: int) -> HPInterval:
+    """[a, b] * [c, d] when both straddle zero: the least of a*d and b*c,
+    the greatest of a*c and b*d (the other products have the other sign)."""
+    lo1, lo2 = mpf_mul(a, d, p, round_floor), mpf_mul(b, c, p, round_floor)
+    hi1, hi2 = mpf_mul(a, c, p, round_ceiling), mpf_mul(b, d, p, round_ceiling)
+    return _iv(
+        lo1 if mpf_cmp(lo1, lo2) <= 0 else lo2,
+        hi1 if mpf_cmp(hi1, hi2) >= 0 else hi2,
+        p,
+    )
 
 
 def refine_cmp(

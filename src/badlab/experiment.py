@@ -286,12 +286,30 @@ class MemberWitness:
 
 
 class _LayerCache:
-    """Z_T layers and phi(RT) enclosures, shared across samples."""
+    """Z_T layers and phi(RT) enclosures, shared across samples, and the
+    last sample found inside the R ball."""
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
         self._layers: Dict[int, List[Tuple[int, ...]]] = {}
         self._phi: Dict[int, Tuple[Rat, Rat]] = {}
+        self._in_ball: Optional[Tuple[tuple, Vec]] = None
+
+    def in_ball(self, w: Sequence) -> Vec:
+        """w as an exact vector; ValueError unless sup_norm(w) <= R.
+
+        A sample is tested at every T as the same tuple, so the last tuple
+        that passed is remembered and its norm is not taken again (a tuple
+        of rationals cannot change).
+        """
+        if self._in_ball is not None and w is self._in_ball[0]:
+            return self._in_ball[1]
+        wv = as_vec(w)
+        if sup_norm(wv) > self.config.R:
+            raise ValueError("w outside the R ball")
+        if type(w) is tuple:
+            self._in_ball = (w, wv)
+        return wv
 
     def layer(self, T: int) -> List[Tuple[int, ...]]:
         if T not in self._layers:
@@ -325,12 +343,11 @@ def u_t_member(
     It is compared with the cached enclosure lo <= phi(RT) <= hi: d < lo
     is a member and d > hi is not; with phi(RT) rational lo == hi and the
     compare is exact.  Only a d inside an irrational enclosure goes on to
-    interval refinement, which raises if it cannot separate.
+    interval refinement, which raises if it cannot separate.  A w outside
+    the R ball raises ValueError.
     """
-    wv = as_vec(w)
-    if sup_norm(wv) > config.R:
-        raise ValueError("w outside the R ball")
     cache = cache or _LayerCache(config)
+    wv = cache.in_ball(w)
     lifted_w = (rat(1),) + wv
     lo, hi = cache.phi_enclosure(T)
     for z in cache.layer(T):
@@ -547,6 +564,7 @@ def run_theorem1(
     results: List[SampleResult] = []
     hit_table: Dict[int, List[bool]] = {T: [] for T in Ts}
     for idx, w in enumerate(samples):
+        cache.in_ball(w)  # once per sample; u_t_member finds it checked
         vb = vector_badness(w, config.phi, config.X)
         hits = []
         for T in Ts:

@@ -109,6 +109,15 @@ class Thickness:
             return ev
         return self._interval(bits).lo
 
+    def enclosure(self) -> Tuple[Rat, Rat]:
+        """Rationals lo <= thickness <= hi: the exact value twice when it
+        is rational, else the ends of one 64-bit interval."""
+        ev = self.exact_value()
+        if ev is not None:
+            return ev, ev
+        iv = self._interval(64)
+        return iv.lo, iv.hi
+
     def cmp_dist(self, dist: Rat) -> int:
         """Ordering of dist against the true thickness (-1/0/1)."""
         ev = self.exact_value()
@@ -233,7 +242,10 @@ def enumerate_slab(spec: SlabSpec) -> List[Tuple[int, ...]]:
 
     Projection-chain enumeration; when the thickness is irrational the
     chain is built for a certified upper bound and every candidate is
-    confirmed against the true thickness.
+    confirmed against the true thickness.  One enclosure lo <= thickness
+    <= hi serves the slab: a distance below lo is kept and one above hi
+    dropped, and only a distance inside goes on to interval refinement,
+    which raises if it cannot separate.
     """
     if spec.box_candidates() > BOX_GUARD:
         raise BoxTooLargeError(
@@ -245,10 +257,13 @@ def enumerate_slab(spec: SlabSpec) -> List[Tuple[int, ...]]:
     if not _needs_filter(spec):
         return list(pts)
     functionals = _span_functionals(spec)
-    return [
-        p for p in pts
-        if spec.thickness.cmp_dist(_exact_distance(spec, p, functionals)) <= 0
-    ]
+    lo, hi = spec.thickness.enclosure()
+    out = []
+    for p in pts:
+        d = _exact_distance(spec, p, functionals)
+        if d < lo or (d <= hi and spec.thickness.cmp_dist(d) <= 0):
+            out.append(p)
+    return out
 
 
 def naive_slab_scan(spec: SlabSpec) -> List[Tuple[int, ...]]:

@@ -125,9 +125,17 @@ def interval_eval(f: RateFunction, T: RatLike, bits: int) -> HPInterval:
     if exact is not None:
         return HPInterval.from_rat(exact, bits)
     ti = HPInterval.from_rat(T, bits)
-    out = HPInterval.from_rat(f.c, bits) * ti.pow_rat(-f.alpha)
+    e = -f.alpha
+    # one log T serves the power T^e = exp(e log T) and the log factor;
+    # the operations are those of ti.pow_rat(e) and ti.log().pow_rat(...)
+    lt = ti.log() if den(e) != 1 or f.delta != 0 else None
+    if den(e) == 1:
+        power = ti.pow_int(num(e))
+    else:
+        power = (lt * HPInterval.from_rat(e, bits)).exp()
+    out = HPInterval.from_rat(f.c, bits) * power
     if f.delta != 0:
-        out = out * ti.log().pow_rat(-f.delta)
+        out = out * lt.pow_rat(-f.delta)
     return out
 
 

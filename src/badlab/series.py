@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .exactnum import (
     HPInterval,
@@ -70,30 +70,43 @@ def lambda_term(T: int, R, phi: RateFunction, a: int, bits: int = 96) -> Value:
     decreasing, so with an interval result the precision is raised until
     zero is excluded.
     """
+    R = as_rat(R)
+    return _lambda_step(T, R, phi, a, bits, _rate_value(phi, R * T, bits))[0]
+
+
+def _lambda_step(
+    T: int, R: Rat, phi: RateFunction, a: int, bits: int, left: Value,
+) -> Tuple[Value, Value]:
+    """lambda_T and phi(R(T+1)) at `bits`, given left = phi(RT) at `bits`.
+
+    A walk over consecutive T passes the second value on as the next
+    term's left end, so each phi(RT) is evaluated once.  A term that has
+    to raise its precision recomputes both ends at the higher precision;
+    only base-precision values are passed on.
+    """
     if a < 1:
         raise ValueError("need a >= 1")
-    R = as_rat(R)
-    cap = max_precision_bits()
-    cur = bits
-    while True:
-        left = _rate_value(phi, R * T, cur)
-        right = _rate_value(phi, R * (T + 1), cur)
-        if isinstance(left, HPInterval) or isinstance(right, HPInterval):
-            li = left if isinstance(left, HPInterval) else HPInterval.from_rat(left, cur)
-            ri = right if isinstance(right, HPInterval) else HPInterval.from_rat(right, cur)
-            out = (li / HPInterval.from_int_value(T, cur)).pow_rat(rat(a)) - (
-                ri / HPInterval.from_int_value(T + 1, cur)
-            ).pow_rat(rat(a))
-            if out.sign_lo() > 0:
-                return out
-            if cur >= cap:
-                raise ArithmeticError(
-                    f"could not separate lambda from zero at {cur} bits")
-            cur = min(cur * 2, cap)
-            continue
+    right = _rate_value(phi, R * (T + 1), bits)
+    if not isinstance(left, HPInterval) and not isinstance(right, HPInterval):
         out = rat_pow(left / T, a) - rat_pow(right / (T + 1), a)
         assert out > 0
-        return out
+        return out, right
+    cap = max_precision_bits()
+    cur, l_cur, r_cur = bits, left, right
+    while True:
+        li = l_cur if isinstance(l_cur, HPInterval) else HPInterval.from_rat(l_cur, cur)
+        ri = r_cur if isinstance(r_cur, HPInterval) else HPInterval.from_rat(r_cur, cur)
+        out = (li / HPInterval.from_int_value(T, cur)).pow_rat(rat(a)) - (
+            ri / HPInterval.from_int_value(T + 1, cur)
+        ).pow_rat(rat(a))
+        if out.sign_lo() > 0:
+            return out, right
+        if cur >= cap:
+            raise ArithmeticError(
+                f"could not separate lambda from zero at {cur} bits")
+        cur = min(cur * 2, cap)
+        l_cur = _rate_value(phi, R * T, cur)
+        r_cur = _rate_value(phi, R * (T + 1), cur)
 
 
 def term_value(T: int, R, psi, phi, a: int, b: int, bits: int = 96) -> Value:
@@ -146,9 +159,10 @@ def partial_sum(
     sums: List[Value] = []
     acc: Value = rat(0)
     exact = True
+    left = _rate_value(phi, R_r * start, bits)
     for T in range(start, N + 1):
         m = mu_term(T, R, psi, a, b, bits)
-        l = lambda_term(T, R, phi, a, bits)
+        l, left = _lambda_step(T, R_r, phi, a, bits, left)
         if isinstance(m, HPInterval) or isinstance(l, HPInterval) or not exact:
             exact = False
             mi = m if isinstance(m, HPInterval) else HPInterval.from_rat(m, bits)
@@ -419,10 +433,15 @@ def lambda_all_positive(
 ) -> bool:
     """Spot checks below the rate's domain start are skipped."""
     R = as_rat(R)
+    bits = 96
+    # phi(RT) of the previous term's right end, valid when T == next_T
+    next_T, carry = None, None
     for T in T_values:
         if R * T < phi.domain_start:
             continue
-        l = lambda_term(T, R, phi, a)
+        left = carry if T == next_T else _rate_value(phi, R * T, bits)
+        l, carry = _lambda_step(T, R, phi, a, bits, left)
+        next_T = T + 1
         if isinstance(l, HPInterval):
             if l.sign_lo() <= 0:
                 return False

@@ -1,7 +1,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
+from mpmath.libmp import (
+    from_man_exp,
+    fzero,
+    mpf_cmp,
+    mpf_mul,
+    mpf_neg,
+    round_ceiling,
+    round_floor,
+)
 
 from badlab.exactnum import (
     HPInterval,
@@ -233,3 +244,48 @@ def test_precision_env_override(monkeypatch):
         max_precision_bits()
     monkeypatch.delenv("BADLAB_PRECISION_BITS")
     assert max_precision_bits() >= 256
+
+
+def _mul_reference(x, y):
+    """All four endpoint products rounded both ways, then the extremes."""
+    p = min(x.prec, y.prec)
+    los = [mpf_mul(a, b, p, round_floor) for a in (x._lo, x._hi) for b in (y._lo, y._hi)]
+    his = [mpf_mul(a, b, p, round_ceiling) for a in (x._lo, x._hi) for b in (y._lo, y._hi)]
+    lo, hi = los[0], his[0]
+    for c in los[1:]:
+        if mpf_cmp(c, lo) < 0:
+            lo = c
+    for c in his[1:]:
+        if mpf_cmp(c, hi) > 0:
+            hi = c
+    return lo, hi, p
+
+
+_MAGNITUDE = st.builds(
+    from_man_exp, st.integers(1, 2**150), st.integers(-200, 200)
+)
+_SIGN_PATTERNS = ("pos", "neg", "zero_lo", "zero_hi", "zero", "straddle")
+
+
+@st.composite
+def _intervals(draw):
+    u, v = draw(_MAGNITUDE), draw(_MAGNITUDE)
+    if mpf_cmp(u, v) > 0:
+        u, v = v, u
+    kind = draw(st.sampled_from(_SIGN_PATTERNS))
+    lo, hi = {
+        "pos": (u, v),
+        "neg": (mpf_neg(v), mpf_neg(u)),
+        "zero_lo": (fzero, v),
+        "zero_hi": (mpf_neg(v), fzero),
+        "zero": (fzero, fzero),
+        "straddle": (mpf_neg(u), v),
+    }[kind]
+    return HPInterval(lo, hi, draw(st.sampled_from((53, 64, 96, 128, 256))))
+
+
+@settings(max_examples=600, deadline=None)
+@given(_intervals(), _intervals())
+def test_interval_mul_sign_cases_match_all_products(x, y):
+    out = x * y
+    assert (out._lo, out._hi, out.prec) == _mul_reference(x, y)

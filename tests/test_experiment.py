@@ -219,6 +219,28 @@ def test_u_t_member_false_case(golden_config):
     assert not member and wit is None
 
 
+def test_u_t_member_rejects_w_outside_ball(golden_config, monkeypatch):
+    import badlab.experiment as experiment
+
+    inside, outside = (rat(1, 2),), (rat(3, 2),)
+    with pytest.raises(ValueError, match="R ball"):
+        u_t_member(outside, 4, golden_config)
+    cache = _LayerCache(golden_config)
+    u_t_member(inside, 4, golden_config, cache)
+    with pytest.raises(ValueError, match="R ball"):
+        u_t_member(outside, 4, golden_config, cache)
+    with pytest.raises(ValueError, match="R ball"):
+        u_t_member(list(outside), 4, golden_config, cache)
+    # a sample's norm is taken once, however many T it is tested at
+    norms = []
+    monkeypatch.setattr(experiment, "sup_norm",
+                        lambda v: norms.append(v) or sup_norm(v))
+    sample = (rat(2, 5),)
+    for T in (4, 5, 9):
+        u_t_member(sample, T, golden_config, cache)
+    assert norms == [sample]
+
+
 def _cmp_phi(x, cfg, T):
     """x against phi(RT): exact when phi(RT) is rational, else refined."""
     arg = cfg.R * T

@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from badlab.exactlp import enumerate_integer_points
 from badlab.exactnum import rat
 from badlab.geometry import AffineSubspace, LiftedSpan, lift
 from badlab.lattice import (
@@ -200,3 +203,72 @@ def test_layer_of_powerlog_rate():
     z, pts = zeta_layer(FULL_PLANE, phi, 2, 8)
     assert z == len(pts) > 0
     assert all(p[0] == 8 for p in pts)
+
+
+@st.composite
+def _powerlog_slabs(draw):
+    """Small slabs around random affine spans, with an irrational
+    power-log thickness scale * phi(arg) and a random z0 window."""
+    d = draw(st.integers(1, 3))
+    T = draw(st.integers(1, {1: 10, 2: 5, 3: 3}[d]))
+    R = draw(st.sampled_from((1, 2)))
+    small = st.builds(rat, st.integers(-3, 3), st.integers(1, 5))
+    point = tuple(draw(small) for _ in range(d))
+    dirs = []
+    for _ in range(draw(st.integers(0, d - 1))):
+        cand = tuple(draw(small) for _ in range(d))
+        try:
+            AffineSubspace(point=point, directions=tuple(dirs) + (cand,))
+        except ValueError:
+            continue
+        dirs.append(cand)
+    phi = PowerLog(
+        draw(st.builds(rat, st.integers(1, 3), st.integers(1, 2))),
+        draw(st.sampled_from((rat(0), rat(1, 3), rat(1, 2), rat(1)))),
+        draw(st.sampled_from((rat(1, 2), rat(1), rat(2)))),
+        rat(2),
+    )
+    arg = rat(R * T) + draw(st.integers(0, 3))
+    assume(arg >= 2)
+    scale = draw(st.builds(rat, st.integers(1, 4), st.just(4)))
+    lo = draw(st.integers(-T, T))
+    hi = draw(st.integers(lo, T))
+    return SlabSpec(
+        T=T, R=rat(R),
+        target=lift(AffineSubspace(point=point, directions=tuple(dirs))),
+        thickness=Thickness.of_rate(phi, arg, scale=scale),
+        z0_range=(lo, hi),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_powerlog_slabs())
+def test_enumerate_slab_matches_naive_powerlog(spec):
+    # the integer walk plus the one-enclosure filter, order included
+    assert spec.thickness.exact_value() is None
+    assert enumerate_slab(spec) == naive_slab_scan(spec)
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_enumerate_slab_filter_keeps_and_drops(monkeypatch, wide):
+    # candidates come from a bound 1/4 above the true thickness, so the
+    # filter must drop some; with the real enclosure the points above it
+    # are dropped without refinement, and an enclosure wide enough to hold
+    # every distance sends each candidate to interval refinement instead
+    phi = PowerLog(rat(3), rat(1, 2), rat(1), rat(2))
+    spec = approach_slab(golden_span(), phi, 2, 12)
+    loose = spec.thickness.upper_rational() + rat(1, 4)
+    monkeypatch.setattr(Thickness, "upper_rational", lambda self: loose)
+    expected = naive_slab_scan(spec)
+    cands = list(enumerate_integer_points(build_slab_poly(spec, loose)))
+    assert 0 < len(expected) < len(cands)
+    calls = []
+    real = Thickness.enclosure
+
+    def enclosure(self):
+        calls.append(self)
+        return (rat(0), rat(10**6)) if wide else real(self)
+
+    monkeypatch.setattr(Thickness, "enclosure", enclosure)
+    assert enumerate_slab(spec) == expected
+    assert len(calls) == 1

@@ -83,6 +83,27 @@ def test_interval_eval_encloses_oracle():
         assert iv.width() < rat(1, 1 << 60)
 
 
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([rat(0), rat(1), rat(2), rat(1, 3), rat(1, 2), rat(3, 2)]),
+    st.sampled_from([rat(0), rat(1, 2), rat(1), rat(2)]),
+    st.builds(rat, st.integers(1, 5), st.integers(1, 3)),
+    st.builds(lambda p, q: 2 + rat(p, q), st.integers(0, 10**6), st.integers(1, 7)),
+    st.sampled_from([64, 96, 192, 256]),
+)
+def test_interval_eval_bit_identical_to_separate_logs(alpha, delta, c, T, bits):
+    # one log T serves both factors; the endpoints are those of taking
+    # the power and the log factor each from its own log T
+    f = PowerLog(c, alpha, delta, rat(2)) if delta else PowerLaw(c, alpha)
+    assume(eval_exact(f, T) is None)
+    ti = HPInterval.from_rat(T, bits)
+    ref = HPInterval.from_rat(c, bits) * ti.pow_rat(-alpha)
+    if delta:
+        ref = ref * ti.log().pow_rat(-delta)
+    out = interval_eval(f, T, bits)
+    assert (out._lo, out._hi, out.prec) == (ref._lo, ref._hi, ref.prec)
+
 def test_float_eval_tracks_interval():
     g = PowerLog(rat(1), rat(1, 2), rat(2), rat(2))
     for T in (2, 17, 4096):

@@ -238,3 +238,42 @@ def test_precision_cap_governs_series_refinement(monkeypatch):
         mu_strictly_increasing(SQRT, 1, 0, 2, T + 1, spot_checks=(T,))
     # the first evaluation stays at 96 bits whatever the cap
     assert lambda_term(10, 2, phi, 1).prec == 96
+
+
+def _raw(v):
+    """An exact value, or an interval's raw endpoints and precision."""
+    return (v._lo, v._hi, v.prec) if isinstance(v, HPInterval) else v
+
+
+@pytest.mark.parametrize("phi, R", [
+    (UNIT, 1),  # every phi(RT) exact
+    (SQRT, 2),  # exact at the squares 2T, intervals between
+    (PowerLog(rat(1), rat(1, 2), rat(2), rat(2)), 1),  # intervals only
+])
+def test_carried_phi_matches_term_by_term(monkeypatch, phi, R):
+    import badlab.series as series
+
+    ps = partial_sum(60, R, SQRT, phi, 1, 0)
+    assert [_raw(t.lam) for t in ps.terms] == [
+        _raw(lambda_term(t.T, R, phi, 1)) for t in ps.terms
+    ]
+    # spot checks with gaps, one below the domain start, and a term at
+    # T = 2^100 that must raise its precision before it separates
+    seen = []
+    step = series._lambda_step
+
+    def recorded(T, *args):
+        out = step(T, *args)
+        seen.append((T, _raw(out[0]), _raw(out[1])))
+        return out
+
+    monkeypatch.setattr(series, "_lambda_step", recorded)
+    Ts = [1, 2, 3, 4, 9, 10, 11, 40, 2**100, 2**100 + 1]
+    assert lambda_all_positive(phi, 2, R, Ts)
+    monkeypatch.undo()
+    # only base-precision values are carried, even after a raised term
+    assert seen == [
+        (T, _raw(lambda_term(T, R, phi, 2)),
+         _raw(series._rate_value(phi, R * (T + 1), 96)))
+        for T in Ts if R * T >= phi.domain_start
+    ]
