@@ -30,9 +30,11 @@ from . import kernels
 from .exactnum import (
     HPInterval,
     Rat,
+    Value,
     as_rat,
     format_rat,
     rat,
+    rat_bounds,
     rat_ceil,
     rat_floor,
     refine_cmp,
@@ -46,7 +48,7 @@ from .geometry import (
     sup_norm,
 )
 from .lattice import SlabSpec, Thickness, enumerate_slab, _exact_distance, _span_functionals
-from .rates import RateFunction, cmp_scaled_ratios, eval_exact, interval_eval
+from .rates import RateFunction, cmp_scaled_ratios, rate_value
 
 
 @dataclass(frozen=True)
@@ -77,17 +79,8 @@ class BadnessCertificate:
 
     def cmp_gamma(self, g) -> int:
         """Ordering of g against the exact minimum ratio."""
-        g = as_rat(g)
-        exact = None
-        ev = eval_exact(self.rate, self.witness_norm)
-        if ev is not None:
-            exact = self.witness_dist / ev
-
-        def evaluator(bits: int) -> HPInterval:
-            iv = interval_eval(self.rate, self.witness_norm, bits)
-            return HPInterval.from_rat(self.witness_dist, bits) / iv
-
-        return refine_cmp(g, evaluator, exact=exact)
+        return refine_cmp(g, lambda bits: _ratio(
+            self.witness_dist, self.witness_norm, self.rate, bits))
 
     def covers(self, gamma, R, T: int) -> bool:
         """True when the certificate proves slab triviality at scale T.
@@ -115,20 +108,12 @@ class BadnessCertificate:
 BadnessOutcome = Union[BadnessCertificate, ZeroHit]
 
 
-def _ratio_upper(dist: Rat, norm: int, psi: RateFunction, bits: int = 96) -> Rat:
-    ev = eval_exact(psi, norm)
-    if ev is not None:
-        return dist / ev
-    iv = HPInterval.from_rat(dist, bits) / interval_eval(psi, norm, bits)
-    return iv.hi
-
-
-def _ratio_lower(dist: Rat, norm: int, psi: RateFunction, bits: int = 96) -> Rat:
-    ev = eval_exact(psi, norm)
-    if ev is not None:
-        return dist / ev
-    iv = HPInterval.from_rat(dist, bits) / interval_eval(psi, norm, bits)
-    return iv.lo
+def _ratio(dist: Rat, norm: int, psi: RateFunction, bits: int) -> Value:
+    """dist/psi(norm): exact when psi(norm) is rational, else enclosed."""
+    v = rate_value(psi, norm, bits)
+    if isinstance(v, HPInterval):
+        return HPInterval.from_rat(dist, bits) / v
+    return dist / v
 
 
 def subspace_badness(
@@ -159,7 +144,8 @@ def subspace_badness(
         if best is None:
             eps = rat(s)  # dist <= |x| <= s catches everything
         else:
-            eps = _ratio_upper(best[0], best[1], psi) * _psi_upper(psi, s)
+            eps = (rat_bounds(_ratio(best[0], best[1], psi, 96))[1]
+                   * rat_bounds(rate_value(psi, s, 96))[1])
         spec = SlabSpec(
             T=s,
             R=rat(1),
@@ -182,8 +168,7 @@ def subspace_badness(
                 best = (d, s, tuple(int(v) for v in x))
     assert best is not None
     d, s, x = best
-    ev = eval_exact(psi, s)
-    gamma_exact = d / ev if ev is not None else None
+    gamma = _ratio(d, s, psi, 96)
     return BadnessCertificate(
         target=target,
         rate=psi,
@@ -191,16 +176,9 @@ def subspace_badness(
         witness=x,
         witness_dist=d,
         witness_norm=s,
-        gamma_lower=_ratio_lower(d, s, psi),
-        gamma_exact=gamma_exact,
+        gamma_lower=rat_bounds(gamma)[0],
+        gamma_exact=None if isinstance(gamma, HPInterval) else gamma,
     )
-
-
-def _psi_upper(psi: RateFunction, s: int, bits: int = 96) -> Rat:
-    ev = eval_exact(psi, s)
-    if ev is not None:
-        return ev
-    return interval_eval(psi, s, bits).hi
 
 
 # ---------------------------------------------------------------------
@@ -307,15 +285,7 @@ def vector_badness(
         if best_q is None or cmp_scaled_ratios(d, q, best_d, best_q, psi) < 0:
             best_q, best_d = q, d
     assert best_q is not None
-    ev = eval_exact(psi, best_q)
-    if ev is not None:
-        g = best_d / ev
-        bounds = (g, g)
-        gamma_exact = g
-    else:
-        iv = HPInterval.from_rat(best_d, 128) / interval_eval(psi, best_q, 128)
-        bounds = (iv.lo, iv.hi)
-        gamma_exact = None
+    gamma = _ratio(best_d, best_q, psi, 128)
     return VectorBadnessResult(
         w=wv,
         rate=psi,
@@ -323,8 +293,8 @@ def vector_badness(
         q_max=X,
         argmin_q=best_q,
         min_dist=best_d,
-        gamma_exact=gamma_exact,
-        gamma_bounds=bounds,
+        gamma_exact=None if isinstance(gamma, HPInterval) else gamma,
+        gamma_bounds=rat_bounds(gamma),
     )
 
 

@@ -51,8 +51,10 @@ from .exactnum import (
     UndecidableComparison,
     as_rat,
     format_rat,
+    max_precision_bits,
     parse_rat,
     rat,
+    rat_bounds,
     rat_ceil,
 )
 from .experiment import (
@@ -76,7 +78,7 @@ from .lattice import (
 )
 from .presets import PRESETS
 from .rates import RateFunction, admissible_pair, rate_from_text
-from .series import partial_sum, packing_ratio_scan
+from .series import packing_ratio_scan, partial_sum, term_product
 
 
 def _parse_scalar(text: str) -> Rat:
@@ -310,6 +312,12 @@ class _Group(click.Group):
 @click.version_option(__version__, prog_name="badlab")
 def main() -> None:
     """Exact experiments around badly approximable subspaces."""
+    # a bad BADLAB_PRECISION_BITS fails every subcommand up front, not at
+    # the first comparison that happens to refine
+    try:
+        max_precision_bits()
+    except ValueError as err:
+        _fail_config(err)
 
 
 @main.command()
@@ -440,12 +448,9 @@ def series(config_path, N, counts_to, out_dir):
 
 
 def _series_rows(ps, scan) -> List[list]:
-    from .exactnum import HPInterval
-
     def fmt(v) -> str:
-        if isinstance(v, HPInterval):
-            return format_rat(v.hi)
-        return format_rat(v)
+        # an exact value, or an interval's upper end
+        return format_rat(rat_bounds(v)[1])
 
     by_T = {}
     if scan is not None:
@@ -453,17 +458,12 @@ def _series_rows(ps, scan) -> List[list]:
     rows = []
     for term, s in zip(ps.terms, ps.sums):
         mu, lam = term.mu, term.lam
-        if isinstance(mu, HPInterval) or isinstance(lam, HPInterval):
-            mi = mu if isinstance(mu, HPInterval) else HPInterval.from_rat(mu, 96)
-            li = lam if isinstance(lam, HPInterval) else HPInterval.from_rat(lam, 96)
-            tv = (mi * li).hi
-        else:
-            tv = mu * lam
         extra = ["", "", "", ""]
         r = by_T.get(term.T)
         if r is not None:
             extra = [r.zeta, r.pi, format_rat(r.ratio_pi), format_rat(r.ratio_cum)]
-        rows.append([term.T, fmt(mu), fmt(lam), format_rat(tv), fmt(s)] + extra)
+        rows.append([term.T, fmt(mu), fmt(lam), fmt(term_product(mu, lam, 96)),
+                     fmt(s)] + extra)
     return rows
 
 

@@ -11,13 +11,15 @@ used whenever a quantity (log T, T^(1/2), ...) is irrational: the interval
 certifiably contains the true value, and comparisons against rationals are
 decided by doubling the working precision until the interval separates
 from the query point or a hard cap is reached.  An undecided comparison
-raises; nothing is silently rounded.
+raises; nothing is silently rounded.  A `Value` is either kind, a Rat
+when the quantity is rational: `as_interval` and `rat_bounds` carry it
+on, and `refine_cmp` compares against it.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Tuple, Union
 
 from mpmath.libmp import (
     from_int,
@@ -240,17 +242,20 @@ def rat_cmp_power(x: RatLike, y: RatLike, p: int, q: int) -> int:
     return 0
 
 
-ORDER_WORDS = {-1: "less", 0: "equal", 1: "greater"}
-
-
 def max_precision_bits() -> int:
     """Refinement cap, overridable via BADLAB_PRECISION_BITS."""
     raw = os.environ.get("BADLAB_PRECISION_BITS")
     if raw is None:
         return DEFAULT_MAX_BITS
-    bits = int(raw)
+    try:
+        bits = int(raw)
+    except ValueError:
+        bits = 0
     if bits < _START_BITS:
-        raise ValueError("BADLAB_PRECISION_BITS must be >= 64")
+        raise ValueError(
+            f"BADLAB_PRECISION_BITS must be an integer >= {_START_BITS}, "
+            f"not {raw!r}"
+        )
     return bits
 
 
@@ -478,6 +483,24 @@ def _iv(lo_mpf, hi_mpf, prec: int) -> HPInterval:
     return out
 
 
+Value = Union[Rat, HPInterval]
+
+
+def as_interval(v: Value, bits: int) -> HPInterval:
+    """v itself when it is an interval, else the rational v enclosed at
+    `bits`."""
+    if isinstance(v, HPInterval):
+        return v
+    return HPInterval.from_rat(v, bits)
+
+
+def rat_bounds(v: Value) -> Tuple[Rat, Rat]:
+    """Rationals lo <= v <= hi: a rational v twice, an interval's ends."""
+    if isinstance(v, HPInterval):
+        return v.lo, v.hi
+    return v, v
+
+
 def _mul_straddling(a, b, c, d, p: int) -> HPInterval:
     """[a, b] * [c, d] when both straddle zero: the least of a*d and b*c,
     the greatest of a*c and b*d (the other products have the other sign)."""
@@ -492,27 +515,27 @@ def _mul_straddling(a, b, c, d, p: int) -> HPInterval:
 
 def refine_cmp(
     x: RatLike,
-    evaluator: Callable[[int], HPInterval],
+    evaluator: Callable[[int], Value],
     max_bits: Optional[int] = None,
-    exact: Optional[Rat] = None,
 ) -> int:
-    """Ordering of x against a certified quantity.
+    """Ordering of x against a quantity that is exact or enclosed.
 
-    `evaluator(bits)` must return an HPInterval containing the quantity.
-    When `exact` is given the comparison is a plain rational compare.  The
-    interval route doubles precision up to the cap and intersects refined
-    intervals with earlier ones (all contain the value, so this is sound
-    and keeps refinement monotone).  Equality is only reachable on the
-    exact path; an interval that never separates raises.
+    `evaluator(bits)` returns the quantity itself when it is rational, and
+    then the comparison is a plain rational compare; otherwise it returns
+    an HPInterval containing it at `bits`.  The interval route doubles
+    precision up to the cap and intersects refined intervals with earlier
+    ones (all contain the value, so this is sound and keeps refinement
+    monotone).  Equality is only reachable on the exact path; an interval
+    that never separates raises.
     """
     x = as_rat(x)
-    if exact is not None:
-        return rat_sign(x - exact)
     cap = max_bits if max_bits is not None else max_precision_bits()
     bits = _START_BITS
     acc = None
     while True:
         iv = evaluator(bits)
+        if not isinstance(iv, HPInterval):
+            return rat_sign(x - iv)
         acc = iv if acc is None else acc.intersect(iv)
         c = acc.cmp_rat(x)
         if c is not None:

@@ -4,8 +4,10 @@ Samples live on the source subspace A, drawn from an exact dyadic grid
 by a counter-based generator (Philox4x64-10) so that per-sample streams
 depend only on (seed, sample index), never on scheduling.  Membership in
 the shrinking target sets is decided exactly: layer points come from the
-lattice enumerator and the per-candidate minimax over the ray parameter
-is the exact line distance.
+lattice enumerator, the per-candidate minimax over the ray parameter is
+the exact line distance, and that distance meets phi(RT) through
+lattice.Thickness.admits, the threshold test slab filtering shares, with
+one Thickness (and so one enclosure) per T kept in the layer cache.
 
 Everything written to samples.csv, tails.csv, and report.json is a pure
 function of the config; wall-clock timing goes to the command's
@@ -21,7 +23,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .badness import BadnessCertificate, VectorBadnessResult, vector_badness
 from .exactlp import HPoly, lp_max, lp_min
-from .exactnum import HPInterval, Rat, as_rat, format_rat, rat, rat_floor
+from .exactnum import (
+    HPInterval,
+    Rat,
+    as_rat,
+    format_rat,
+    rat,
+    rat_bounds,
+    rat_floor,
+    rat_pow,
+)
 from .geometry import (
     AffineSubspace,
     Vec,
@@ -33,14 +44,8 @@ from .geometry import (
     vec_add,
     vec_scale,
 )
-from .lattice import zeta_layer
-from .rates import (
-    RateFunction,
-    admissible_pair,
-    cmp_refine,
-    eval_exact,
-    interval_eval,
-)
+from .lattice import Thickness, zeta_layer
+from .rates import RateFunction, admissible_pair, rate_value
 from .series import DiagnosticReport, convergence_diagnostic, exponent_analysis
 
 _MASK64 = (1 << 64) - 1
@@ -286,13 +291,13 @@ class MemberWitness:
 
 
 class _LayerCache:
-    """Z_T layers and phi(RT) enclosures, shared across samples, and the
-    last sample found inside the R ball."""
+    """Z_T layers and the phi(RT) thickness of each T, shared across
+    samples, and the last sample found inside the R ball."""
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
         self._layers: Dict[int, List[Tuple[int, ...]]] = {}
-        self._phi: Dict[int, Tuple[Rat, Rat]] = {}
+        self._thickness: Dict[int, Thickness] = {}
         self._in_ball: Optional[Tuple[tuple, Vec]] = None
 
     def in_ball(self, w: Sequence) -> Vec:
@@ -319,18 +324,14 @@ class _LayerCache:
             self._layers[T] = pts
         return self._layers[T]
 
-    def phi_enclosure(self, T: int) -> Tuple[Rat, Rat]:
-        """Rationals lo <= phi(RT) <= hi: the exact value twice when
-        phi(RT) is rational, else the ends of a 64-bit interval_eval."""
-        if T not in self._phi:
-            arg = self.config.R * T
-            ev = eval_exact(self.config.phi, arg)
-            if ev is not None:
-                self._phi[T] = (ev, ev)
-            else:
-                iv = interval_eval(self.config.phi, arg, 64)
-                self._phi[T] = (iv.lo, iv.hi)
-        return self._phi[T]
+    def thickness(self, T: int) -> Thickness:
+        """phi(RT) as a thickness, one per T, so its enclosure is taken
+        once and serves every sample."""
+        if T not in self._thickness:
+            self._thickness[T] = Thickness.of_rate(
+                self.config.phi, self.config.R * T
+            )
+        return self._thickness[T]
 
 
 def u_t_member(
@@ -340,21 +341,20 @@ def u_t_member(
     """Does some layer point z admit t with sup_norm(t*(1,w) - z) <= phi(RT)?
 
     The minimum over t is the exact distance d from z to the ray span.
-    It is compared with the cached enclosure lo <= phi(RT) <= hi: d < lo
-    is a member and d > hi is not; with phi(RT) rational lo == hi and the
-    compare is exact.  Only a d inside an irrational enclosure goes on to
-    interval refinement, which raises if it cannot separate.  A w outside
-    the R ball raises ValueError.
+    It goes through the threshold test slab filtering uses,
+    Thickness.admits on the cached phi(RT): the enclosure lo <= phi(RT)
+    <= hi settles d < lo (a member) and d > hi (not one), exactly when
+    phi(RT) is rational, and only a d inside an irrational enclosure goes
+    on to interval refinement, which raises if it cannot separate.  A w
+    outside the R ball raises ValueError.
     """
     cache = cache or _LayerCache(config)
     wv = cache.in_ball(w)
     lifted_w = (rat(1),) + wv
-    lo, hi = cache.phi_enclosure(T)
+    thickness = cache.thickness(T)
     for z in cache.layer(T):
         d = line_distance(z, lifted_w)
-        if d > hi:
-            continue
-        if d < lo or lo == hi or cmp_refine(d, config.phi, config.R * T) <= 0:
+        if thickness.admits(d):
             return True, MemberWitness(
                 z=tuple(int(v) for v in z), t=line_witness(z, lifted_w, d)
             )
@@ -408,18 +408,14 @@ def chart_ball_measure(config: ExperimentConfig) -> Rat:
 def _upper_bound(config: ExperimentConfig, T: int, zeta: int) -> Tuple[Rat, Rat]:
     """Certified enclosure of zeta * (2*phi(RT)/T)^a."""
     a = config.a_dim
-    arg = config.R * T
-    ev = eval_exact(config.phi, arg)
-    if ev is not None:
-        from .exactnum import rat_pow
-
-        v = zeta * rat_pow(2 * ev / T, a)
-        return v, v
     bits = 96
-    iv = interval_eval(config.phi, arg, bits)
-    iv = (iv + iv) / HPInterval.from_int_value(T, bits)
-    iv = iv.pow_int(a) * HPInterval.from_int_value(zeta, bits)
-    return iv.lo, iv.hi
+    v = rate_value(config.phi, config.R * T, bits)
+    if isinstance(v, HPInterval):
+        v = (v + v) / HPInterval.from_int_value(T, bits)
+        v = v.pow_int(a) * HPInterval.from_int_value(zeta, bits)
+    else:
+        v = zeta * rat_pow(2 * v / T, a)
+    return rat_bounds(v)
 
 
 def measure_estimate(

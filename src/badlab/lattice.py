@@ -4,8 +4,12 @@ A slab is the set of z in R^(d+1) with z_0 in a window, |z_j| <= R*T for
 j >= 1, and sup-norm distance to a target span at most a thickness eps.
 Irrational thicknesses (log-rate values) are handled by enumerating the
 slab for a certified rational upper bound and then filtering each
-candidate with an exact interval comparison, so membership is decided by
-the true thickness, never by a rounded one.
+candidate with Thickness.admits, the one threshold test that slab
+filtering and U_T membership (experiment.u_t_member) share: a 64-bit
+enclosure lo <= thickness <= hi, taken once per thickness, keeps a
+distance below lo and drops one above hi, and only a distance inside is
+refined.  Membership is decided by the true thickness, never by a
+rounded one.
 
 Two independent enumeration routes exist on purpose.  enumerate_slab
 projects the constraint system exactly (Fourier-Motzkin over the span
@@ -21,6 +25,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
@@ -34,10 +39,12 @@ from .exactlp import (
 from .exactnum import (
     HPInterval,
     Rat,
+    Value,
     as_rat,
     format_rat,
     rat,
     rat_abs,
+    rat_bounds,
     rat_ceil,
     rat_floor,
     refine_cmp,
@@ -54,9 +61,11 @@ from .geometry import (
     vec_scale,
     vec_sub,
 )
-from .rates import RateFunction, eval_exact, interval_eval
+from .rates import RateFunction, rate_value
 
 BOX_GUARD = 10**9
+# precision of the rational thickness bounds a projection chain is built from
+CHAIN_BITS = 96
 
 
 class BoxTooLargeError(Exception):
@@ -67,9 +76,12 @@ class BoxTooLargeError(Exception):
 class Thickness:
     """Either an exact rational thickness or scale * rate(arg).
 
-    Comparisons against exact distances go through interval refinement
-    when the value is irrational; bounds used to build candidate systems
-    are certified one-sided rationals.
+    `at(bits)` is the value: the rational itself when it is one, else a
+    certified interval at `bits`.  Chains are built from its 96-bit
+    rational bounds.  `admits` is the threshold test every membership
+    filter shares: one 64-bit enclosure, computed once per thickness,
+    settles each distance outside it, and only a distance inside goes on
+    to interval refinement, which raises if it cannot separate.
     """
 
     value: Optional[Rat] = None
@@ -85,46 +97,34 @@ class Thickness:
     def of_rate(rate: RateFunction, arg, scale=1) -> "Thickness":
         return Thickness(rate=rate, scale=as_rat(scale), arg=as_rat(arg))
 
-    def exact_value(self) -> Optional[Rat]:
+    def at(self, bits: int) -> Value:
         if self.value is not None:
             return self.value
-        ev = eval_exact(self.rate, self.arg)
-        if ev is None:
-            return None
-        return self.scale * ev
+        v = rate_value(self.rate, self.arg, bits)
+        if isinstance(v, HPInterval):
+            return HPInterval.from_rat(self.scale, bits) * v
+        return self.scale * v
 
-    def _interval(self, bits: int) -> HPInterval:
-        iv = interval_eval(self.rate, self.arg, bits)
-        return HPInterval.from_rat(self.scale, bits) * iv
-
-    def upper_rational(self, bits: int = 96) -> Rat:
-        ev = self.exact_value()
-        if ev is not None:
-            return ev
-        return self._interval(bits).hi
-
-    def lower_rational(self, bits: int = 96) -> Rat:
-        ev = self.exact_value()
-        if ev is not None:
-            return ev
-        return self._interval(bits).lo
-
-    def enclosure(self) -> Tuple[Rat, Rat]:
+    @cached_property
+    def bounds(self) -> Tuple[Rat, Rat]:
         """Rationals lo <= thickness <= hi: the exact value twice when it
-        is rational, else the ends of one 64-bit interval."""
-        ev = self.exact_value()
-        if ev is not None:
-            return ev, ev
-        iv = self._interval(64)
-        return iv.lo, iv.hi
+        is rational (lo == hi exactly then), else the ends of one 64-bit
+        interval."""
+        return rat_bounds(self.at(64))
 
     def cmp_dist(self, dist: Rat) -> int:
         """Ordering of dist against the true thickness (-1/0/1)."""
-        ev = self.exact_value()
-        if ev is not None:
-            d = as_rat(dist)
-            return -1 if d < ev else (1 if d > ev else 0)
-        return refine_cmp(dist, self._interval, exact=None)
+        return refine_cmp(dist, self.at)
+
+    def admits(self, dist: Rat) -> bool:
+        """dist <= thickness, decided by the enclosure where it can be.
+
+        A distance above hi, the common case in U_T membership, costs one
+        comparison."""
+        lo, hi = self.bounds
+        if dist > hi:
+            return False
+        return dist < lo or self.cmp_dist(dist) <= 0
 
     def describe(self) -> str:
         if self.value is not None:
@@ -223,12 +223,7 @@ def member_exact(spec: SlabSpec, z: Sequence, functionals=None) -> bool:
     for c in zv[1:]:
         if rat_abs(c) > bb:
             return False
-    d = _exact_distance(spec, zv, functionals)
-    return spec.thickness.cmp_dist(d) <= 0
-
-
-def _needs_filter(spec: SlabSpec) -> bool:
-    return spec.thickness.exact_value() is None
+    return spec.thickness.admits(_exact_distance(spec, zv, functionals))
 
 
 def _span_functionals(spec: SlabSpec):
@@ -241,29 +236,23 @@ def enumerate_slab(spec: SlabSpec) -> List[Tuple[int, ...]]:
     """All integer points of the slab, in lexicographic order.
 
     Projection-chain enumeration; when the thickness is irrational the
-    chain is built for a certified upper bound and every candidate is
-    confirmed against the true thickness.  One enclosure lo <= thickness
-    <= hi serves the slab: a distance below lo is kept and one above hi
-    dropped, and only a distance inside goes on to interval refinement,
-    which raises if it cannot separate.
+    chain is built for a certified upper bound and every candidate goes
+    through the thickness's threshold test, the one U_T membership uses.
     """
     if spec.box_candidates() > BOX_GUARD:
         raise BoxTooLargeError(
             f"candidate box holds {spec.box_candidates()} points "
             f"(guard {BOX_GUARD}); refuse to enumerate"
         )
-    poly = build_slab_poly(spec, spec.thickness.upper_rational())
-    pts = enumerate_integer_points(poly)
-    if not _needs_filter(spec):
+    lo, hi = rat_bounds(spec.thickness.at(CHAIN_BITS))
+    pts = enumerate_integer_points(build_slab_poly(spec, hi))
+    if lo == hi:  # a rational thickness: the chain is the slab
         return list(pts)
     functionals = _span_functionals(spec)
-    lo, hi = spec.thickness.enclosure()
-    out = []
-    for p in pts:
-        d = _exact_distance(spec, p, functionals)
-        if d < lo or (d <= hi and spec.thickness.cmp_dist(d) <= 0):
-            out.append(p)
-    return out
+    return [
+        p for p in pts
+        if spec.thickness.admits(_exact_distance(spec, p, functionals))
+    ]
 
 
 def naive_slab_scan(spec: SlabSpec) -> List[Tuple[int, ...]]:
@@ -277,7 +266,7 @@ def naive_slab_scan(spec: SlabSpec) -> List[Tuple[int, ...]]:
     if spec.box_candidates() > BOX_GUARD:
         raise BoxTooLargeError("candidate box too large for the oracle scan")
     funcs = dual_functionals(spec.target)
-    eps_hi = spec.thickness.upper_rational()
+    eps_lo, eps_hi = rat_bounds(spec.thickness.at(CHAIN_BITS))
     # integer-cleared rows: L*u . z <= floor(L*eps) exactly, for integer z
     rows_c: List[Tuple[int, ...]] = []
     rows_r: List[int] = []
@@ -301,7 +290,7 @@ def naive_slab_scan(spec: SlabSpec) -> List[Tuple[int, ...]]:
             for row, rhs in zip(rows_c, rows_r)
         )
     ]
-    if not _needs_filter(spec):
+    if eps_lo == eps_hi:
         return pts
     return [
         p
@@ -436,8 +425,7 @@ def half_dilation_check(
     fail; with a trivial slab no such pair can exist.
     """
     spec = badness_slab(B_span, gamma, psi, R, T)
-    eps_hi = spec.thickness.upper_rational()
-    poly = build_slab_poly(spec, eps_hi)
+    poly = build_slab_poly(spec, rat_bounds(spec.thickness.at(CHAIN_BITS))[1])
     rng = random.Random(seed)
     centers = (
         [as_vec(c) for c in explicit_translates]
@@ -522,7 +510,7 @@ def covering_count(
     R = as_rat(R)
 
     omega = badness_slab(B_span, gamma, psi, R, T)
-    eps_lo = omega.thickness.lower_rational()
+    eps_lo = rat_bounds(omega.thickness.at(CHAIN_BITS))[0]
     if eps_lo <= 0:
         raise ValueError("thickness lower bound must be positive")
     omega_poly = build_slab_poly(omega, eps_lo)
@@ -582,7 +570,9 @@ def covering_count(
             )
 
     pi_spec = approach_slab(A_span, phi, R, T)
-    pi_poly = build_slab_poly(pi_spec, pi_spec.thickness.upper_rational())
+    pi_poly = build_slab_poly(
+        pi_spec, rat_bounds(pi_spec.thickness.at(CHAIN_BITS))[1]
+    )
     pa = [list(r[0]) for r in pi_poly.rows]
     pb = [r[1] for r in pi_poly.rows]
     base: List[Rat] = []

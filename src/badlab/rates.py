@@ -2,7 +2,8 @@
 
 The closed family keeps every comparison decidable: values are evaluated
 exactly when they land in Q (pure powers with perfect roots), otherwise as
-certified intervals via exactnum.HPInterval.  Admissibility of a pair
+certified intervals via exactnum.HPInterval.  `rate_value` makes that
+choice for every caller in the package.  Admissibility of a pair
 (psi, phi), meaning phi(T) <= psi(T) from the start of the common domain,
 is decided analytically from the exponents with interval arithmetic only
 at finitely many critical points, then double-checked on a geometric grid.
@@ -12,13 +13,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional, Union
 
 from .exactnum import (
     HPInterval,
     Rat,
     RatLike,
     UndecidableComparison,
+    Value,
+    as_interval,
     as_rat,
     den,
     format_rat,
@@ -117,13 +120,14 @@ def eval_exact(f: RateFunction, T: RatLike) -> Optional[Rat]:
     return f.c * power
 
 
-def interval_eval(f: RateFunction, T: RatLike, bits: int) -> HPInterval:
-    """Certified interval containing f(T) at the given working precision."""
+def rate_value(f: RateFunction, T: RatLike, bits: int) -> Value:
+    """f(T) exactly when it is rational, else a certified interval at
+    `bits`.  Every caller that needs f(T) goes through here, so the choice
+    between the two is made once, by one eval_exact."""
     T = as_rat(T)
-    _check_domain(f, T)
     exact = eval_exact(f, T)
     if exact is not None:
-        return HPInterval.from_rat(exact, bits)
+        return exact
     ti = HPInterval.from_rat(T, bits)
     e = -f.alpha
     # one log T serves the power T^e = exp(e log T) and the log factor;
@@ -139,6 +143,11 @@ def interval_eval(f: RateFunction, T: RatLike, bits: int) -> HPInterval:
     return out
 
 
+def interval_eval(f: RateFunction, T: RatLike, bits: int) -> HPInterval:
+    """Certified interval containing f(T) at the given working precision."""
+    return as_interval(rate_value(f, T, bits), bits)
+
+
 def float_eval(f: RateFunction, T) -> float:
     """Double-precision evidence value; never used in certified paths."""
     t = float(T)
@@ -147,23 +156,6 @@ def float_eval(f: RateFunction, T) -> float:
     if d != 0.0:
         out *= math.log(t) ** (-d)
     return out
-
-
-def cmp_refine(
-    x: RatLike, f: RateFunction, T: RatLike, max_bits: Optional[int] = None
-) -> int:
-    """Ordering of x against f(T): -1, 0 or 1, exact or certified.
-
-    Raises UndecidableComparison only when the interval route hits the
-    precision cap, which for this family means x agrees with an irrational
-    value to hundreds of bits.
-    """
-    return refine_cmp(
-        x,
-        lambda bits: interval_eval(f, T, bits),
-        max_bits=max_bits,
-        exact=eval_exact(f, T),
-    )
 
 
 def cmp_rates_at(

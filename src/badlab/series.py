@@ -13,29 +13,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from .exactnum import (
     HPInterval,
     Rat,
+    Value,
+    as_interval,
     as_rat,
     max_precision_bits,
     rat,
+    rat_bounds,
     rat_ceil,
     rat_pow,
     rat_pow_rat,
 )
-from .rates import RateFunction, eval_exact, interval_eval, float_eval
+from .rates import RateFunction, interval_eval, rate_value
 from .lattice import pi_count, zeta_layer
-
-Value = Union[Rat, HPInterval]
-
-
-def _rate_value(f: RateFunction, T, bits: int) -> Value:
-    ev = eval_exact(f, T)
-    if ev is not None:
-        return ev
-    return interval_eval(f, T, bits)
 
 
 def _pow(v: Value, e: Rat, bits: int) -> Value:
@@ -55,7 +49,7 @@ def mu_term(T: int, R, psi: RateFunction, a: int, b: int, bits: int = 96) -> Val
     if not a > b >= 0:
         raise ValueError("need a > b >= 0")
     R = as_rat(R)
-    v = _rate_value(psi, R * T, bits)
+    v = rate_value(psi, R * T, bits)
     if isinstance(v, HPInterval):
         base = HPInterval.from_int_value(T, bits) / v
     else:
@@ -71,7 +65,7 @@ def lambda_term(T: int, R, phi: RateFunction, a: int, bits: int = 96) -> Value:
     zero is excluded.
     """
     R = as_rat(R)
-    return _lambda_step(T, R, phi, a, bits, _rate_value(phi, R * T, bits))[0]
+    return _lambda_step(T, R, phi, a, bits, rate_value(phi, R * T, bits))[0]
 
 
 def _lambda_step(
@@ -86,16 +80,14 @@ def _lambda_step(
     """
     if a < 1:
         raise ValueError("need a >= 1")
-    right = _rate_value(phi, R * (T + 1), bits)
+    right = rate_value(phi, R * (T + 1), bits)
     if not isinstance(left, HPInterval) and not isinstance(right, HPInterval):
         out = rat_pow(left / T, a) - rat_pow(right / (T + 1), a)
         assert out > 0
         return out, right
     cap = max_precision_bits()
-    cur, l_cur, r_cur = bits, left, right
+    cur, li, ri = bits, as_interval(left, bits), as_interval(right, bits)
     while True:
-        li = l_cur if isinstance(l_cur, HPInterval) else HPInterval.from_rat(l_cur, cur)
-        ri = r_cur if isinstance(r_cur, HPInterval) else HPInterval.from_rat(r_cur, cur)
         out = (li / HPInterval.from_int_value(T, cur)).pow_rat(rat(a)) - (
             ri / HPInterval.from_int_value(T + 1, cur)
         ).pow_rat(rat(a))
@@ -105,18 +97,22 @@ def _lambda_step(
             raise ArithmeticError(
                 f"could not separate lambda from zero at {cur} bits")
         cur = min(cur * 2, cap)
-        l_cur = _rate_value(phi, R * T, cur)
-        r_cur = _rate_value(phi, R * (T + 1), cur)
+        li = interval_eval(phi, R * T, cur)
+        ri = interval_eval(phi, R * (T + 1), cur)
 
 
 def term_value(T: int, R, psi, phi, a: int, b: int, bits: int = 96) -> Value:
-    m = mu_term(T, R, psi, a, b, bits)
-    l = lambda_term(T, R, phi, a, bits)
-    if isinstance(m, HPInterval) or isinstance(l, HPInterval):
-        mi = m if isinstance(m, HPInterval) else HPInterval.from_rat(m, bits)
-        li = l if isinstance(l, HPInterval) else HPInterval.from_rat(l, bits)
-        return mi * li
-    return m * l
+    return term_product(
+        mu_term(T, R, psi, a, b, bits), lambda_term(T, R, phi, a, bits), bits
+    )
+
+
+def term_product(mu: Value, lam: Value, bits: int) -> Value:
+    """mu * lam, exact when both are rational, else an interval product
+    with a rational factor enclosed at `bits`."""
+    if isinstance(mu, HPInterval) or isinstance(lam, HPInterval):
+        return as_interval(mu, bits) * as_interval(lam, bits)
+    return mu * lam
 
 
 @dataclass(frozen=True)
@@ -159,17 +155,14 @@ def partial_sum(
     sums: List[Value] = []
     acc: Value = rat(0)
     exact = True
-    left = _rate_value(phi, R_r * start, bits)
+    left = rate_value(phi, R_r * start, bits)
     for T in range(start, N + 1):
         m = mu_term(T, R, psi, a, b, bits)
         l, left = _lambda_step(T, R_r, phi, a, bits, left)
         if isinstance(m, HPInterval) or isinstance(l, HPInterval) or not exact:
             exact = False
-            mi = m if isinstance(m, HPInterval) else HPInterval.from_rat(m, bits)
-            li = l if isinstance(l, HPInterval) else HPInterval.from_rat(l, bits)
-            inc = mi * li
-            acc_iv = acc if isinstance(acc, HPInterval) else HPInterval.from_rat(acc, bits)
-            acc = acc_iv + inc
+            inc = as_interval(m, bits) * as_interval(l, bits)
+            acc = as_interval(acc, bits) + inc
         else:
             acc = acc + m * l
         terms.append(SeriesTerm(T=T, mu=m, lam=l))
@@ -357,8 +350,7 @@ def packing_ratio_scan(
         z, _ = zeta_layer(target, phi, R, T)
         cum += z
         p = pi_count(target, phi, R, T)
-        m = mu_term(T, R, psi, a, b)
-        m_hi = m.hi if isinstance(m, HPInterval) else m
+        m_hi = rat_bounds(mu_term(T, R, psi, a, b))[1]
         rows.append(
             PackingRow(
                 T=T,
@@ -414,10 +406,8 @@ def _mu_less(psi, a: int, b: int, R, T1: int, T2: int) -> bool:
     cap = max_precision_bits()
     bits = 96
     while True:
-        i1 = mu_term(T1, R, psi, a, b, bits)
-        i2 = mu_term(T2, R, psi, a, b, bits)
-        i1 = i1 if isinstance(i1, HPInterval) else HPInterval.from_rat(i1, bits)
-        i2 = i2 if isinstance(i2, HPInterval) else HPInterval.from_rat(i2, bits)
+        i1 = as_interval(mu_term(T1, R, psi, a, b, bits), bits)
+        i2 = as_interval(mu_term(T2, R, psi, a, b, bits), bits)
         if i1.hi < i2.lo:
             return True
         if i2.hi < i1.lo:
@@ -439,12 +429,9 @@ def lambda_all_positive(
     for T in T_values:
         if R * T < phi.domain_start:
             continue
-        left = carry if T == next_T else _rate_value(phi, R * T, bits)
+        left = carry if T == next_T else rate_value(phi, R * T, bits)
         l, carry = _lambda_step(T, R, phi, a, bits, left)
         next_T = T + 1
-        if isinstance(l, HPInterval):
-            if l.sign_lo() <= 0:
-                return False
-        elif l <= 0:
+        if rat_bounds(l)[0] <= 0:
             return False
     return True

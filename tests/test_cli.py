@@ -191,6 +191,21 @@ def test_unsettled_arithmetic_exits_two(runner, monkeypatch, exc):
     assert res.stderr == f"{exc.__name__}: cap reached\n"
 
 
+@pytest.mark.parametrize("cfg", ["configs/cubic.cfg", GOLDEN_CFG])
+@pytest.mark.parametrize("bits", ["abc", "16"])
+def test_bad_precision_bits_exits_two(runner, monkeypatch, cfg, bits):
+    # checked before any subcommand runs, whether or not the run would
+    # refine an interval (golden.cfg never does), and named in the message
+    monkeypatch.setenv("BADLAB_PRECISION_BITS", bits)
+    res = runner.invoke(main, ["series", "--config", cfg, "--N", "20"])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == (
+        "config error: BADLAB_PRECISION_BITS must be an integer >= 64, "
+        f"not {bits!r}\n"
+    )
+
+
 def test_enumerate_omega_needs_gamma(runner, tmp_path):
     text = "\n".join(
         l for l in CONTROL_CFG.splitlines() if not l.startswith("gamma")

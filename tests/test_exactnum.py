@@ -222,8 +222,9 @@ def test_refine_cmp_interval_route():
 
 
 def test_refine_cmp_exact_path():
-    assert refine_cmp(rat(1, 3), lambda b: None, exact=rat(1, 3)) == 0
-    assert refine_cmp(rat(1, 2), lambda b: None, exact=rat(1, 3)) == 1
+    # an evaluator that returns a rational settles the compare exactly
+    assert refine_cmp(rat(1, 3), lambda b: rat(1, 3)) == 0
+    assert refine_cmp(rat(1, 2), lambda b: rat(1, 3)) == 1
 
 
 def test_refine_to_width():

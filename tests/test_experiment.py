@@ -23,7 +23,7 @@ from badlab.experiment import (
 )
 from badlab.geometry import AffineSubspace, line_distance, sup_norm
 from badlab.presets import preset_value
-from badlab.rates import PowerLaw, PowerLog, eval_exact, interval_eval
+from badlab.rates import PowerLaw, PowerLog, interval_eval, rate_value
 
 GOLDEN = preset_value("golden")
 UNIT = PowerLaw(rat(1), rat(1))
@@ -244,10 +244,7 @@ def test_u_t_member_rejects_w_outside_ball(golden_config, monkeypatch):
 def _cmp_phi(x, cfg, T):
     """x against phi(RT): exact when phi(RT) is rational, else refined."""
     arg = cfg.R * T
-    return refine_cmp(
-        x, lambda bits: interval_eval(cfg.phi, arg, bits),
-        exact=eval_exact(cfg.phi, arg),
-    )
+    return refine_cmp(x, lambda bits: rate_value(cfg.phi, arg, bits))
 
 
 def _member_by_definition(w, T, cfg, cache):
@@ -297,13 +294,15 @@ def test_u_t_member_matches_definition(shipped_small, data):
 
 def test_phi_enclosure_per_T(golden_config, cubic_config):
     exact = _LayerCache(golden_config)
-    assert exact.phi_enclosure(7) == (rat(1, 7), rat(1, 7))
+    assert exact.thickness(7).bounds == (rat(1, 7), rat(1, 7))
     cache = _LayerCache(cubic_config)
-    lo, hi = cache.phi_enclosure(5)
+    lo, hi = cache.thickness(5).bounds
     assert lo < hi
     iv = interval_eval(cubic_config.phi, cubic_config.R * 5, 256)
     assert lo <= iv.lo and iv.hi <= hi
-    assert cache.phi_enclosure(5) is cache.phi_enclosure(5)
+    # one thickness per T, and so one enclosure
+    assert cache.thickness(5) is cache.thickness(5)
+    assert cache.thickness(5).bounds is cache.thickness(5).bounds
 
 
 @pytest.fixture()
@@ -328,7 +327,7 @@ def test_u_t_member_refines_inside_enclosure(log_phi_config, monkeypatch):
     T = 5
     cache = _LayerCache(log_phi_config)
     z = cache.layer(T)[0]
-    lo, hi = cache.phi_enclosure(T)
+    lo, hi = cache.thickness(T).bounds
     d = (lo + hi) / 2
     w = _w_at_distance(z, d)
     assert line_distance(z, (rat(1), w)) == d

@@ -1,11 +1,13 @@
 import random
+from functools import cached_property
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from badlab.exactlp import enumerate_integer_points
-from badlab.exactnum import rat
+from badlab import lattice
+from badlab.exactnum import HPInterval, rat, rat_bounds
 from badlab.geometry import AffineSubspace, LiftedSpan, lift
 from badlab.lattice import (
     BoxTooLargeError,
@@ -38,22 +40,31 @@ def golden_span():
 
 def test_thickness_exact():
     t = Thickness.exact(rat(1, 6))
-    assert t.exact_value() == rat(1, 6)
-    assert t.upper_rational() == rat(1, 6) == t.lower_rational()
+    assert t.at(96) == rat(1, 6)
+    assert rat_bounds(t.at(96)) == (rat(1, 6), rat(1, 6)) == t.bounds
     assert t.cmp_dist(rat(1, 7)) == -1
     assert t.cmp_dist(rat(1, 6)) == 0
     assert t.cmp_dist(rat(1, 5)) == 1
+    assert t.admits(rat(1, 7)) and t.admits(rat(1, 6))
+    assert not t.admits(rat(1, 5))
+    # a rate value that is rational stays exact too
+    assert Thickness.of_rate(UNIT, rat(3), scale=2).at(64) == rat(2, 3)
 
 
 def test_thickness_of_rate_irrational():
     # 1/sqrt(2): irrational, certified bounds must straddle it
     t = Thickness.of_rate(PowerLaw(rat(1), rat(1, 2)), rat(2))
-    assert t.exact_value() is None
-    lo, hi = t.lower_rational(), t.upper_rational()
+    assert isinstance(t.at(96), HPInterval)
+    lo, hi = rat_bounds(t.at(96))
     assert lo < hi
     assert lo * lo < rat(1, 2) < hi * hi
     assert t.cmp_dist(rat(7, 10)) == -1
     assert t.cmp_dist(rat(71, 100)) == 1
+    # the admission test agrees, and its enclosure is taken once
+    assert t.admits(rat(7, 10)) and not t.admits(rat(71, 100))
+    assert t.bounds is t.bounds
+    b_lo, b_hi = t.bounds
+    assert b_lo * b_lo < rat(1, 2) < b_hi * b_hi
 
 
 def test_slabspec_validation():
@@ -71,7 +82,7 @@ def test_slabspec_validation():
 
 def test_member_exact_agrees_with_poly():
     spec = badness_slab(HALF_SPAN, rat(1, 3), UNIT, 1, 4)
-    eps = spec.thickness.upper_rational()
+    eps = rat_bounds(spec.thickness.at(96))[1]
     poly = build_slab_poly(spec, eps)
     for z in [(0, 0), (2, 1), (4, 2), (1, 1), (3, 1), (4, 1)]:
         zr = tuple(rat(c) for c in z)
@@ -245,7 +256,7 @@ def _powerlog_slabs(draw):
 @given(_powerlog_slabs())
 def test_enumerate_slab_matches_naive_powerlog(spec):
     # the integer walk plus the one-enclosure filter, order included
-    assert spec.thickness.exact_value() is None
+    assert isinstance(spec.thickness.at(64), HPInterval)
     assert enumerate_slab(spec) == naive_slab_scan(spec)
 
 
@@ -257,18 +268,23 @@ def test_enumerate_slab_filter_keeps_and_drops(monkeypatch, wide):
     # every distance sends each candidate to interval refinement instead
     phi = PowerLog(rat(3), rat(1, 2), rat(1), rat(2))
     spec = approach_slab(golden_span(), phi, 2, 12)
-    loose = spec.thickness.upper_rational() + rat(1, 4)
-    monkeypatch.setattr(Thickness, "upper_rational", lambda self: loose)
+    loose = rat_bounds(spec.thickness.at(96))[1] + rat(1, 4)
+    real_build = lattice.build_slab_poly
+    monkeypatch.setattr(lattice, "build_slab_poly",
+                        lambda spec, eps: real_build(spec, loose))
     expected = naive_slab_scan(spec)
     cands = list(enumerate_integer_points(build_slab_poly(spec, loose)))
     assert 0 < len(expected) < len(cands)
     calls = []
-    real = Thickness.enclosure
+    real = Thickness.bounds.func
 
-    def enclosure(self):
+    def bounds(self):
         calls.append(self)
         return (rat(0), rat(10**6)) if wide else real(self)
 
-    monkeypatch.setattr(Thickness, "enclosure", enclosure)
-    assert enumerate_slab(spec) == expected
+    counted = cached_property(bounds)
+    counted.__set_name__(Thickness, "bounds")
+    monkeypatch.setattr(Thickness, "bounds", counted)
+    # a fresh slab, so no enclosure is cached on its thickness yet
+    assert enumerate_slab(approach_slab(golden_span(), phi, 2, 12)) == expected
     assert len(calls) == 1

@@ -19,7 +19,6 @@ from badlab.rates import (
     _peak_value_le_one,
     admissible_pair,
     cmp_rates_at,
-    cmp_refine,
     cmp_scaled_ratios,
     effective_start,
     eval_exact,
@@ -27,6 +26,7 @@ from badlab.rates import (
     interval_eval,
     parse_rate,
     rate_from_text,
+    rate_value,
 )
 
 
@@ -113,11 +113,41 @@ def test_float_eval_tracks_interval():
 
 
 def test_cmp_refine():
+    # x against f(T) through rate_value: refined when f(T) is irrational,
+    # a plain rational compare (ties included) when it is not
     f = PowerLaw(rat(1), rat(1, 2))
+
+    def cmp(x, T):
+        return refine_cmp(x, lambda bits: rate_value(f, T, bits))
+
     # f(2) = 1/sqrt(2) = 0.7071...
-    assert cmp_refine(rat(7071, 10000), f, rat(2)) == -1
-    assert cmp_refine(rat(7072, 10000), f, rat(2)) == 1
-    assert cmp_refine(rat(1, 2), f, rat(4)) == 0
+    assert cmp(rat(7071, 10000), rat(2)) == -1
+    assert cmp(rat(7072, 10000), rat(2)) == 1
+    assert cmp(rat(1, 2), rat(4)) == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([rat(0), rat(1), rat(2), rat(1, 3), rat(1, 2), rat(3, 2)]),
+    st.sampled_from([rat(0), rat(1, 2), rat(1), rat(2)]),
+    st.builds(rat, st.integers(1, 5), st.integers(1, 3)),
+    st.one_of(
+        st.builds(lambda k: rat(k * k), st.integers(2, 50)),
+        st.builds(lambda p, q: 2 + rat(p, q), st.integers(0, 10**6),
+                  st.integers(1, 7)),
+    ),
+)
+def test_rate_value_exact_or_interval_eval(alpha, delta, c, T):
+    # the exact value whenever there is one, else interval_eval's bits
+    f = PowerLog(c, alpha, delta, rat(2)) if delta else PowerLaw(c, alpha)
+    exact = eval_exact(f, T)
+    for bits in (64, 96, 128):
+        v = rate_value(f, T, bits)
+        if exact is not None:
+            assert v == exact and not isinstance(v, HPInterval)
+        else:
+            iv = interval_eval(f, T, bits)
+            assert (v._lo, v._hi, v.prec) == (iv._lo, iv._hi, iv.prec)
 
 
 def test_cmp_rates_at():

@@ -4,7 +4,7 @@ from mpmath import mp
 from badlab.exactnum import HPInterval, rat, rat_pow
 from badlab.geometry import LiftedSpan
 from badlab.lattice import zeta_layer
-from badlab.rates import PowerLaw, PowerLog
+from badlab.rates import PowerLaw, PowerLog, rate_value
 from badlab.series import (
     convergence_diagnostic,
     exponent_analysis,
@@ -274,6 +274,31 @@ def test_carried_phi_matches_term_by_term(monkeypatch, phi, R):
     # only base-precision values are carried, even after a raised term
     assert seen == [
         (T, _raw(lambda_term(T, R, phi, 2)),
-         _raw(series._rate_value(phi, R * (T + 1), 96)))
+         _raw(rate_value(phi, R * (T + 1), 96)))
         for T in Ts if R * T >= phi.domain_start
     ]
+
+
+def test_partial_sum_evaluates_each_rate_value_once(monkeypatch):
+    # one psi(RT) for mu and one carried phi(R(T+1)) per term, plus the
+    # first phi(RT): eval_exact is not repeated inside interval evaluation
+    import sys
+
+    import badlab.rates as rates
+    from badlab.cli import parse_config
+
+    raw = parse_config("configs/cubic.cfg")
+    calls = []
+    real = rates.eval_exact
+
+    def counted(f, T):
+        calls.append(T)
+        return real(f, T)
+
+    # every module that binds the name, as `from .rates import` would
+    for name, module in list(sys.modules.items()):
+        if name.startswith("badlab") and vars(module).get("eval_exact") is real:
+            monkeypatch.setattr(module, "eval_exact", counted)
+    ps = partial_sum(800, raw.R, raw.psi, raw.phi, raw.A.dim, raw.B.dim)
+    assert len(ps.terms) == 800
+    assert len(calls) <= 2 * 800 + 2
