@@ -47,7 +47,13 @@ from .geometry import (
     nearest_int_dist,
     sup_norm,
 )
-from .lattice import SlabSpec, Thickness, enumerate_slab, _exact_distance, _span_functionals
+from .lattice import (
+    SlabSpec,
+    Thickness,
+    _exact_distance,
+    _span_metric,
+    enumerate_slab,
+)
 from .rates import RateFunction, cmp_scaled_ratios, rate_value
 
 
@@ -137,7 +143,7 @@ def subspace_badness(
         )
     n = target.ambient
     best: Optional[Tuple[Rat, int, Tuple[int, ...]]] = None  # (dist, norm, x)
-    funcs = _span_functionals(
+    metric = _span_metric(
         SlabSpec(1, rat(1), target, Thickness.exact(1), (0, 1))
     )
     for s in range(1, height + 1):
@@ -159,7 +165,7 @@ def subspace_badness(
             cx = canon_sign(x)
             if tuple(cx) != tuple(as_vec(x)):
                 continue  # the mirror image is scanned via its representative
-            d = _exact_distance(spec, x, funcs)
+            d = rat(*_exact_distance(spec, x, metric))
             if d == 0:
                 return ZeroHit(witness=tuple(int(v) for v in x), shell=s)
             if best is None or cmp_scaled_ratios(
@@ -278,13 +284,15 @@ def vector_badness(
             zero_q=zero_q,
         )
     best_q = None
-    best_d = None
+    best_m = None
     for q in records:
-        # the sup distance from the integer residues, as the scan found it
-        d = rat(max(min(q * n % D, D - q * n % D) for n in nums), D)
-        if best_q is None or cmp_scaled_ratios(d, q, best_d, best_q, psi) < 0:
-            best_q, best_d = q, d
+        # the sup distance times D, from the integer residues as the scan
+        # found it; D cancels from both sides of the comparison
+        m = max(min(q * n % D, D - q * n % D) for n in nums)
+        if best_q is None or cmp_scaled_ratios(m, q, best_m, best_q, psi) < 0:
+            best_q, best_m = q, m
     assert best_q is not None
+    best_d = rat(best_m, D)
     gamma = _ratio(best_d, best_q, psi, 128)
     return VectorBadnessResult(
         w=wv,

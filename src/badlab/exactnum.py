@@ -87,6 +87,14 @@ def den(x: Rat) -> int:
     return int(x.denominator)
 
 
+def num_den(x) -> Tuple[int, int]:
+    """(numerator, denominator) of an int or a rational, as ints."""
+    if isinstance(x, int):
+        return x, 1
+    r = as_rat(x)
+    return num(r), den(r)
+
+
 def rat_floor(x: RatLike) -> int:
     if isinstance(x, int):
         return x

@@ -4,10 +4,13 @@ Samples live on the source subspace A, drawn from an exact dyadic grid
 by a counter-based generator (Philox4x64-10) so that per-sample streams
 depend only on (seed, sample index), never on scheduling.  Membership in
 the shrinking target sets is decided exactly: layer points come from the
-lattice enumerator, the per-candidate minimax over the ray parameter is
-the exact line distance, and that distance meets phi(RT) through
-lattice.Thickness.admits, the threshold test slab filtering shares, with
-one Thickness (and so one enclosure) per T kept in the layer cache.
+lattice enumerator, and the per-candidate minimax over the ray parameter
+is the exact line distance.  Each sample's lift (1, w) is cleared to
+integers once (geometry.ClearedLine, kept in the layer cache), so the
+distance of an integer layer point is an integer pair (num, den).  It
+meets phi(RT) through lattice.Thickness.admits, the threshold test slab
+filtering shares, by integer cross-multiplication with the ends of one
+enclosure per T kept in the layer cache.
 
 Everything written to samples.csv, tails.csv, and report.json is a pure
 function of the config; wall-clock timing goes to the command's
@@ -35,11 +38,10 @@ from .exactnum import (
 )
 from .geometry import (
     AffineSubspace,
+    ClearedLine,
     Vec,
     as_vec,
     lift,
-    line_distance,
-    line_witness,
     sup_norm,
     vec_add,
     vec_scale,
@@ -292,19 +294,22 @@ class MemberWitness:
 
 class _LayerCache:
     """Z_T layers and the phi(RT) thickness of each T, shared across
-    samples, and the last sample found inside the R ball."""
+    samples, and the last sample found inside the R ball with its cleared
+    lift."""
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
         self._layers: Dict[int, List[Tuple[int, ...]]] = {}
         self._thickness: Dict[int, Thickness] = {}
-        self._in_ball: Optional[Tuple[tuple, Vec]] = None
+        self._in_ball: Optional[Tuple[tuple, ClearedLine]] = None
 
-    def in_ball(self, w: Sequence) -> Vec:
-        """w as an exact vector; ValueError unless sup_norm(w) <= R.
+    def in_ball(self, w: Sequence) -> ClearedLine:
+        """The lift (1, w) cleared to integers; ValueError unless
+        sup_norm(w) <= R.
 
         A sample is tested at every T as the same tuple, so the last tuple
-        that passed is remembered and its norm is not taken again (a tuple
+        that passed is remembered with its cleared lift: neither its norm
+        nor the lcm of its 260-bit denominators is taken again (a tuple
         of rationals cannot change).
         """
         if self._in_ball is not None and w is self._in_ball[0]:
@@ -312,9 +317,10 @@ class _LayerCache:
         wv = as_vec(w)
         if sup_norm(wv) > self.config.R:
             raise ValueError("w outside the R ball")
+        lifted = ClearedLine((rat(1),) + wv)
         if type(w) is tuple:
-            self._in_ball = (w, wv)
-        return wv
+            self._in_ball = (w, lifted)
+        return lifted
 
     def layer(self, T: int) -> List[Tuple[int, ...]]:
         if T not in self._layers:
@@ -341,22 +347,26 @@ def u_t_member(
     """Does some layer point z admit t with sup_norm(t*(1,w) - z) <= phi(RT)?
 
     The minimum over t is the exact distance d from z to the ray span.
-    It goes through the threshold test slab filtering uses,
-    Thickness.admits on the cached phi(RT): the enclosure lo <= phi(RT)
-    <= hi settles d < lo (a member) and d > hi (not one), exactly when
-    phi(RT) is rational, and only a d inside an irrational enclosure goes
-    on to interval refinement, which raises if it cannot separate.  A w
-    outside the R ball raises ValueError.
+    The lift (1, w) is cleared to integers once per sample (the cache
+    keeps it), so d comes from the integer line kernel as a pair
+    (num, den) for each integer layer point.  It goes through the
+    threshold test slab filtering uses, Thickness.admits on the cached
+    phi(RT): integer cross-multiplication against the enclosure
+    lo <= phi(RT) <= hi settles d < lo (a member) and d > hi (not one),
+    exactly when phi(RT) is rational, and only a d inside an irrational
+    enclosure goes on to interval refinement, which raises if it cannot
+    separate.  The witness's t is formed only on a hit.  A w outside the
+    R ball raises ValueError.
     """
     cache = cache or _LayerCache(config)
-    wv = cache.in_ball(w)
-    lifted_w = (rat(1),) + wv
-    thickness = cache.thickness(T)
+    lifted = cache.in_ball(w)
+    admits = cache.thickness(T).admits
+    distance = lifted.distance
     for z in cache.layer(T):
-        d = line_distance(z, lifted_w)
-        if thickness.admits(d):
+        p, q = distance(z)
+        if admits(p, q):
             return True, MemberWitness(
-                z=tuple(int(v) for v in z), t=line_witness(z, lifted_w, d)
+                z=tuple(int(v) for v in z), t=lifted.witness(z, p, q)
             )
     return False, None
 
@@ -560,7 +570,7 @@ def run_theorem1(
     results: List[SampleResult] = []
     hit_table: Dict[int, List[bool]] = {T: [] for T in Ts}
     for idx, w in enumerate(samples):
-        cache.in_ball(w)  # once per sample; u_t_member finds it checked
+        cache.in_ball(w)  # once per sample; u_t_member finds it cleared
         vb = vector_badness(w, config.phi, config.X)
         hits = []
         for T in Ts:

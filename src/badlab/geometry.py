@@ -6,8 +6,9 @@ generated by (1, point) and (0, direction_i); approximation properties of
 the affine object become lattice statements about this span.
 
 Distances are always in the sup norm.  The general case is an exact
-simplex solve; spans of a single vector take a closed-form pair formula,
-and repeated membership tests against one span go through its dual
+simplex solve; spans of a single vector take a closed-form pair formula
+on integers, with the direction cleared once (ClearedLine), and
+repeated membership tests against one span go through its dual
 functionals (the vertices of the orthogonal L1-ball section), which turn
 "distance <= eps" into finitely many exact half-space tests.
 """
@@ -28,7 +29,7 @@ from .exactlp import (
     solve_square,
     vec_dot,
 )
-from .exactnum import Rat, as_rat, den, num, rat, rat_abs, rat_floor
+from .exactnum import Rat, as_rat, num_den, rat, rat_abs, rat_floor
 
 Vec = Tuple[Rat, ...]
 
@@ -188,18 +189,70 @@ def cheb_distance(z: Sequence, span: LiftedSpan) -> Tuple[Rat, Vec]:
     return val, tuple(x[:m])
 
 
-def _num_den(c) -> Tuple[int, int]:
-    if isinstance(c, int):
-        return c, 1
-    r = as_rat(c)
-    return num(r), den(r)
+def clear_vector(v: Sequence) -> Tuple[int, List[int]]:
+    """The lcm D of the coordinates' denominators, and D*v as integers."""
+    parts = [num_den(c) for c in v]
+    scale = math.lcm(*(q for _, q in parts))
+    return scale, [p * (scale // q) for p, q in parts]
 
 
-def _cleared(*vecs: Sequence) -> Tuple[int, List[List[int]]]:
-    """The lcm D of every coordinate's denominator, and each vector times D."""
-    parts = [[_num_den(c) for c in v] for v in vecs]
-    scale = math.lcm(*(q for v in parts for _, q in v))
-    return scale, [[p * (scale // q) for p, q in v] for v in parts]
+class ClearedLine:
+    """A nonzero direction a, cleared once for many distance queries.
+
+    With D the lcm of a's denominators and A = D a, the sup distance from
+    a point z to the line R a is the largest pair term
+    |z_j a_k - z_k a_j| / (|a_j| + |a_k|), and scaling a by D leaves each
+    term unchanged.  So for an integer-cleared point Z = D_z z the
+    distance is max |Z_j A_k - Z_k A_j| / (|A_j| + |A_k|), divided by D_z:
+    integer products compared by cross-multiplication.  The pairs, with
+    their denominators |A_j| + |A_k| (pairs where both vanish drop out),
+    are formed here once.
+    """
+
+    __slots__ = ("scale", "coords", "pairs")
+
+    def __init__(self, a: Sequence):
+        self.scale, coords = clear_vector(a)
+        self.coords = tuple(coords)
+        n = len(coords)
+        self.pairs = tuple(
+            (j, k, coords[j], coords[k], abs(coords[j]) + abs(coords[k]))
+            for j in range(n)
+            for k in range(j + 1, n)
+            if coords[j] or coords[k]
+        )
+
+    def distance(self, Z: Sequence[int]) -> Tuple[int, int]:
+        """The largest pair term for an integer point Z, as (num, den):
+        the sup distance from Z to the line, exactly num/den."""
+        best_num, best_den = 0, 1
+        for j, k, aj, ak, denom in self.pairs:
+            val = Z[j] * ak - Z[k] * aj
+            if val < 0:
+                val = -val
+            if val * best_den > best_num * denom:
+                best_num, best_den = val, denom
+        return best_num, best_den
+
+    def witness(self, Z: Sequence[int], p: int, q: int) -> Rat:
+        """Smallest t with sup_i |Z_i - t a_i| <= p/q, for an integer
+        point Z and p/q >= its distance to the line.
+
+        Each coordinate with a_i != 0 allows t in an interval whose lower
+        end is Z_i/a_i - (p/q)/|a_i|; coordinates with a_i = 0 hold for
+        every t because p/q is at least the distance.  The intervals
+        meet, so the largest lower end lies in all of them.  With
+        a_i = A_i/D that end is D (sgn(A_i) Z_i q - p) / (q |A_i|),
+        compared by cross-multiplication like the pair terms.
+        """
+        best_num, best_den = None, 1
+        for zc, ac in zip(Z, self.coords):
+            if ac == 0:
+                continue
+            lower = (zc if ac > 0 else -zc) * q - p
+            if best_num is None or lower * best_den > best_num * abs(ac):
+                best_num, best_den = lower, abs(ac)
+        return rat(self.scale * best_num, q * best_den)
 
 
 def line_distance(z: Sequence, a: Sequence) -> Rat:
@@ -207,45 +260,27 @@ def line_distance(z: Sequence, a: Sequence) -> Rat:
 
     Equals max over coordinate pairs of |z_j a_k - z_k a_j|/(|a_j|+|a_k|);
     agrees with the simplex route and is what inner loops use for
-    one-dimensional spans.  All denominators are cleared once by their
-    lcm D, so with Z = D z and A = D a the pair terms are the integer
-    ratios |Z_j A_k - Z_k A_j| / (|A_j| + |A_k|), compared by
-    cross-multiplication; the maximum, divided by D, is the distance.
+    one-dimensional spans.  It clears z to Z = D_z z and a to a
+    ClearedLine, whose integer kernel gives the distance of Z; divided by
+    D_z it is the distance of z.  A caller that tests many points against
+    one direction, or one point against many, builds the ClearedLine once
+    and calls its `distance` on integer points, so nothing is cleared per
+    query.
     """
-    scale, (zi, ai) = _cleared(z, a)
-    best_num, best_den = 0, 1
-    n = len(zi)
-    for j in range(n):
-        for k in range(j + 1, n):
-            denom = abs(ai[j]) + abs(ai[k])
-            if denom == 0:
-                continue
-            val = abs(zi[j] * ai[k] - zi[k] * ai[j])
-            if val * best_den > best_num * denom:
-                best_num, best_den = val, denom
-    return rat(best_num, scale * best_den)
+    scale, zi = clear_vector(z)
+    p, q = ClearedLine(a).distance(zi)
+    return rat(p, q * scale)
 
 
 def line_witness(z: Sequence, a: Sequence, d) -> Rat:
     """Smallest t with sup_i |z_i - t a_i| <= d, for d >= line_distance(z, a).
 
-    Each coordinate with a_i != 0 allows t in an interval whose lower end
-    is z_i/a_i - d/|a_i|; coordinates with a_i = 0 hold for every t
-    because d is at least the distance.  The intervals meet, so the
-    largest lower end lies in all of them.  With Z = D z, A = D a and
-    d = p/q that end is (sgn(A_i) Z_i q - p D) / (q |A_i|), compared by
-    cross-multiplication like the pair terms of line_distance.
+    With Z = D_z z the condition reads sup_i |Z_i - (D_z t) a_i| <= D_z d,
+    so this is ClearedLine(a).witness for Z and D_z d, divided by D_z.
     """
-    scale, (zi, ai) = _cleared(z, a)
-    p, q = _num_den(d)
-    best_num, best_den = None, 1
-    for zc, ac in zip(zi, ai):
-        if ac == 0:
-            continue
-        lower = (zc if ac > 0 else -zc) * q - p * scale
-        if best_num is None or lower * best_den > best_num * abs(ac):
-            best_num, best_den = lower, abs(ac)
-    return rat(best_num, q * best_den)
+    scale, zi = clear_vector(z)
+    p, q = num_den(d)
+    return ClearedLine(a).witness(zi, p * scale, q) / scale
 
 
 def dual_functionals(span: LiftedSpan) -> List[Vec]:

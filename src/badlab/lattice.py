@@ -8,8 +8,10 @@ candidate with Thickness.admits, the one threshold test that slab
 filtering and U_T membership (experiment.u_t_member) share: a 64-bit
 enclosure lo <= thickness <= hi, taken once per thickness, keeps a
 distance below lo and drops one above hi, and only a distance inside is
-refined.  Membership is decided by the true thickness, never by a
-rounded one.
+refined.  Distances arrive as integer pairs (num, den) and meet the
+enclosure's ends by cross-multiplication; a line target is cleared to
+integers once per slab (geometry.ClearedLine), not once per candidate.
+Membership is decided by the true thickness, never by a rounded one.
 
 Two independent enumeration routes exist on purpose.  enumerate_slab
 projects the constraint system exactly (Fourier-Motzkin over the span
@@ -41,7 +43,9 @@ from .exactnum import (
     Rat,
     Value,
     as_rat,
+    den,
     format_rat,
+    num,
     rat,
     rat_abs,
     rat_bounds,
@@ -50,13 +54,14 @@ from .exactnum import (
     refine_cmp,
 )
 from .geometry import (
+    ClearedLine,
     LiftedSpan,
     Vec,
     as_vec,
     cheb_distance,
+    clear_vector,
     distance_via_functionals,
     dual_functionals,
-    line_distance,
     sup_norm,
     vec_scale,
     vec_sub,
@@ -116,15 +121,29 @@ class Thickness:
         """Ordering of dist against the true thickness (-1/0/1)."""
         return refine_cmp(dist, self.at)
 
-    def admits(self, dist: Rat) -> bool:
-        """dist <= thickness, decided by the enclosure where it can be.
-
-        A distance above hi, the common case in U_T membership, costs one
-        comparison."""
+    @cached_property
+    def _integer_bounds(self) -> Tuple[int, int, int, int]:
         lo, hi = self.bounds
-        if dist > hi:
+        return num(lo), den(lo), num(hi), den(hi)
+
+    def admits(self, dist_num: int, dist_den: int = 1) -> bool:
+        """dist_num/dist_den <= thickness, for integers dist_num >= 0 and
+        dist_den > 0, decided by the enclosure where it can be.
+
+        The distance meets the bounds by integer cross-multiplication, so
+        a distance above hi, the common case in U_T membership, costs two
+        products.  A distance inside [lo, hi] equals the thickness when
+        that is rational (lo == hi); inside an irrational enclosure it is
+        made a rational and refined by cmp_dist, which raises if the cap
+        cannot separate it."""
+        lo_n, lo_d, hi_n, hi_d = self._integer_bounds
+        if dist_num * hi_d > hi_n * dist_den:
             return False
-        return dist < lo or self.cmp_dist(dist) <= 0
+        if dist_num * lo_d < lo_n * dist_den:
+            return True
+        if lo_n == hi_n and lo_d == hi_d:
+            return True
+        return self.cmp_dist(rat(dist_num, dist_den)) <= 0
 
     def describe(self) -> str:
         if self.value is not None:
@@ -203,17 +222,27 @@ def build_slab_poly(spec: SlabSpec, eps: Rat) -> HPoly:
     return poly
 
 
-def _exact_distance(spec: SlabSpec, z: Sequence, functionals=None) -> Rat:
-    if spec.target.dim == 0:
-        return sup_norm(z)
+def _exact_distance(
+    spec: SlabSpec, z: Sequence, metric=None
+) -> Tuple[int, int]:
+    """The sup distance from z to the slab's target span, as integers
+    (num, den).  `metric` is _span_metric(spec), prepared once per slab."""
     if spec.target.dim == 1:
-        return line_distance(z, spec.target.basis[0])
-    if functionals is not None:
-        return distance_via_functionals(z, functionals)
-    return cheb_distance(z, spec.target)[0]
+        if metric is None:
+            metric = ClearedLine(spec.target.basis[0])
+        scale, zi = clear_vector(z)
+        p, q = metric.distance(zi)
+        return p, q * scale
+    if spec.target.dim == 0:
+        d = sup_norm(z)
+    elif metric is not None:
+        d = distance_via_functionals(z, metric)
+    else:
+        d = cheb_distance(z, spec.target)[0]
+    return num(d), den(d)
 
 
-def member_exact(spec: SlabSpec, z: Sequence, functionals=None) -> bool:
+def member_exact(spec: SlabSpec, z: Sequence, metric=None) -> bool:
     """Exact slab membership of a rational point (true thickness)."""
     zv = as_vec(z)
     lo, hi = spec.z0_range
@@ -223,10 +252,15 @@ def member_exact(spec: SlabSpec, z: Sequence, functionals=None) -> bool:
     for c in zv[1:]:
         if rat_abs(c) > bb:
             return False
-    return spec.thickness.admits(_exact_distance(spec, zv, functionals))
+    return spec.thickness.admits(*_exact_distance(spec, zv, metric))
 
 
-def _span_functionals(spec: SlabSpec):
+def _span_metric(spec: SlabSpec):
+    """What _exact_distance reuses across one slab's points: the target's
+    ClearedLine for a line, its dual functionals for a small span of
+    dimension >= 2, else None."""
+    if spec.target.dim == 1:
+        return ClearedLine(spec.target.basis[0])
     if 2 <= spec.target.dim and spec.ambient <= 4:
         return dual_functionals(spec.target)
     return None
@@ -248,11 +282,9 @@ def enumerate_slab(spec: SlabSpec) -> List[Tuple[int, ...]]:
     pts = enumerate_integer_points(build_slab_poly(spec, hi))
     if lo == hi:  # a rational thickness: the chain is the slab
         return list(pts)
-    functionals = _span_functionals(spec)
-    return [
-        p for p in pts
-        if spec.thickness.admits(_exact_distance(spec, p, functionals))
-    ]
+    metric = _span_metric(spec)
+    admits = spec.thickness.admits
+    return [p for p in pts if admits(*_exact_distance(spec, p, metric))]
 
 
 def naive_slab_scan(spec: SlabSpec) -> List[Tuple[int, ...]]:
@@ -295,7 +327,7 @@ def naive_slab_scan(spec: SlabSpec) -> List[Tuple[int, ...]]:
     return [
         p
         for p in pts
-        if spec.thickness.cmp_dist(_exact_distance(spec, p, funcs)) <= 0
+        if spec.thickness.cmp_dist(distance_via_functionals(p, funcs)) <= 0
     ]
 
 
@@ -432,7 +464,7 @@ def half_dilation_check(
         if explicit_translates is not None
         else [_random_translate(rng, spec) for _ in range(translates)]
     )
-    funcs = _span_functionals(spec)
+    metric = _span_metric(spec)
     violations: List[TranslateHit] = []
     max_pts = 0
     for c in centers:
@@ -446,7 +478,7 @@ def half_dilation_check(
         pts = [
             p
             for p in cands
-            if member_exact(spec, vec_scale(vec_sub(p, c), 2), funcs)
+            if member_exact(spec, vec_scale(vec_sub(p, c), 2), metric)
         ]
         max_pts = max(max_pts, len(pts))
         if len(pts) > 1:
@@ -454,7 +486,7 @@ def half_dilation_check(
             diff = vec_sub(x, y)
             witness = None
             for cand in (diff, vec_scale(diff, -1)):
-                if member_exact(spec, cand, funcs):
+                if member_exact(spec, cand, metric):
                     witness = tuple(int(v) for v in cand)
                     break
             violations.append(

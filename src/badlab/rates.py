@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Union
 
 from .exactnum import (
@@ -26,11 +27,11 @@ from .exactnum import (
     den,
     format_rat,
     num,
+    num_den,
     rat,
     rat_ceil,
     rat_cmp_power,
     rat_floor,
-    rat_pow,
     rat_pow_rat,
     rat_sign,
     refine_cmp,
@@ -136,11 +137,18 @@ def rate_value(f: RateFunction, T: RatLike, bits: int) -> Value:
     if den(e) == 1:
         power = ti.pow_int(num(e))
     else:
-        power = (lt * HPInterval.from_rat(e, bits)).exp()
-    out = HPInterval.from_rat(f.c, bits) * power
+        power = (lt * _enclosed_constant(e, bits)).exp()
+    out = _enclosed_constant(f.c, bits) * power
     if f.delta != 0:
         out = out * lt.pow_rat(-f.delta)
     return out
+
+
+@lru_cache(maxsize=64)
+def _enclosed_constant(x: Rat, bits: int) -> HPInterval:
+    """A rate's c or -alpha at `bits`: it depends on the rate and the
+    precision only, so it is enclosed once, not per argument T."""
+    return HPInterval.from_rat(x, bits)
 
 
 def interval_eval(f: RateFunction, T: RatLike, bits: int) -> HPInterval:
@@ -190,24 +198,28 @@ def cmp_scaled_ratios(
     ratios dist(x)/f(|x|).  With alpha = u/v the coefficient cancels and
     the v-th power of each side is exact up to its log factor:
     d1/f(s1) ? d2/f(s2) is lhs/rhs ? (log s2 / log s1)^k with
-    lhs = d1^v s1^u, rhs = d2^v s2^u and k = delta*v.  Pure powers are
-    therefore one rational comparison.  A log factor is settled exactly
-    when the power parts tie or agree with it, and when s1 and s2 are
-    integer powers of one integer, whose log ratio is rational.  Otherwise
-    only (log s2 / log s1)^k is an interval, refined against the exact
-    lhs/rhs; for integers that are not powers of one base the log ratio is
-    transcendental (Gelfond-Schneider), so only the precision cap raises.
+    lhs = d1^v s1^u, rhs = d2^v s2^u and k = delta*v.  The power parts
+    are compared as integers, by cross-multiplying the numerators and
+    denominators of d and s, so pure powers are one integer comparison
+    (a caller may pass d1, d2 scaled by one common factor: it cancels).
+    A log factor is settled exactly when the power parts tie or agree
+    with it, and when s1 and s2 are integer powers of one integer, whose
+    log ratio is rational.  Otherwise only (log s2 / log s1)^k is an
+    interval, refined against the exact lhs/rhs; for integers that are
+    not powers of one base the log ratio is transcendental
+    (Gelfond-Schneider), so only the precision cap raises.
     """
-    d1, s1, d2, s2 = map(as_rat, (d1, s1, d2, s2))
     if d1 == 0 or d2 == 0:
         return rat_sign(d1 - d2)
     if s1 == s2:
         return rat_sign(d1 - d2)
     # d1 * s1^a ? d2 * s2^a with a = u/v: cross to integer powers
     u, v = num(f.alpha), den(f.alpha)
-    lhs = rat_pow(d1, v) * rat_pow(s1, u)
-    rhs = rat_pow(d2, v) * rat_pow(s2, u)
-    power = rat_sign(lhs - rhs)
+    (dn1, dd1), (sn1, sd1) = num_den(d1), num_den(s1)
+    (dn2, dd2), (sn2, sd2) = num_den(d2), num_den(s2)
+    lhs_num, lhs_den = dn1**v * sn1**u, dd1**v * sd1**u
+    rhs_num, rhs_den = dn2**v * sn2**u, dd2**v * sd2**u
+    power = rat_sign(lhs_num * rhs_den - rhs_num * lhs_den)
     if f.delta == 0:
         return power
     _check_domain(f, s1)
@@ -218,18 +230,25 @@ def cmp_scaled_ratios(
     if power != -by_log:
         return by_log
     k = f.delta * v
-    ratio = lhs / rhs
-    if den(s1) == 1 and den(s2) == 1:
-        logs = _log_ratio(num(s1), num(s2))
+    ratio = rat(lhs_num * rhs_den, lhs_den * rhs_num)
+    if sd1 == 1 and sd2 == 1:
+        logs = _log_ratio(sn1, sn2)
         if logs is not None:
             return rat_cmp_power(ratio, logs, num(k), den(k))
 
     def evaluator(bits: int) -> HPInterval:
-        l1 = HPInterval.from_rat(s1, bits).log()
-        l2 = HPInterval.from_rat(s2, bits).log()
-        return (l2 / l1).pow_rat(k)
+        ratio_of_logs = _log_enclosure(s2, bits) / _log_enclosure(s1, bits)
+        return ratio_of_logs.pow_rat(k)
 
     return refine_cmp(ratio, evaluator, max_bits=max_bits)
+
+
+@lru_cache(maxsize=64)
+def _log_enclosure(s: RatLike, bits: int) -> HPInterval:
+    """log s at `bits`.  A badness scan compares its running best against
+    record after record, so the best's log is taken once, not per
+    comparison."""
+    return HPInterval.from_rat(s, bits).log()
 
 
 def _log_ratio(s1: int, s2: int) -> Optional[Rat]:

@@ -29,7 +29,7 @@ from .exactnum import (
     rat_pow_rat,
 )
 from .rates import RateFunction, interval_eval, rate_value
-from .lattice import pi_count, zeta_layer
+from .lattice import approach_slab, enumerate_slab
 
 
 def _pow(v: Value, e: Rat, bits: int) -> Value:
@@ -347,9 +347,12 @@ def packing_ratio_scan(
     rows: List[PackingRow] = []
     cum = 0
     for T in Ts:
-        z, _ = zeta_layer(target, phi, R, T)
+        # the layer z0 = T is the top slice of the approach slab (same
+        # thickness phi(RT), same box), so one enumeration serves both
+        pts = enumerate_slab(approach_slab(target, phi, R, T))
+        z = sum(1 for x in pts if x[0] == T)
         cum += z
-        p = pi_count(target, phi, R, T)
+        p = len(pts)
         m_hi = rat_bounds(mu_term(T, R, psi, a, b))[1]
         rows.append(
             PackingRow(

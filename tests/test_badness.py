@@ -1,3 +1,6 @@
+import hashlib
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,10 +16,10 @@ from badlab.badness import (
     sup_dist_to_lattice,
     vector_badness,
 )
-from badlab.exactnum import rat, rat_ceil
+from badlab.exactnum import format_rat, rat, rat_ceil
 from badlab.geometry import LiftedSpan
 from badlab.presets import preset_value
-from badlab.rates import PowerLaw, PowerLog, cmp_scaled_ratios
+from badlab.rates import PowerLaw, PowerLog, cmp_scaled_ratios, interval_eval
 
 GOLDEN = preset_value("golden")
 CBRT2 = preset_value("cbrt2")
@@ -171,6 +174,47 @@ def test_vector_badness_matches_brute_force(w, psi, X, q_min):
     want = _brute_vector_badness(w, psi, X, lo)
     res = vector_badness(w, psi, X, q_min=q_min)
     assert (res.argmin_q, res.min_dist, res.zero_q) == want
+
+
+def _vector_samples():
+    """Points on the cubic line (w = A_point + t A_dir) and golden-line
+    points, with 64-bit dyadic parameters as the Monte Carlo draws them."""
+    rng = random.Random(11)
+    out = []
+    for _ in range(12):
+        t = rat(rng.randrange(-(2**65), 2**65), 2**64)
+        out.append(((CBRT2 + t, CBRT4 + t * CBRT2),
+                    PowerLog(rat(1), rat(1, 2), rat(2), rat(2)), 3000))
+        out.append(((rat(rng.randrange(-(2**64), 2**64), 2**64),), UNIT,
+                    10**4))
+    return out
+
+
+def test_vector_badness_integer_residues_match_rational_distances():
+    # the record choice on the scan's integer residues m against the same
+    # choice on the rational distances m/D; the digest pins the outputs
+    # the rational choice gave on these samples
+    digest = hashlib.sha256()
+    for w, psi, X in _vector_samples():
+        res = vector_badness(w, psi, X)
+        D = math.lcm(*(c.denominator for c in w))
+        records, zero_q = kernels.badness_scan(
+            [int(c * D) for c in w], D, X, rat_ceil(psi.domain_start))
+        assert zero_q is None
+        best_q = best_d = None
+        for q in records:
+            d = sup_dist_to_lattice(w, q)
+            if best_q is None or cmp_scaled_ratios(d, q, best_d, best_q,
+                                                   psi) < 0:
+                best_q, best_d = q, d
+        lo, hi = res.gamma_bounds
+        assert (res.argmin_q, res.min_dist) == (best_q, best_d)
+        assert lo <= best_d / interval_eval(psi, best_q, 128).lo
+        assert best_d / interval_eval(psi, best_q, 128).hi <= hi
+        digest.update(" ".join(map(format_rat, (
+            res.argmin_q, res.min_dist, lo, hi))).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "9fdf342bb48ec56ee7cb3815c9fe5f86e83a69f81db31cec03f08ea235ef8785")
 
 
 def test_vector_badness_exact_log_tie_goes_to_smaller_q():

@@ -8,10 +8,12 @@ from badlab.exactlp import vec_dot
 from badlab.exactnum import rat
 from badlab.geometry import (
     AffineSubspace,
+    ClearedLine,
     LiftedSpan,
     adapted_basis,
     canon_sign,
     cheb_distance,
+    clear_vector,
     distance_via_functionals,
     dual_functionals,
     lift,
@@ -148,6 +150,41 @@ def test_integer_line_distance_matches_lp(data):
             ac != 0 and (zc - t * ac) * (1 if ac > 0 else -1) == d
             for zc, ac in zip(z, a)
         )
+
+
+def _pair_formula(z, a):
+    """max over pairs of |z_j a_k - z_k a_j|/(|a_j| + |a_k|), in Fractions."""
+    terms = [
+        abs(z[j] * a[k] - z[k] * a[j]) / (abs(a[j]) + abs(a[k]))
+        for j in range(len(z))
+        for k in range(j + 1, len(z))
+        if a[j] or a[k]
+    ]
+    return max(terms, default=rat(0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_cleared_line_kernel_matches_line_distance(data):
+    # one direction cleared once, queried with several points, against
+    # line_distance and the pair formula in plain Fractions; denominators
+    # up to 2^270 as in the Monte Carlo samples
+    n = data.draw(st.integers(2, 4))
+    a = data.draw(
+        st.lists(_rationals(270), min_size=n, max_size=n).filter(
+            lambda v: any(c != 0 for c in v)
+        )
+    )
+    line = ClearedLine(a)
+    for _ in range(3):
+        z = data.draw(st.lists(_rationals(270), min_size=n, max_size=n))
+        scale, zi = clear_vector(z)
+        assert [rat(c, scale) for c in zi] == z
+        p, q = line.distance(zi)
+        assert rat(p, q * scale) == line_distance(z, a) == _pair_formula(z, a)
+        # the cleared point's witness reaches exactly the kernel's distance
+        t = line.witness(zi, p, q)
+        assert sup_norm([zc - t * ac for zc, ac in zip(zi, a)]) == rat(p, q)
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 from badlab.exactlp import enumerate_integer_points
 from badlab import lattice
-from badlab.exactnum import HPInterval, rat, rat_bounds
+from badlab.exactnum import (
+    HPInterval,
+    UndecidableComparison,
+    den,
+    num,
+    rat,
+    rat_bounds,
+)
 from badlab.geometry import AffineSubspace, LiftedSpan, lift
 from badlab.lattice import (
     BoxTooLargeError,
@@ -45,8 +52,8 @@ def test_thickness_exact():
     assert t.cmp_dist(rat(1, 7)) == -1
     assert t.cmp_dist(rat(1, 6)) == 0
     assert t.cmp_dist(rat(1, 5)) == 1
-    assert t.admits(rat(1, 7)) and t.admits(rat(1, 6))
-    assert not t.admits(rat(1, 5))
+    assert t.admits(1, 7) and t.admits(1, 6)
+    assert not t.admits(1, 5)
     # a rate value that is rational stays exact too
     assert Thickness.of_rate(UNIT, rat(3), scale=2).at(64) == rat(2, 3)
 
@@ -61,10 +68,43 @@ def test_thickness_of_rate_irrational():
     assert t.cmp_dist(rat(7, 10)) == -1
     assert t.cmp_dist(rat(71, 100)) == 1
     # the admission test agrees, and its enclosure is taken once
-    assert t.admits(rat(7, 10)) and not t.admits(rat(71, 100))
+    assert t.admits(7, 10) and not t.admits(71, 100)
     assert t.bounds is t.bounds
     b_lo, b_hi = t.bounds
     assert b_lo * b_lo < rat(1, 2) < b_hi * b_hi
+
+
+def test_thickness_admits_integer_pairs_at_the_edges(monkeypatch):
+    refined = []
+    real_refine = lattice.refine_cmp
+    monkeypatch.setattr(lattice, "refine_cmp",
+                        lambda x, ev: refined.append(x) or real_refine(x, ev))
+    # exact thickness: d == lo == hi is a hit, in any unreduced form, and
+    # the neighbours on either side fall without refinement
+    t = Thickness.exact(rat(3, 7))
+    big = 10**40
+    assert t.admits(3, 7) and t.admits(3 * big, 7 * big)
+    assert t.admits(3 * big - 1, 7 * big)
+    assert not t.admits(3 * big + 1, 7 * big)
+    assert refined == []
+    # irrational thickness 1/sqrt(2): just above hi and just below lo are
+    # settled by the enclosure alone
+    t = Thickness.of_rate(PowerLaw(rat(1), rat(1, 2)), rat(2))
+    lo, hi = t.bounds
+    assert lo < hi
+    assert not t.admits(num(hi) * big + 1, den(hi) * big)
+    assert t.admits(num(lo) * big - 1, den(lo) * big)
+    assert refined == []
+    # inside the enclosure: refined against the true value, from the
+    # integer pair made a rational
+    mid = (lo + hi) / 2
+    assert t.admits(num(mid), den(mid)) == (mid * mid < rat(1, 2))
+    assert t.admits(num(lo), den(lo)) and not t.admits(num(hi), den(hi))
+    assert refined == [mid, lo, hi]
+    # and a cap that cannot separate raises rather than guessing
+    monkeypatch.setenv("BADLAB_PRECISION_BITS", "64")
+    with pytest.raises(UndecidableComparison):
+        t.admits(num(mid), den(mid))
 
 
 def test_slabspec_validation():

@@ -236,6 +236,96 @@ def test_cmp_scaled_ratios_log_matches_intervals(d1, d2, s1, s2, alpha, delta):
     assert cmp_scaled_ratios(d1, s1, d2, s2, g) == want
 
 
+def _cmp_scaled_ratios_fraction(d1, s1, d2, s2, f):
+    """The comparison on Fraction powers: lhs = d1^v s1^u against
+    rhs = d2^v s2^u, then (log s2 / log s1)^k, exact for common bases."""
+    d1, s1, d2, s2 = map(Fraction, (d1, s1, d2, s2))
+    if d1 == 0 or d2 == 0 or s1 == s2:
+        return (d1 > d2) - (d1 < d2)
+    u, v = f.alpha.numerator, f.alpha.denominator
+    lhs = rat_pow(d1, v) * rat_pow(s1, u)
+    rhs = rat_pow(d2, v) * rat_pow(s2, u)
+    power = (lhs > rhs) - (lhs < rhs)
+    by_log = (s1 > s2) - (s1 < s2)
+    if f.delta == 0 or power != -by_log:
+        return power if f.delta == 0 else by_log
+    k = f.delta * v
+    if s1.denominator == 1 and s2.denominator == 1:
+        logs = _log_ratio(int(s1), int(s2))
+        if logs is not None:
+            # (lhs/rhs) ? logs^k  <=>  (lhs/rhs)^q ? logs^p for k = p/q
+            a = rat_pow(lhs / rhs, k.denominator)
+            b = rat_pow(logs, k.numerator)
+            return (a > b) - (a < b)
+    return refine_cmp(lhs / rhs, lambda bits: (
+        HPInterval.from_rat(s2, bits).log()
+        / HPInterval.from_rat(s1, bits).log()).pow_rat(k))
+
+
+def _or_undecided(fn, *args):
+    try:
+        return fn(*args)
+    except UndecidableComparison:
+        return "undecided"
+
+
+_distances = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=0, max_value=10, max_denominator=10**6),
+    st.builds(Fraction, st.integers(0, 2**70), st.integers(1, 2**70)),
+)
+_arguments = st.one_of(
+    st.integers(2, 200).map(Fraction),
+    st.fractions(min_value=2, max_value=200, max_denominator=1000),
+    # integer powers of one base: the log ratio is rational
+    st.builds(lambda g, e: Fraction(g**e), st.integers(2, 6),
+              st.integers(1, 5)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    d1=_distances, s1=_arguments, d2=_distances, s2=_arguments,
+    alpha=st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1),
+                           Fraction(2, 3), Fraction(3, 2)]),
+    delta=st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1),
+                           Fraction(2)]),
+    ints=st.booleans(),
+)
+def test_cmp_scaled_ratios_integer_matches_fractions(
+    d1, s1, d2, s2, alpha, delta, ints
+):
+    # unequal denominators on every side; integer s may come in as int
+    f = PowerLog(rat(1), alpha, delta, rat(2)) if delta else PowerLaw(
+        rat(1), alpha)
+    if ints:
+        s1, s2 = (int(s) if s.denominator == 1 else s for s in (s1, s2))
+    want = _or_undecided(_cmp_scaled_ratios_fraction, d1, s1, d2, s2, f)
+    assert _or_undecided(cmp_scaled_ratios, d1, s1, d2, s2, f) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    g=st.integers(2, 7), a=st.integers(1, 4), b=st.integers(1, 4),
+    d2=st.fractions(min_value=Fraction(1, 1000), max_value=10),
+    alpha=st.sampled_from([Fraction(0), Fraction(1), Fraction(2)]),
+    delta=st.sampled_from([Fraction(1), Fraction(2)]),
+    scale=st.integers(1, 10**30),
+)
+def test_cmp_scaled_ratios_common_base_ties(g, a, b, d2, alpha, delta, scale):
+    # s1 = g^a, s2 = g^b and d1 = d2 (s2/s1)^alpha (b/a)^delta make
+    # d1/f(s1) == d2/f(s2) exactly; a common factor on d1, d2 cancels
+    assume(a != b)
+    f = PowerLog(rat(1), alpha, delta, rat(2))
+    s1, s2 = g**a, g**b
+    d1 = d2 * Fraction(s2, s1) ** int(alpha) * Fraction(b, a) ** int(delta)
+    assert _cmp_scaled_ratios_fraction(d1, s1, d2, s2, f) == 0
+    assert cmp_scaled_ratios(d1, s1, d2, s2, f) == 0
+    assert cmp_scaled_ratios(d1 * scale, s1, d2 * scale, s2, f) == 0
+    bump = d1 + Fraction(1, 10**9)
+    assert cmp_scaled_ratios(bump * scale, s1, d2 * scale, s2, f) == 1
+
+
 def test_admissible_equal_rates():
     psi = PowerLaw(rat(1), rat(1))
     assert admissible_pair(psi, psi).ok
