@@ -51,8 +51,8 @@ from .lattice import (
     SlabSpec,
     Thickness,
     _exact_distance,
-    _span_metric,
     enumerate_slab,
+    slab_family,
 )
 from .rates import RateFunction, cmp_scaled_ratios, rate_value
 
@@ -143,15 +143,16 @@ def subspace_badness(
         )
     n = target.ambient
     best: Optional[Tuple[Rat, int, Tuple[int, ...]]] = None  # (dist, norm, x)
-    metric = _span_metric(
-        SlabSpec(1, rat(1), target, Thickness.exact(1), (0, 1))
-    )
+    # 96-bit upper bound of best's ratio, taken again only when best changes
+    best_hi: Optional[Rat] = None
+    metric = slab_family(target).metric
     for s in range(1, height + 1):
         if best is None:
             eps = rat(s)  # dist <= |x| <= s catches everything
         else:
-            eps = (rat_bounds(_ratio(best[0], best[1], psi, 96))[1]
-                   * rat_bounds(rate_value(psi, s, 96))[1])
+            if best_hi is None:
+                best_hi = rat_bounds(_ratio(best[0], best[1], psi, 96))[1]
+            eps = best_hi * rat_bounds(rate_value(psi, s, 96))[1]
         spec = SlabSpec(
             T=s,
             R=rat(1),
@@ -172,6 +173,7 @@ def subspace_badness(
                 d, s, best[0], best[1], psi
             ) < 0:
                 best = (d, s, tuple(int(v) for v in x))
+                best_hi = None
     assert best is not None
     d, s, x = best
     gamma = _ratio(d, s, psi, 96)

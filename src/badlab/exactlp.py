@@ -6,14 +6,22 @@ which is all the slab geometry needs), Fourier-Motzkin projection, and
 brute-force vertex enumeration for low-dimensional polytopes.  These are
 the primitives behind sup-norm distances, slab enumeration and the
 measure charts; none of them ever touch floating point.
+
+Integer points are walked level by level off a projection chain whose
+rows are cleared to integers (integer_levels).  A ParamChain is the
+chain of a whole family of polyhedra that differ only in right-hand
+sides linear in some parameters: Fourier-Motzkin runs once, and each
+member's integer levels are then an integer evaluation, equal row for
+row to those of the member's own chain.  enumerate_integer_points walks
+either.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import lcm
-from operator import mul
+from math import gcd, lcm
+from operator import mul, sub
 from typing import List, Optional, Sequence, Tuple
 
 from .exactnum import Rat, as_rat, den, num, rat, rat_abs
@@ -461,38 +469,195 @@ def projection_chain(poly: HPoly) -> List[HPoly]:
     return chain
 
 
+def _clear(values: Sequence) -> Tuple[List[int], int]:
+    """Integers V and L > 0 with values == V / L, L the lcm of the
+    denominators."""
+    L = lcm(*(den(v) for v in values))
+    return [num(v) * (L // den(v)) for v in values], L
+
+
 def _integer_level(level: HPoly, k: int):
     """Rows of `level` that bound x_k, cleared to integers: (a, a_k, b).
 
     Each row a . x <= b of the level is scaled by the lcm of its
-    denominators, once; with integer x_0..x_{k-1} the bound on x_k is
-    then an integer floor or ceiling of (b - a . prefix) / a_k.
+    coefficients' denominators, once, and its right-hand side floored:
+    with integer x_0..x_k the row then reads A . x <= floor(L b), and the
+    bound on x_k is an integer floor or ceiling of (b - a . prefix) / a_k.
     """
     uppers, lowers = [], []
     for coeffs, rhs in level.rows:
-        ck = coeffs[k]
-        if ck == 0:
+        if coeffs[k] == 0:
             continue
-        L = lcm(*(den(c) for c in coeffs), den(rhs))
-        ints = [num(c) * (L // den(c)) for c in coeffs]
-        row = (tuple(ints[:k]), ints[k], num(rhs) * (L // den(rhs)))
-        (uppers if ck > 0 else lowers).append(row)
+        a, L = _clear(coeffs)
+        row = (tuple(a[:k]), a[k], num(rhs) * L // den(rhs))
+        (uppers if a[k] > 0 else lowers).append(row)
     return uppers, lowers
 
 
-def enumerate_integer_points(poly: HPoly):
+def integer_levels(poly: HPoly):
+    """The walk's integer levels of `poly`: for each x_k, the rows of its
+    projection chain's level k+1 that bound x_k (_integer_level).  None
+    when a constant row of the chain is infeasible."""
+    if poly.infeasible_const:
+        return None
+    chain = projection_chain(poly)
+    if chain[0].infeasible_const:
+        return None
+    return [_integer_level(chain[k + 1], k) for k in range(poly.nvars)]
+
+
+def _domain_param(g: Sequence) -> Optional[int]:
+    """i when the parameter part g of a constant row g . p <= 0 reads
+    0 <= p_i (up to a positive factor), else None."""
+    nonzero = [i for i, v in enumerate(g) if v != 0]
+    if len(nonzero) == 1 and g[nonzero[0]] < 0:
+        return nonzero[0]
+    return None
+
+
+def _prune_forms(level: HPoly, n: int, nonneg: frozenset) -> HPoly:
+    """The rows of a family level over (x_0..x_{n-1}, p) that can be the
+    least for some p with p_i >= 0 (i in nonneg): a row whose form another
+    form of its vector undercuts on that domain goes, and so does a
+    constant row that holds on all of it, unless it is a domain row."""
+
+    def undercuts(g, h):
+        # the form -g <= the form -h wherever p_i >= 0 for i in nonneg
+        return all(d >= 0 if i in nonneg else d == 0
+                   for i, d in enumerate(map(sub, g, h)))
+
+    groups = {}
+    for row in level.rows:
+        groups.setdefault(row[0][:n], []).append(row)
+    zero = (0,) * (level.nvars - n)
+    out = HPoly(level.nvars)
+    for a, rows in groups.items():
+        gs = [coeffs[n:] for coeffs, _ in rows]
+        for g, row in zip(gs, rows):
+            if any(a) or _domain_param(g) is None:
+                if any(h is not g and undercuts(h, g) for h in gs):
+                    continue
+                if not any(a) and undercuts(zero, g):
+                    continue
+            out.rows.append(row)
+    return out
+
+
+def _form_level(level: HPoly, k: int):
+    """Rows of a family level over (x_0..x_k, p) that bound x_k, one per
+    coefficient vector a: (A_prefix, A_k, forms, sn, sd).
+
+    A is a, cleared to integers by the lcm La of its denominators; the
+    vector's distinct right-hand side forms f (a . x <= f . p) are cleared
+    together by the lcm Lf of theirs, to integer vectors F, and sn/sd is
+    La/Lf in lowest terms.  At p = P/D the row A . x <= La min f . p then
+    reads A . x <= sn min(F . P) / (sd D).
+    """
+    forms = {}
+    for coeffs, _ in level.rows:
+        if coeffs[k] != 0:
+            forms.setdefault(coeffs[: k + 1], []).append(coeffs[k + 1 :])
+    uppers, lowers = [], []
+    for a, gs in forms.items():
+        A, La = _clear(a)
+        flat, Lf = _clear([-g for g in itertools.chain(*gs)])
+        r = len(gs[0])
+        F = tuple(tuple(flat[i * r : (i + 1) * r]) for i in range(len(gs)))
+        g = gcd(La, Lf)
+        row = (tuple(A[:k]), A[k], F, La // g, Lf // g)
+        (uppers if A[k] > 0 else lowers).append(row)
+    return uppers, lowers
+
+
+class ParamChain:
+    """Projection chain of a polyhedron family, built once for all members.
+
+    `poly` is over (x_0..x_{n-1}, p) with `nparams` trailing parameters p
+    that are never eliminated; each row reads a . x - f . p <= 0, so
+    fixing p gives the member {x : a . x <= f . p}.  Fourier-Motzkin
+    (HPoly.eliminate) removes x_{n-1}..x_0 once, for every member at
+    once, and the chain keeps the levels of the first `walked` variables
+    (the others are only projected out).  FM combines rows with positive
+    multipliers that depend only on their coefficients, so every level's
+    row keeps its right-hand side as a form in p, and a coefficient vector
+    keeps the distinct forms it meets.  At one p the least form of a
+    vector is the combination of the least forms of its parents, which is
+    the row HPoly.dedupe keeps in the member's own chain, and a constant
+    row 0 <= f . p fails for some parents exactly when it fails for the
+    least.  So `levels(p)` equals integer_levels of the member, row for
+    row, without running FM again.
+
+    A constant row 0 <= p_i of `poly` makes p_i nonnegative in every
+    member that is not empty.  On that domain a form f that another form
+    g of its vector undercuts everywhere (f - g vanishes on the other
+    parameters and is >= 0 on these) is never the least, and neither is
+    any form FM derives from it, so each level drops it (_prune_forms),
+    as it drops constant rows that hold on the whole domain; the domain's
+    own rows stay, so `levels` still reports a p outside it as empty.
+    Without this the forms multiply from level to level.
+    """
+
+    def __init__(self, poly: HPoly, nparams: int, walked: int):
+        n = poly.nvars - nparams
+        nonneg = frozenset(
+            _domain_param(coeffs[n:]) for coeffs, _ in poly.rows
+            if not any(coeffs[:n])
+        ) - {None}
+        poly = _prune_forms(poly, n, nonneg)
+        levels = []
+        for k in range(n - 1, -1, -1):
+            if k < walked:
+                levels.append(_form_level(poly, k))
+            poly = _prune_forms(poly.eliminate(k), k, nonneg)
+        self._levels = levels[::-1]
+        # no variable is left: each row is a constant row 0 <= F . p
+        self._const = [tuple(_clear([-g for g in coeffs])[0])
+                       for coeffs, _ in poly.rows]
+
+    def levels(self, params: Sequence, center: Optional[Sequence] = None):
+        """integer_levels of the member at `params`, or None when one of
+        its constant rows fails.
+
+        Each bound is one floor of the least F . P, divided once; a floor
+        of the right-hand side leaves every bound of the walk unchanged,
+        because floor((floor(b) - s) / a_k) == floor((b - s) / a_k) for
+        integers s and a_k >= 1.  With a center c it gives instead the
+        levels of {x : 2(x - c) in the member}: the map x -> 2(x - c) is
+        coordinate-wise, so it commutes with projection, and a row
+        A . x <= B of the member becomes A . x <= B/2 + A . c.
+        """
+        P, D = _clear(params)
+        if any(sum(map(mul, F, P)) < 0 for F in self._const):
+            return None
+        if center is not None:
+            C, cd = _clear(center)
+        out = []
+        for k, (uppers, lowers) in enumerate(self._levels):
+            level = ([], [])
+            for rows, side in ((uppers, level[0]), (lowers, level[1])):
+                for a, ak, forms, sn, sd in rows:
+                    b = sn * min(sum(map(mul, F, P)) for F in forms)
+                    d = sd * D
+                    if center is not None:
+                        shift = sum(map(mul, a, C)) + ak * C[k]
+                        b, d = b * cd + 2 * d * shift, 2 * d * cd
+                    side.append((a, ak, b // d))
+            out.append(level)
+        return out
+
+
+def enumerate_integer_points(poly):
     """Yield integer points of the polyhedron in lexicographic order.
 
+    `poly` is an HPoly or its integer levels (integer_levels,
+    ParamChain.levels), where None stands for an infeasible system.
     Every variable must be bounded both ways (the chain supplies interval
     bounds per level); unbounded directions raise UnboundedError.
     """
-    if poly.infeasible_const:
+    levels = integer_levels(poly) if isinstance(poly, HPoly) else poly
+    if levels is None:
         return
-    chain = projection_chain(poly)
-    if chain[0].infeasible_const:
-        return
-    n = poly.nvars
-    levels = [_integer_level(chain[k + 1], k) for k in range(n)]
+    n = len(levels)
     prefix: List[int] = []
 
     def rec(k: int):

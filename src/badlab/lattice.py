@@ -20,6 +20,16 @@ integer points of the projections.  naive_slab_scan walks the full
 coordinate box and tests each point against the span's dual functionals.
 They share no geometry code beyond the rational carrier, which makes one
 an oracle for the other.
+
+Slabs around one target differ only in their parameters (z0 window, box
+bound, thickness), which enter the constraint system as right-hand sides
+alone.  slab_family therefore projects once per target, with the
+parameters as variables that are never eliminated (exactlp.ParamChain),
+and keeps the family with the target's distance metric in a bounded
+cache.  Each slab, certificate shell, Monte Carlo layer and half-dilation
+translate is an integer evaluation of that chain; build_slab_poly, the
+chain of one slab built directly, is the reference the tests hold the
+family to.
 """
 
 from __future__ import annotations
@@ -27,16 +37,18 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import lcm
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .exactlp import (
     HPoly,
+    ParamChain,
     enumerate_integer_points,
     invert_matrix,
     lp_max,
     lp_min,
+    vec_dot,
 )
 from .exactnum import (
     HPInterval,
@@ -188,6 +200,31 @@ class SlabSpec:
         return (hi - lo + 1) * side ** (self.ambient - 1)
 
 
+def _slab_rows(target: LiftedSpan) -> List[Tuple[Tuple[Rat, ...], Tuple[int, ...]]]:
+    """The slab's rows over (z, t) with their right-hand sides as forms
+    over the slab parameters (z0_lo, z0_hi, box, eps): z0 in the window,
+    |z_j| <= box for j >= 1 and |z_i - (t.B)_i| <= eps."""
+    n, m = target.ambient, target.dim
+    rows = []
+
+    def pair(coeffs, upper, lower):
+        # coeffs . (z, t) <= upper . p and -coeffs . (z, t) <= lower . p
+        rows.append((tuple(coeffs), upper))
+        rows.append((tuple(-v for v in coeffs), lower))
+
+    for i in range(n):
+        row = [rat(0)] * (n + m)
+        row[i] = rat(1)
+        if i == 0:
+            pair(row, (0, 1, 0, 0), (-1, 0, 0, 0))
+        else:
+            pair(row, (0, 0, 1, 0), (0, 0, 1, 0))
+        for k in range(m):
+            row[n + k] = -target.basis[k][i]
+        pair(row, (0, 0, 0, 1), (0, 0, 0, 1))
+    return rows
+
+
 def build_slab_poly(spec: SlabSpec, eps: Rat) -> HPoly:
     """Exact H-description over z of the slab with rational thickness eps.
 
@@ -195,38 +232,64 @@ def build_slab_poly(spec: SlabSpec, eps: Rat) -> HPoly:
     the set exactly: the result is {z : exists t, |z - t.B| <= eps} cut
     with the box and the z0 window.
     """
-    n = spec.ambient
-    m = spec.target.dim
-    poly = HPoly(n + m)
+    n, m = spec.ambient, spec.target.dim
     lo, hi = spec.z0_range
-    e0 = [rat(0)] * (n + m)
-    e0[0] = rat(1)
-    poly.add(e0, hi)
-    poly.add([-v for v in e0], -lo)
-    bb = spec.box_bound
-    for j in range(1, n):
-        row = [rat(0)] * (n + m)
-        row[j] = rat(1)
-        poly.add(row, bb)
-        poly.add([-v for v in row], bb)
-    for i in range(n):
-        row = [rat(0)] * (n + m)
-        row[i] = rat(1)
-        for k in range(m):
-            row[n + k] = -spec.target.basis[k][i]
-        poly.add(row, eps)
-        poly.add([-v for v in row], eps)
+    params = (rat(lo), rat(hi), spec.box_bound, as_rat(eps))
+    poly = HPoly(n + m)
+    for coeffs, form in _slab_rows(spec.target):
+        poly.add(coeffs, vec_dot(form, params))
     poly.dedupe()
     for k in range(m - 1, -1, -1):
         poly = poly.eliminate(n + k)
     return poly
 
 
+class SlabFamily(NamedTuple):
+    """What every slab around one target shares: the projection chain of
+    build_slab_poly with the slab parameters as variables, and the
+    target's distance metric (_span_metric)."""
+
+    chain: ParamChain
+    metric: object
+
+
+@lru_cache(maxsize=32)
+def slab_family(target: LiftedSpan) -> SlabFamily:
+    """The target's slab family, built once per target: the rows of
+    _slab_rows with their forms moved to the left, over (z, t, p), and a
+    ParamChain that projects out t and walks z.
+
+    The family also holds eps >= 0 and, with a box row, box >= 0, the
+    domain on which the chain prunes its forms.  Every slab implies both
+    (|z_i - (t.B)_i| <= eps and |z_1| <= box), so a slab outside the
+    domain is empty either way."""
+    n, m = target.ambient, target.dim
+    poly = HPoly(n + m + 4)
+    for coeffs, form in _slab_rows(target):
+        poly.add(coeffs + tuple(-rat(f) for f in form), 0)
+    for i in (2, 3) if n > 1 else (3,):  # p_2 = box, p_3 = eps
+        domain = [rat(0)] * (n + m + 4)
+        domain[n + m + i] = rat(-1)
+        poly.add(domain, 0)
+    poly.dedupe()
+    return SlabFamily(ParamChain(poly, 4, n), _span_metric(target))
+
+
+def _slab_levels(spec: SlabSpec, eps: Rat, center: Optional[Vec] = None):
+    """integer_levels(build_slab_poly(spec, eps)), read off the target's
+    family without Fourier-Motzkin; with a center c, the levels of
+    {x : 2(x - c) in that slab} (ParamChain.levels)."""
+    lo, hi = spec.z0_range
+    return slab_family(spec.target).chain.levels(
+        (lo, hi, spec.box_bound, eps), center
+    )
+
+
 def _exact_distance(
     spec: SlabSpec, z: Sequence, metric=None
 ) -> Tuple[int, int]:
     """The sup distance from z to the slab's target span, as integers
-    (num, den).  `metric` is _span_metric(spec), prepared once per slab."""
+    (num, den).  `metric` is the target's, from slab_family."""
     if spec.target.dim == 1:
         if metric is None:
             metric = ClearedLine(spec.target.basis[0])
@@ -255,23 +318,24 @@ def member_exact(spec: SlabSpec, z: Sequence, metric=None) -> bool:
     return spec.thickness.admits(*_exact_distance(spec, zv, metric))
 
 
-def _span_metric(spec: SlabSpec):
-    """What _exact_distance reuses across one slab's points: the target's
-    ClearedLine for a line, its dual functionals for a small span of
-    dimension >= 2, else None."""
-    if spec.target.dim == 1:
-        return ClearedLine(spec.target.basis[0])
-    if 2 <= spec.target.dim and spec.ambient <= 4:
-        return dual_functionals(spec.target)
+def _span_metric(target: LiftedSpan):
+    """What _exact_distance reuses across the points of every slab around
+    `target`: its ClearedLine for a line, its dual functionals for a small
+    span of dimension >= 2, else None."""
+    if target.dim == 1:
+        return ClearedLine(target.basis[0])
+    if 2 <= target.dim and target.ambient <= 4:
+        return dual_functionals(target)
     return None
 
 
 def enumerate_slab(spec: SlabSpec) -> List[Tuple[int, ...]]:
     """All integer points of the slab, in lexicographic order.
 
-    Projection-chain enumeration; when the thickness is irrational the
-    chain is built for a certified upper bound and every candidate goes
-    through the thickness's threshold test, the one U_T membership uses.
+    Projection-chain enumeration off the target's slab family; when the
+    thickness is irrational the chain is instantiated for a certified
+    upper bound and every candidate goes through the thickness's
+    threshold test, the one U_T membership uses.
     """
     if spec.box_candidates() > BOX_GUARD:
         raise BoxTooLargeError(
@@ -279,10 +343,10 @@ def enumerate_slab(spec: SlabSpec) -> List[Tuple[int, ...]]:
             f"(guard {BOX_GUARD}); refuse to enumerate"
         )
     lo, hi = rat_bounds(spec.thickness.at(CHAIN_BITS))
-    pts = enumerate_integer_points(build_slab_poly(spec, hi))
+    pts = enumerate_integer_points(_slab_levels(spec, hi))
     if lo == hi:  # a rational thickness: the chain is the slab
         return list(pts)
-    metric = _span_metric(spec)
+    metric = slab_family(spec.target).metric
     admits = spec.thickness.admits
     return [p for p in pts if admits(*_exact_distance(spec, p, metric))]
 
@@ -457,24 +521,18 @@ def half_dilation_check(
     fail; with a trivial slab no such pair can exist.
     """
     spec = badness_slab(B_span, gamma, psi, R, T)
-    poly = build_slab_poly(spec, rat_bounds(spec.thickness.at(CHAIN_BITS))[1])
+    eps = rat_bounds(spec.thickness.at(CHAIN_BITS))[1]
     rng = random.Random(seed)
     centers = (
         [as_vec(c) for c in explicit_translates]
         if explicit_translates is not None
         else [_random_translate(rng, spec) for _ in range(translates)]
     )
-    metric = _span_metric(spec)
+    metric = slab_family(spec.target).metric
     violations: List[TranslateHit] = []
     max_pts = 0
     for c in centers:
-        shifted = HPoly(spec.ambient)
-        for coeffs, rhs in poly.rows:
-            two = tuple(2 * v for v in coeffs)
-            dot = sum(ci * vi for ci, vi in zip(coeffs, c))
-            shifted.add(two, rhs + 2 * dot)
-        shifted.dedupe()
-        cands = list(enumerate_integer_points(shifted))
+        cands = list(enumerate_integer_points(_slab_levels(spec, eps, c)))
         pts = [
             p
             for p in cands

@@ -222,8 +222,7 @@ def cmp_scaled_ratios(
     power = rat_sign(lhs_num * rhs_den - rhs_num * lhs_den)
     if f.delta == 0:
         return power
-    _check_domain(f, s1)
-    _check_domain(f, s2)
+    _check_domain(f, min(s1, s2))  # s1 != s2 here; the larger one follows
     # (log s)^delta grows with s on the domain (s >= T0 >= 2), so when
     # the power part ties or agrees with s1 ? s2 the log factor settles it
     by_log = rat_sign(s1 - s2)

@@ -1,11 +1,12 @@
 import random
 from functools import cached_property
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from badlab.exactlp import enumerate_integer_points
+from badlab.exactlp import HPoly, enumerate_integer_points, integer_levels
 from badlab import lattice
 from badlab.exactnum import (
     HPInterval,
@@ -36,6 +37,8 @@ from badlab.presets import preset_value
 from badlab.rates import PowerLaw, PowerLog
 
 GOLDEN = preset_value("golden")
+CBRT2 = preset_value("cbrt2")
+CBRT4 = preset_value("cbrt4")
 UNIT = PowerLaw(rat(1), rat(1))
 HALF_SPAN = LiftedSpan(basis=((rat(1), rat(1, 2)),), ambient=2)
 FULL_PLANE = LiftedSpan(basis=((rat(1), rat(0)), (rat(0), rat(1))), ambient=2)
@@ -309,9 +312,10 @@ def test_enumerate_slab_filter_keeps_and_drops(monkeypatch, wide):
     phi = PowerLog(rat(3), rat(1, 2), rat(1), rat(2))
     spec = approach_slab(golden_span(), phi, 2, 12)
     loose = rat_bounds(spec.thickness.at(96))[1] + rat(1, 4)
-    real_build = lattice.build_slab_poly
-    monkeypatch.setattr(lattice, "build_slab_poly",
-                        lambda spec, eps: real_build(spec, loose))
+    real_levels = lattice._slab_levels
+    monkeypatch.setattr(lattice, "_slab_levels",
+                        lambda spec, eps, center=None:
+                        real_levels(spec, loose, center))
     expected = naive_slab_scan(spec)
     cands = list(enumerate_integer_points(build_slab_poly(spec, loose)))
     assert 0 < len(expected) < len(cands)
@@ -328,3 +332,107 @@ def test_enumerate_slab_filter_keeps_and_drops(monkeypatch, wide):
     # a fresh slab, so no enclosure is cached on its thickness yet
     assert enumerate_slab(approach_slab(golden_span(), phi, 2, 12)) == expected
     assert len(calls) == 1
+
+
+def _shifted_poly(poly, c):
+    """{x : 2(x - c) in poly} as an HPoly of its own, to be projected from
+    scratch: the reference for a slab family's shifted levels."""
+    shifted = HPoly(poly.nvars, infeasible_const=poly.infeasible_const)
+    for coeffs, rhs in poly.rows:
+        dot = sum(a * v for a, v in zip(coeffs, c))
+        shifted.add(tuple(2 * a for a in coeffs), rhs + 2 * dot)
+    shifted.dedupe()
+    return shifted
+
+
+def _slab_case(n, basis, window, box, eps, center):
+    # build_slab_poly and _slab_levels read only these fields; a plain
+    # namespace also admits an empty window, which SlabSpec refuses
+    spec = SimpleNamespace(
+        ambient=n, target=LiftedSpan(basis=basis, ambient=n),
+        z0_range=window, box_bound=box,
+    )
+    return spec, eps, center
+
+
+@st.composite
+def _slab_family_cases(draw):
+    """A random target span of dimension 0-2 in ambient dimension 1-3 with
+    a random window, box and thickness, any of which may make the slab
+    empty (a window with lo > hi, a negative box or thickness), and a
+    random half-dilation center."""
+    n = draw(st.integers(1, 3))
+    small = st.builds(rat, st.integers(-3, 3), st.integers(1, 4))
+    basis = []
+    for _ in range(draw(st.integers(0, min(2, n)))):
+        row = tuple(draw(small) for _ in range(n))
+        try:
+            LiftedSpan(basis=tuple(basis) + (row,), ambient=n)
+        except ValueError:
+            continue
+        basis.append(row)
+    window = (draw(st.integers(-4, 4)), draw(st.integers(-4, 4)))
+    box = draw(st.builds(rat, st.integers(-2, 12), st.integers(1, 3)))
+    eps = draw(st.builds(rat, st.integers(-2, 12), st.integers(1, 8)))
+    center = tuple(
+        draw(st.builds(rat, st.integers(-256, 256), st.just(64)))
+        for _ in range(n)
+    )
+    return _slab_case(n, tuple(basis), window, box, eps, center)
+
+
+# an empty window; a point target whose thickness bound on z0 lies below
+# the window (both fail a constant row); a line with two forms per row
+@example(_slab_case(2, (), (3, 1), rat(2), rat(1), (rat(0), rat(0))))
+@example(_slab_case(2, (), (2, 3), rat(1), rat(1), (rat(0), rat(0))))
+@example(_slab_case(
+    3, ((rat(1), rat(1, 2), rat(0)),), (2, 4), rat(3), rat(1, 8),
+    (rat(1, 64), rat(0), rat(-1, 2)),
+))
+@settings(max_examples=150, deadline=None)
+@given(_slab_family_cases())
+def test_slab_family_levels_match_projection_chain(case):
+    # the family instance gives the member's own chain's integer levels,
+    # row for row and in order, None included; so do its shifted levels
+    # against the half-dilate projected from scratch
+    spec, eps, center = case
+    poly = build_slab_poly(spec, eps)
+    levels = lattice._slab_levels(spec, eps)
+    assert levels == integer_levels(poly)
+    shifted = lattice._slab_levels(spec, eps, center)
+    assert shifted == integer_levels(_shifted_poly(poly, center))
+    if spec.z0_range[0] > spec.z0_range[1]:
+        assert levels is None and shifted is None
+
+
+def test_slab_family_constant_row_infeasible():
+    # a point target in R^2 with thickness 1 holds z0 <= 1, below the
+    # window [2, 3]: the z0 bounds cross, and the chain's last level holds
+    # the constant row 0 <= 1 - 2 that fails
+    spec, eps, center = _slab_case(2, (), (2, 3), rat(1), rat(1), (0, 0))
+    assert integer_levels(build_slab_poly(spec, eps)) is None
+    assert lattice._slab_levels(spec, eps) is None
+    assert list(enumerate_integer_points(None)) == []
+
+
+@pytest.mark.parametrize("case", ["golden", "cubic"])
+def test_half_dilation_translates_match_shifted_poly(case):
+    # half_dilation_check's candidates per translate, from shifted family
+    # levels, equal those of the shifted slab polyhedron projected anew
+    if case == "golden":
+        spec = badness_slab(golden_span(), rat(23, 100), UNIT, 1, 10)
+    else:
+        B = lift(AffineSubspace(point=(CBRT2, CBRT4), directions=()))
+        spec = badness_slab(B, rat(1, 5), PowerLaw(rat(1), rat(1, 2)), 2, 6)
+    eps = rat_bounds(spec.thickness.at(lattice.CHAIN_BITS))[1]
+    poly = build_slab_poly(spec, eps)
+    rng = random.Random(7)
+    centers = [(rat(0),) * spec.ambient] + [
+        lattice._random_translate(rng, spec) for _ in range(40)
+    ]
+    sizes = []
+    for c in centers:
+        got = list(enumerate_integer_points(lattice._slab_levels(spec, eps, c)))
+        assert got == list(enumerate_integer_points(_shifted_poly(poly, c)))
+        sizes.append(len(got))
+    assert sizes[0] >= 1  # the origin's translate holds the origin
