@@ -46,7 +46,6 @@ from .badness import (
     vector_badness,
 )
 from .exactnum import (
-    PrecisionError,
     Rat,
     UndecidableComparison,
     as_rat,
@@ -193,12 +192,19 @@ def parse_config(path: str) -> RawConfig:
             '(hypothesis "phi(T) <= psi(T)"): ' + rep.note
         )
     R = _parse_scalar(need("R"))
+    if R < 1:
+        raise ValueError("R must be >= 1")
     gamma = _parse_scalar(pairs["gamma"]) if "gamma" in pairs else None
+    if gamma is not None and gamma <= 0:
+        raise ValueError("gamma must be > 0")
     thresholds = (
         _parse_vector(pairs["thresholds"]) if "thresholds" in pairs else ()
     )
     T_min = int(pairs.get("T_min", "2"))
     T_max = int(pairs.get("T_max", "256"))
+    cert_height = int(pairs.get("cert_height", "0"))
+    if cert_height < 0:
+        raise ValueError("cert_height must be >= 0 (0 means R*T_max + 1)")
     return RawConfig(
         A=A,
         B=B,
@@ -211,8 +217,7 @@ def parse_config(path: str) -> RawConfig:
         X=int(pairs.get("X", "100000")),
         T_min=T_min,
         T_max=T_max,
-        cert_height=int(pairs.get("cert_height", "0"))
-        or int(rat(T_max) * R) + 1,
+        cert_height=cert_height or int(rat(T_max) * R) + 1,
         thresholds=thresholds,
     )
 
@@ -295,8 +300,11 @@ def _fail_config(err: Exception) -> None:
 
 # Failures of the exact machinery itself rather than of a checked property:
 # a size guard refused the work, or a comparison could not be settled.
-_UNSETTLED = (BoxTooLargeError, UndecidableComparison, PrecisionError,
-              ArithmeticError)
+_UNSETTLED = (BoxTooLargeError, UndecidableComparison, ArithmeticError)
+
+
+# scales, counts and heights; click rejects anything below 1 with exit 2
+_POSITIVE = click.IntRange(min=1)
 
 
 class _Group(click.Group):
@@ -323,11 +331,11 @@ def main() -> None:
 @main.command()
 @click.option("--config", "config_path", required=True,
               type=click.Path(exists=True, dir_okay=False))
-@click.option("--height", type=int, default=None,
+@click.option("--height", type=_POSITIVE, default=None,
               help="scan height for the subspace certificate")
 @click.option("--vector", "vector_text", default=None,
               help="comma-separated rationals; switch to the vector scan")
-@click.option("--x-max", "x_max", type=int, default=None,
+@click.option("--x-max", "x_max", type=_POSITIVE, default=None,
               help="q range top for the vector scan")
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None)
 def badness(config_path, height, vector_text, x_max, out_dir):
@@ -339,10 +347,10 @@ def badness(config_path, height, vector_text, x_max, out_dir):
         _fail_config(err)
     if vector_text is not None:
         try:
-            w = _parse_vector(vector_text)
+            res = vector_badness(_parse_vector(vector_text), raw.psi,
+                                 x_max or raw.X)
         except ValueError as err:
             _fail_config(err)
-        res = vector_badness(w, raw.psi, x_max or raw.X)
         payload = res.to_json_dict()
     else:
         out = subspace_badness(lift(raw.B), raw.psi, height or raw.cert_height)
@@ -369,7 +377,7 @@ def badness(config_path, height, vector_text, x_max, out_dir):
 @main.command("enumerate")
 @click.option("--config", "config_path", required=True,
               type=click.Path(exists=True, dir_okay=False))
-@click.option("--T", "T", required=True, type=int)
+@click.option("--T", "T", required=True, type=_POSITIVE)
 @click.option("--set", "which", type=click.Choice(["omega", "pi", "zeta"]),
               default="omega", show_default=True)
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None)
@@ -410,8 +418,9 @@ def enumerate_cmd(config_path, T, which, out_dir):
 @main.command()
 @click.option("--config", "config_path", required=True,
               type=click.Path(exists=True, dir_okay=False))
-@click.option("--N", "N", required=True, type=int)
-@click.option("--counts-to", "counts_to", type=int, default=0,
+@click.option("--N", "N", required=True, type=_POSITIVE)
+@click.option("--counts-to", "counts_to", type=click.IntRange(min=0),
+              default=0,
               help="fill zeta/pi/ratio columns for T up to this bound")
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None)
 def series(config_path, N, counts_to, out_dir):
@@ -426,10 +435,13 @@ def series(config_path, N, counts_to, out_dir):
     scan = None
     if counts_to:
         first = max(1, rat_ceil(raw.phi.domain_start / as_rat(raw.R)))
-        scan = packing_ratio_scan(
-            lift(raw.A), raw.psi, raw.phi, raw.R, a, b,
-            T_values=range(first, counts_to + 1),
-        )
+        try:
+            scan = packing_ratio_scan(
+                lift(raw.A), raw.psi, raw.phi, raw.R, a, b,
+                T_values=range(first, counts_to + 1),
+            )
+        except ValueError as err:  # counts_to below phi's domain
+            _fail_config(err)
     rows = _series_rows(ps, scan)
     click.echo(f"S_{N} = {rows[-1][4]}")
     if out_dir:
@@ -507,8 +519,8 @@ def montecarlo(config_path, out_dir):
 @main.command()
 @click.option("--config", "config_path", required=True,
               type=click.Path(exists=True, dir_okay=False))
-@click.option("--T", "T", required=True, type=int)
-@click.option("--translates", type=int, default=20, show_default=True)
+@click.option("--T", "T", required=True, type=_POSITIVE)
+@click.option("--translates", type=_POSITIVE, default=20, show_default=True)
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None)
 def verify(config_path, T, translates, out_dir):
     """Check slab triviality for every scale up to T, then the packing step."""

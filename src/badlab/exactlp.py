@@ -115,68 +115,6 @@ def in_row_span(rows: List[Sequence], v: Sequence) -> bool:
     return matrix_rank(base + [list(v)]) == matrix_rank(base)
 
 
-def det_exact(a: List[List[Rat]]) -> Rat:
-    """Determinant by exact Gaussian elimination."""
-    n = len(a)
-    m = [list(map(as_rat, row)) for row in a]
-    det = rat(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pr is None:
-            return rat(0)
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return det
-
-
-def gram_det(rows: List[List[Rat]]) -> Rat:
-    g = [[vec_dot(a, b) for b in rows] for a in rows]
-    return det_exact(g)
-
-
-def extend_to_basis(rows: List[List[Rat]], ambient: int) -> List[List[Rat]]:
-    """Extend independent rows to a basis of R^ambient with unit vectors.
-
-    Among the eligible unit vectors the one maximizing the Gram
-    determinant is taken at each step.  Rank alone is not enough here:
-    exact data that is only independent through tiny truncation residues
-    would otherwise produce a basis with absurd coordinate functionals.
-    """
-    out = [list(r) for r in rows]
-    assert matrix_rank(out) == len(out) if out else True, "rows must be independent"
-    while len(out) < ambient:
-        best = None
-        best_meas = None
-        for j in range(ambient):
-            e = [rat(0)] * ambient
-            e[j] = rat(1)
-            meas = gram_det(out + [e])
-            if meas == 0:
-                continue
-            if best_meas is None or meas > best_meas:
-                best, best_meas = e, meas
-        if best is None:
-            raise ValueError("cannot extend to a basis")
-        out.append(best)
-    return out
-
-
-def invert_matrix(a: List[List[Rat]]) -> List[List[Rat]]:
-    n = len(a)
-    aug = [list(a[i]) + [rat(1) if j == i else rat(0) for j in range(n)] for i in range(n)]
-    m, piv = rref(aug)
-    if piv != list(range(n)):
-        raise ValueError("singular matrix")
-    return [row[n:] for row in m]
-
-
 # ---------------------------------------------------------------------
 # two-phase simplex, Bland's rule
 
@@ -354,20 +292,6 @@ class HPoly:
             if vec_dot(coeffs, p) > rhs:
                 return False
         return True
-
-    def minimize(self, c: Sequence) -> Tuple[Rat, List[Rat]]:
-        if self.infeasible_const:
-            raise InfeasibleError("constant row infeasible")
-        a = [list(r[0]) for r in self.rows]
-        b = [r[1] for r in self.rows]
-        return lp_min(list(c), a, b)
-
-    def maximize(self, c: Sequence) -> Tuple[Rat, List[Rat]]:
-        if self.infeasible_const:
-            raise InfeasibleError("constant row infeasible")
-        a = [list(r[0]) for r in self.rows]
-        b = [r[1] for r in self.rows]
-        return lp_max(list(c), a, b)
 
     def eliminate(self, k: int) -> "HPoly":
         """Fourier-Motzkin projection dropping variable k."""

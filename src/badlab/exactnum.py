@@ -60,10 +60,6 @@ class UndecidableComparison(Exception):
     """Interval refinement hit the precision cap without separating."""
 
 
-class PrecisionError(Exception):
-    """A certified evaluation could not reach the requested width."""
-
-
 def rat(p, q=1) -> Rat:
     """Exact rational p/q."""
     return Rat(p, q)
@@ -117,24 +113,6 @@ def rat_sign(x) -> int:
 
 def rat_abs(x: Rat) -> Rat:
     return -x if x < 0 else x
-
-
-def rat_min(values):
-    it = iter(values)
-    best = next(it)
-    for v in it:
-        if v < best:
-            best = v
-    return best
-
-
-def rat_max(values):
-    it = iter(values)
-    best = next(it)
-    for v in it:
-        if v > best:
-            best = v
-    return best
 
 
 def is_pow2(n: int) -> bool:
@@ -460,10 +438,6 @@ class HPInterval:
         hi_neg = mhi != 0 and shi
         return not (lo_pos or hi_neg)
 
-    def contains(self, x: RatLike) -> bool:
-        x = as_rat(x)
-        return self.lo <= x <= self.hi
-
     def cmp_rat(self, x: RatLike) -> Optional[int]:
         """Ordering of the exact value vs x: -1/1 when separated, else None."""
         x = as_rat(x)
@@ -556,23 +530,3 @@ def refine_cmp(
             )
         bits = min(bits * 2, cap)
 
-
-def refine_to_width(
-    evaluator: Callable[[int], HPInterval],
-    target_width: Rat,
-    max_bits: Optional[int] = None,
-) -> HPInterval:
-    """Interval of width <= target_width, or PrecisionError at the cap."""
-    cap = max_bits if max_bits is not None else max_precision_bits()
-    bits = _START_BITS
-    acc = None
-    while True:
-        iv = evaluator(bits)
-        acc = iv if acc is None else acc.intersect(iv)
-        if acc.width() <= target_width:
-            return acc
-        if bits >= cap:
-            raise PrecisionError(
-                f"width {float(acc.width())} above target at {cap} bits"
-            )
-        bits = min(bits * 2, cap)

@@ -143,9 +143,8 @@ class ExperimentConfig:
             raise ValueError("need dim B < dim A")
         lifted_A = lift(self.A)
         lifted_B = lift(self.B)
-        for row in lifted_B.basis:
-            if not lifted_A.contains(row):
-                raise ValueError("B is not contained in A")
+        if not lifted_B.is_subspace_of(lifted_A):
+            raise ValueError("B is not contained in A")
         rep = admissible_pair(self.psi, self.phi)
         if not rep.ok:
             raise ValueError("rates not admissible: " + rep.note)

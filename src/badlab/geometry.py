@@ -26,7 +26,6 @@ from .exactlp import (
     lp_min,
     matrix_rank,
     nullspace_basis,
-    solve_square,
     vec_dot,
 )
 from .exactnum import Rat, as_rat, num_den, rat, rat_abs, rat_floor
@@ -110,12 +109,6 @@ class AffineSubspace:
     @property
     def dim(self) -> int:
         return len(self.directions)
-
-    def describe(self) -> str:
-        parts = ["point=" + ",".join(str(c) for c in self.point)]
-        for i, v in enumerate(self.directions):
-            parts.append(f"dir{i}=" + ",".join(str(c) for c in v))
-        return "; ".join(parts)
 
 
 @dataclass(frozen=True)
@@ -329,34 +322,3 @@ def distance_via_functionals(z: Sequence, functionals: Sequence[Vec]) -> Rat:
             best = v
     return best
 
-
-def adapted_basis(
-    inner: LiftedSpan, outer: LiftedSpan, ambient: int
-) -> List[List[Rat]]:
-    """Basis of R^ambient listing inner rows, then outer, then fill-ins.
-
-    Used to set up covering grids aligned with a nested pair of spans.
-    Requires inner to be a subspace of outer.
-    """
-    if not inner.is_subspace_of(outer):
-        raise ValueError("inner span must lie inside the outer span")
-    rows = [list(b) for b in inner.basis]
-    rk = len(rows)
-    for b in outer.basis:
-        cand = rows + [list(b)]
-        if matrix_rank(cand) > rk:
-            rows = cand
-            rk += 1
-    from .exactlp import extend_to_basis
-
-    return extend_to_basis(rows, ambient)
-
-
-def solve_in_basis(basis_rows: List[List[Rat]], v: Sequence) -> List[Rat]:
-    """Coordinates of v in the given basis of R^n (rows)."""
-    n = len(basis_rows)
-    a = [[basis_rows[k][i] for k in range(n)] for i in range(n)]
-    sol = solve_square(a, list(as_vec(v)))
-    if sol is None:
-        raise ValueError("not a basis")
-    return sol

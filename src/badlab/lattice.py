@@ -45,9 +45,6 @@ from .exactlp import (
     HPoly,
     ParamChain,
     enumerate_integer_points,
-    invert_matrix,
-    lp_max,
-    lp_min,
     vec_dot,
 )
 from .exactnum import (
@@ -56,12 +53,10 @@ from .exactnum import (
     Value,
     as_rat,
     den,
-    format_rat,
     num,
     rat,
     rat_abs,
     rat_bounds,
-    rat_ceil,
     rat_floor,
     refine_cmp,
 )
@@ -156,14 +151,6 @@ class Thickness:
         if lo_n == hi_n and lo_d == hi_d:
             return True
         return self.cmp_dist(rat(dist_num, dist_den)) <= 0
-
-    def describe(self) -> str:
-        if self.value is not None:
-            return format_rat(self.value)
-        return (
-            f"{format_rat(self.scale)}*[{self.rate.describe()}]"
-            f"({format_rat(self.arg)})"
-        )
 
 
 @dataclass(frozen=True)
@@ -558,198 +545,3 @@ def half_dilation_check(
         violations=tuple(violations),
     )
 
-
-# ---------------------------------------------------------------------
-# covering count
-
-
-@dataclass(frozen=True)
-class CoveringReport:
-    """Verified tile count: lattice points of the approach slab per tile.
-
-    nu is the number of grid-aligned translates of half the badness slab
-    that cover the approach slab's bounding region in adapted coordinates.
-    verified means: every enumerated lattice point of the approach slab
-    fell into its assigned tile, and no tile held more than one point, so
-    point_count <= nu is an exactly checked inequality.
-    """
-
-    T: int
-    nu: int
-    point_count: int
-    tiles_per_direction: Tuple[int, ...]
-    verified: bool
-    max_tile_occupancy: int
-    failure: Optional[str] = None
-
-
-def covering_count(
-    A_span: LiftedSpan,
-    B_span: LiftedSpan,
-    gamma,
-    psi: RateFunction,
-    phi: RateFunction,
-    R,
-    T: int,
-) -> CoveringReport:
-    if not B_span.is_subspace_of(A_span):
-        raise ValueError("badness target must lie inside the approach span")
-    if B_span.dim >= A_span.dim:
-        raise ValueError("need a strictly smaller badness target")
-    n = A_span.ambient
-    R = as_rat(R)
-
-    omega = badness_slab(B_span, gamma, psi, R, T)
-    eps_lo = rat_bounds(omega.thickness.at(CHAIN_BITS))[0]
-    if eps_lo <= 0:
-        raise ValueError("thickness lower bound must be positive")
-    omega_poly = build_slab_poly(omega, eps_lo)
-
-    from .geometry import adapted_basis
-
-    U = adapted_basis(B_span, A_span, n)
-    # coordinate functionals: coords(z) = G z with G = (U columns)^-1
-    cols = [[U[k][i] for k in range(n)] for i in range(n)]
-    G = invert_matrix(cols)
-
-    def coords_of(z: Sequence) -> List[Rat]:
-        zv = as_vec(z)
-        return [sum(G[i][j] * zv[j] for j in range(n)) for i in range(n)]
-
-    # extent of the badness slab per adapted direction
-    a_rows = [list(r[0]) for r in omega_poly.rows]
-    b_rows = [r[1] for r in omega_poly.rows]
-    exts: List[Rat] = []
-    for i in range(n):
-        hi_v, _ = lp_max(G[i], a_rows, b_rows)
-        lo_v, _ = lp_min(G[i], a_rows, b_rows)
-        exts.append(hi_v - lo_v)
-    if any(e <= 0 for e in exts):
-        return CoveringReport(T, 0, 0, (), False, 0, failure="flat slab")
-
-    # largest adapted-coordinate box inside the half slab: variables are a
-    # z-space center c and a scale s, with radii s * ext_i / 4, found by LP:
-    # a_j . c + s * sum_i (ext_i/4) |a_j . u_i| <= r_j / 2
-    lp_a = []
-    lp_b = []
-    for coeffs, rhs in omega_poly.rows:
-        k = rat(0)
-        for i in range(n):
-            k += (exts[i] / 4) * rat_abs(
-                sum(coeffs[j] * U[i][j] for j in range(n))
-            )
-        lp_a.append(list(coeffs) + [k])
-        lp_b.append(rhs / 2)
-    try:
-        s_star, sol = lp_max([rat(0)] * n + [rat(1)], lp_a, lp_b)
-    except Exception as exc:  # infeasible half slab
-        return CoveringReport(T, 0, 0, (), False, 0, failure=str(exc))
-    if s_star <= 0:
-        return CoveringReport(T, 0, 0, (), False, 0, failure="no interior")
-    center_z = sol[:n]
-    radii = [s_star * exts[i] / 4 for i in range(n)]
-    centers = coords_of(center_z)
-
-    # certify the box by its vertices (closed sets, exact tests)
-    for signs in itertools.product((-1, 1), repeat=n):
-        coord = [centers[i] + signs[i] * radii[i] for i in range(n)]
-        z = [sum(coord[k] * U[k][j] for k in range(n)) for j in range(n)]
-        if not omega_poly.contains([2 * v for v in z]):
-            return CoveringReport(
-                T, 0, 0, (), False, 0, failure="inner box vertex escaped"
-            )
-
-    pi_spec = approach_slab(A_span, phi, R, T)
-    pi_poly = build_slab_poly(
-        pi_spec, rat_bounds(pi_spec.thickness.at(CHAIN_BITS))[1]
-    )
-    pa = [list(r[0]) for r in pi_poly.rows]
-    pb = [r[1] for r in pi_poly.rows]
-    base: List[Rat] = []
-    counts: List[int] = []
-    for i in range(n):
-        hi_v, _ = lp_max(G[i], pa, pb)
-        lo_v, _ = lp_min(G[i], pa, pb)
-        base.append(lo_v)
-        w = hi_v - lo_v
-        cnt = max(1, rat_ceil(w / (2 * radii[i]))) if w > 0 else 1
-        counts.append(cnt)
-    nu = 1
-    for c in counts:
-        nu *= c
-
-    pts = enumerate_slab(pi_spec)
-
-    def cell_of(p) -> Tuple[int, ...]:
-        cs = coords_of(p)
-        idx = []
-        for i in range(n):
-            k = rat_floor((cs[i] - base[i]) / (2 * radii[i]))
-            idx.append(min(max(k, 0), counts[i] - 1))
-        return tuple(idx)
-
-    def tile_center(cell: Tuple[int, ...]) -> List[Rat]:
-        # translate moving the inner box onto the cell
-        coord = [
-            base[i] + (2 * cell[i] + 1) * radii[i] - centers[i]
-            for i in range(n)
-        ]
-        return [sum(coord[k] * U[k][j] for k in range(n)) for j in range(n)]
-
-    def in_tile(p, cell) -> bool:
-        tc = tile_center(cell)
-        shifted = [2 * (as_rat(v) - t) for v, t in zip(p, tc)]
-        return omega_poly.contains(shifted)
-
-    # windows: how many neighbouring cells one tile can reach per direction
-    win = [rat_ceil((exts[i] / 2) / (2 * radii[i])) + 1 for i in range(n)]
-
-    occupancy: dict = {}
-    for p in pts:
-        cell = cell_of(p)
-        if not in_tile(p, cell):
-            return CoveringReport(
-                T,
-                nu,
-                len(pts),
-                tuple(counts),
-                False,
-                0,
-                failure=f"point {p} missed its tile {cell}",
-            )
-        occupancy.setdefault(cell, []).append(p)
-
-    max_occ = max((len(v) for v in occupancy.values()), default=0)
-    # a tile may capture points assigned to nearby cells; look the
-    # neighbouring cells up directly (windows are small)
-    for cell in sorted(occupancy):
-        pool = list(occupancy[cell])
-        for offs in itertools.product(*[range(-w, w + 1) for w in win]):
-            if all(o == 0 for o in offs):
-                continue
-            other = tuple(cell[i] + offs[i] for i in range(n))
-            if other in occupancy:
-                pool.extend(occupancy[other])
-        if len(pool) < 2:
-            continue
-        inside = [p for p in pool if in_tile(p, cell)]
-        if len(inside) > 1:
-            return CoveringReport(
-                T,
-                nu,
-                len(pts),
-                tuple(counts),
-                False,
-                len(inside),
-                failure=f"tile {cell} holds {len(inside)} points",
-            )
-    verified = len(pts) <= nu
-    return CoveringReport(
-        T,
-        nu,
-        len(pts),
-        tuple(counts),
-        verified,
-        max_occ,
-        failure=None if verified else "count exceeded tiles",
-    )

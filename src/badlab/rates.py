@@ -11,7 +11,6 @@ at finitely many critical points, then double-checked on a geometric grid.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Union
@@ -154,16 +153,6 @@ def _enclosed_constant(x: Rat, bits: int) -> HPInterval:
 def interval_eval(f: RateFunction, T: RatLike, bits: int) -> HPInterval:
     """Certified interval containing f(T) at the given working precision."""
     return as_interval(rate_value(f, T, bits), bits)
-
-
-def float_eval(f: RateFunction, T) -> float:
-    """Double-precision evidence value; never used in certified paths."""
-    t = float(T)
-    out = float(f.c) * t ** (-float(f.alpha))
-    d = float(f.delta)
-    if d != 0.0:
-        out *= math.log(t) ** (-d)
-    return out
 
 
 def cmp_rates_at(

@@ -101,12 +101,6 @@ def _lambda_step(
         ri = interval_eval(phi, R * (T + 1), cur)
 
 
-def term_value(T: int, R, psi, phi, a: int, b: int, bits: int = 96) -> Value:
-    return term_product(
-        mu_term(T, R, psi, a, b, bits), lambda_term(T, R, phi, a, bits), bits
-    )
-
-
 def term_product(mu: Value, lam: Value, bits: int) -> Value:
     """mu * lam, exact when both are rational, else an interval product
     with a rational factor enclosed at `bits`."""
@@ -120,9 +114,6 @@ class SeriesTerm:
     T: int
     mu: Value
     lam: Value
-    zeta: Optional[int] = None
-    pi_count: Optional[int] = None
-    nu: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -182,10 +173,6 @@ class ExponentReport:
     p: Rat
     q: Rat
     verdict: str  # converging | diverging
-
-    @property
-    def converges(self) -> bool:
-        return self.verdict == "converging"
 
 
 def exponent_analysis(psi: RateFunction, phi: RateFunction, a: int, b: int) -> ExponentReport:

@@ -5,7 +5,7 @@ from click.testing import CliRunner
 
 import badlab.cli
 from badlab.cli import config_from_echo, config_hash, main, parse_config
-from badlab.exactnum import PrecisionError, UndecidableComparison
+from badlab.exactnum import UndecidableComparison
 
 GOLDEN_CFG = "configs/golden.cfg"
 
@@ -179,7 +179,7 @@ def test_enumerate_box_guard_exits_two(runner):
 
 
 @pytest.mark.parametrize(
-    "exc", [UndecidableComparison, PrecisionError, ArithmeticError, OverflowError]
+    "exc", [UndecidableComparison, ArithmeticError, OverflowError]
 )
 def test_unsettled_arithmetic_exits_two(runner, monkeypatch, exc):
     def boom(*args, **kwargs):
@@ -189,6 +189,70 @@ def test_unsettled_arithmetic_exits_two(runner, monkeypatch, exc):
     res = runner.invoke(main, ["verify", "--config", GOLDEN_CFG, "--T", "1"])
     assert res.exit_code == 2
     assert res.stderr == f"{exc.__name__}: cap reached\n"
+
+
+LATE_PHI_CFG = """\
+ambient = 1
+A_point = 0
+A_dir_0 = 1
+B_point = golden
+psi = powerlaw c=1 alpha=1
+phi = powerlog c=1 alpha=1 delta=1 T0=8
+R = 1
+"""
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--config", GOLDEN_CFG, "--T", "0"],
+    ["verify", "--config", GOLDEN_CFG, "--T", "-2"],
+    ["verify", "--config", GOLDEN_CFG, "--T", "3", "--translates", "0"],
+    ["verify", "--config", GOLDEN_CFG, "--T", "3", "--translates", "-1"],
+    ["enumerate", "--config", GOLDEN_CFG, "--T", "0"],
+    ["series", "--config", GOLDEN_CFG, "--N", "0"],
+    ["series", "--config", GOLDEN_CFG, "--N", "-3"],
+    ["series", "--config", GOLDEN_CFG, "--N", "5", "--counts-to", "-3"],
+    ["badness", "--config", GOLDEN_CFG, "--height", "-5"],
+    ["badness", "--config", GOLDEN_CFG, "--height", "0"],
+    ["badness", "--config", GOLDEN_CFG, "--vector", ","],
+    ["badness", "--config", GOLDEN_CFG, "--vector", "1/3", "--x-max", "0"],
+], ids=lambda args: " ".join(args[:1] + args[3:]))
+def test_out_of_range_usage_exits_two(runner, args):
+    # a usage error, not a failed property: exit 2 and no traceback, and
+    # no silent fallback to the config's default
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("line, bad, message", [
+    ("R = 1", "R = 0", "R must be >= 1"),
+    ("R = 1", "R = -1", "R must be >= 1"),
+    ("gamma = 23/100", "gamma = 0", "gamma must be > 0"),
+    ("gamma = 23/100", "gamma = -1", "gamma must be > 0"),
+    ("cert_height = 1000", "cert_height = -5", "cert_height must be >= 0"),
+], ids=["R=0", "R=-1", "gamma=0", "gamma=-1", "cert_height=-5"])
+@pytest.mark.parametrize("command", [
+    ["verify", "--T", "3"], ["series", "--N", "5"], ["badness"],
+], ids=["verify", "series", "badness"])
+def test_out_of_range_config_exits_two(runner, tmp_path, line, bad, message,
+                                       command):
+    text = open(GOLDEN_CFG).read()
+    assert line in text
+    cfg = _write(tmp_path, "bad.cfg", text.replace(line, bad))
+    res = runner.invoke(main, [command[0], "--config", cfg, *command[1:]])
+    assert res.exit_code == 2
+    assert res.stderr.startswith(f"config error: {message}")
+
+
+def test_counts_below_phi_domain_exits_two(runner, tmp_path):
+    # phi starts at T = 8 and R = 1, so --counts-to 3 leaves no scale
+    cfg = _write(tmp_path, "late.cfg", LATE_PHI_CFG)
+    res = runner.invoke(
+        main, ["series", "--config", cfg, "--N", "20", "--counts-to", "3"]
+    )
+    assert res.exit_code == 2
+    assert res.stderr == "config error: empty T range\n"
 
 
 @pytest.mark.parametrize("cfg", ["configs/cubic.cfg", GOLDEN_CFG])

@@ -7,12 +7,8 @@ from badlab.exactlp import (
     HPoly,
     InfeasibleError,
     UnboundedError,
-    det_exact,
     enumerate_integer_points,
-    extend_to_basis,
-    gram_det,
     in_row_span,
-    invert_matrix,
     lp_max,
     lp_min,
     matrix_rank,
@@ -46,31 +42,6 @@ def test_nullspace_basis():
     for v in ns:
         assert vec_dot(rows[0], v) == 0
     assert matrix_rank(ns) == 2
-
-
-def test_det_and_gram():
-    assert det_exact([[rat(1), rat(2)], [rat(3), rat(4)]]) == rat(-2)
-    assert det_exact([[rat(2)]]) == rat(2)
-    rows = [[rat(3), rat(4)]]
-    assert gram_det(rows) == rat(25)  # |row|^2
-
-
-def test_extend_to_basis():
-    rows = [[rat(1), rat(1, 2), rat(0)]]
-    full = extend_to_basis([list(r) for r in rows], 3)
-    assert len(full) == 3
-    assert full[0] == rows[0]
-    assert det_exact(full) != 0
-
-
-def test_invert_matrix():
-    a = [[rat(2), rat(1)], [rat(1), rat(1)]]
-    inv = invert_matrix(a)
-    prod = [
-        [vec_dot(a[i], [inv[k][j] for k in range(2)]) for j in range(2)]
-        for i in range(2)
-    ]
-    assert prod == [[rat(1), rat(0)], [rat(0), rat(1)]]
 
 
 # -- simplex -----------------------------------------------------------
@@ -114,7 +85,8 @@ def test_lp_matches_vertex_scan():
         )
         c = [rat(rng.randint(-4, 4)), rat(rng.randint(-4, 4))]
         try:
-            v, _ = poly.minimize(c)
+            v, _ = lp_min(c, [list(r[0]) for r in poly.rows],
+                          [r[1] for r in poly.rows])
         except InfeasibleError:
             continue
         best = min(vec_dot(c, vert) for vert in poly.vertices())
@@ -170,8 +142,10 @@ def test_eliminate_is_projection():
     for sx, sy in itertools.product((1, -1), repeat=2):
         poly.add([rat(sx), rat(sy)], rat(2))
     shadow = poly.eliminate(1)
-    v_min, _ = shadow.minimize([rat(1)])
-    v_max, _ = shadow.maximize([rat(1)])
+    a = [list(r[0]) for r in shadow.rows]
+    b = [r[1] for r in shadow.rows]
+    v_min, _ = lp_min([rat(1)], a, b)
+    v_max, _ = lp_max([rat(1)], a, b)
     assert (v_min, v_max) == (rat(-2), rat(2))
 
 

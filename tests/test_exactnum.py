@@ -16,7 +16,6 @@ from mpmath.libmp import (
 
 from badlab.exactnum import (
     HPInterval,
-    PrecisionError,
     UndecidableComparison,
     exact_kth_root,
     format_rat,
@@ -27,14 +26,11 @@ from badlab.exactnum import (
     rat_ceil,
     rat_cmp_power,
     rat_floor,
-    rat_max,
-    rat_min,
     rat_pow,
     rat_pow_rat,
     rat_root,
     rat_sign,
     refine_cmp,
-    refine_to_width,
 )
 
 
@@ -47,8 +43,6 @@ def test_rat_basics():
     assert rat_ceil(rat(4)) == 4
     assert rat_sign(rat(-3, 7)) == -1
     assert rat_sign(0) == 0
-    assert rat_min([rat(1, 3), rat(1, 4), rat(2)]) == rat(1, 4)
-    assert rat_max([rat(1, 3), rat(1, 4)]) == rat(1, 3)
 
 
 def test_is_pow2():
@@ -135,6 +129,10 @@ def test_interval_from_rat_encloses():
     assert iv.width() < rat(1, 1 << 60)
 
 
+def _encloses(iv, x):
+    return iv.lo <= x <= iv.hi
+
+
 def test_interval_arithmetic_contains_truth():
     rng = random.Random(11)
     for _ in range(100):
@@ -142,11 +140,11 @@ def test_interval_arithmetic_contains_truth():
         b = rat(rng.randint(-50, 50), rng.randint(1, 30))
         ia = HPInterval.from_rat(a, 64)
         ib = HPInterval.from_rat(b, 64)
-        assert (ia + ib).contains(a + b)
-        assert (ia - ib).contains(a - b)
-        assert (ia * ib).contains(a * b)
+        assert _encloses(ia + ib, a + b)
+        assert _encloses(ia - ib, a - b)
+        assert _encloses(ia * ib, a * b)
         if b != 0 and not ib.contains_zero():
-            assert (ia / ib).contains(a / b)
+            assert _encloses(ia / ib, a / b)
 
 
 def test_interval_division_by_zero_interval():
@@ -189,11 +187,11 @@ def test_interval_log_rejects_nonpositive():
 def test_interval_pow_int():
     iv = HPInterval.from_rat(rat(3, 2), 96)
     cube = iv.pow_int(3)
-    assert cube.contains(rat(27, 8))
+    assert _encloses(cube, rat(27, 8))
     inv = iv.pow_int(-2)
-    assert inv.contains(rat(4, 9))
+    assert _encloses(inv, rat(4, 9))
     neg = HPInterval.from_rat(rat(-2), 96).pow_int(2)
-    assert neg.contains(rat(4))
+    assert _encloses(neg, rat(4))
 
 
 def test_interval_pow_rat():
@@ -225,16 +223,6 @@ def test_refine_cmp_exact_path():
     # an evaluator that returns a rational settles the compare exactly
     assert refine_cmp(rat(1, 3), lambda b: rat(1, 3)) == 0
     assert refine_cmp(rat(1, 2), lambda b: rat(1, 3)) == 1
-
-
-def test_refine_to_width():
-    def ev(bits):
-        return HPInterval.from_rat(rat(2), bits).pow_rat(rat(1, 2))
-
-    iv = refine_to_width(ev, rat(1, 10**20))
-    assert iv.width() <= rat(1, 10**20)
-    with pytest.raises(PrecisionError):
-        refine_to_width(ev, rat(0), max_bits=128)
 
 
 def test_precision_env_override(monkeypatch):

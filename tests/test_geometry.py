@@ -10,7 +10,6 @@ from badlab.geometry import (
     AffineSubspace,
     ClearedLine,
     LiftedSpan,
-    adapted_basis,
     canon_sign,
     cheb_distance,
     clear_vector,
@@ -20,7 +19,6 @@ from badlab.geometry import (
     line_distance,
     line_witness,
     nearest_int_dist,
-    solve_in_basis,
     sup_norm,
     vec,
 )
@@ -222,20 +220,3 @@ def test_dual_functionals_golden():
     # orthogonal to (1, g) and L1-normalized: +-(g, -1)/(1+g)
     assert vec_dot(u, (rat(1), GOLDEN)) == 0
     assert abs(u[0]) + abs(u[1]) == rat(1)
-
-
-def test_adapted_basis_nested():
-    inner = LiftedSpan(basis=((rat(1), rat(2), rat(3)),), ambient=3)
-    outer = LiftedSpan(
-        basis=((rat(1), rat(2), rat(3)), (rat(0), rat(1), rat(0))), ambient=3
-    )
-    rows = adapted_basis(inner, outer, 3)
-    assert rows[0] == list(inner.basis[0])
-    assert len(rows) == 3
-    coords = solve_in_basis(rows, (rat(1), rat(3), rat(3)))
-    recon = [
-        sum(coords[k] * rows[k][i] for k in range(3)) for i in range(3)
-    ]
-    assert recon == [rat(1), rat(3), rat(3)]
-    with pytest.raises(ValueError):
-        adapted_basis(outer, inner, 3)

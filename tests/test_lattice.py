@@ -24,7 +24,6 @@ from badlab.lattice import (
     approach_slab,
     badness_slab,
     build_slab_poly,
-    covering_count,
     enumerate_slab,
     half_dilation_check,
     member_exact,
@@ -232,23 +231,6 @@ def test_half_dilation_control_exhibits_difference():
     assert hit.difference_member is not None
     spec = badness_slab(HALF_SPAN, rat(1, 3), UNIT, 1, 4)
     assert member_exact(spec, hit.difference_member)
-
-
-def test_covering_count_golden():
-    rep = covering_count(
-        FULL_PLANE, golden_span(), rat(23, 100), UNIT, UNIT, 1, 20
-    )
-    assert rep.verified
-    assert rep.max_tile_occupancy <= 1
-    assert rep.point_count <= rep.nu
-    assert rep.point_count == pi_count(FULL_PLANE, UNIT, 1, 20)
-
-
-def test_covering_count_rejects_bad_nesting():
-    with pytest.raises(ValueError):
-        covering_count(
-            golden_span(), FULL_PLANE, rat(23, 100), UNIT, UNIT, 1, 5
-        )
 
 
 def test_layer_of_powerlog_rate():

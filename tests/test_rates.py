@@ -22,7 +22,6 @@ from badlab.rates import (
     cmp_scaled_ratios,
     effective_start,
     eval_exact,
-    float_eval,
     interval_eval,
     parse_rate,
     rate_from_text,
@@ -103,14 +102,6 @@ def test_interval_eval_bit_identical_to_separate_logs(alpha, delta, c, T, bits):
         ref = ref * ti.log().pow_rat(-delta)
     out = interval_eval(f, T, bits)
     assert (out._lo, out._hi, out.prec) == (ref._lo, ref._hi, ref.prec)
-
-def test_float_eval_tracks_interval():
-    g = PowerLog(rat(1), rat(1, 2), rat(2), rat(2))
-    for T in (2, 17, 4096):
-        iv = interval_eval(g, rat(T), 96)
-        x = float_eval(g, T)
-        assert float(iv.lo) * 0.999999 <= x <= float(iv.hi) * 1.000001
-
 
 def test_cmp_refine():
     # x against f(T) through rate_value: refined when f(T) is irrational,

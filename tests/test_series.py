@@ -14,7 +14,7 @@ from badlab.series import (
     mu_term,
     packing_ratio_scan,
     partial_sum,
-    term_value,
+    term_product,
 )
 
 UNIT = PowerLaw(rat(1), rat(1))
@@ -68,7 +68,8 @@ def test_lambda_term_interval_positive():
 
 
 def test_term_value():
-    assert term_value(1, 1, UNIT, UNIT, 1, 0) == rat(3, 4)
+    mu, lam = mu_term(1, 1, UNIT, 1, 0), lambda_term(1, 1, UNIT, 1)
+    assert term_product(mu, lam, 96) == rat(3, 4)
 
 
 def test_partial_sum_golden_exact():
@@ -118,7 +119,7 @@ def test_exponent_analysis_threshold_family():
     psi, phi = _delta_family(2)
     rep = exponent_analysis(psi, phi, 1, 0)
     assert (rep.p, rep.q) == (rat(-1), rat(-2))
-    assert rep.converges
+    assert rep.verdict == "converging"
 
     _, phi_half = _delta_family((1, 2))
     rep = exponent_analysis(psi, phi_half, 1, 0)
@@ -134,7 +135,7 @@ def test_exponent_analysis_threshold_family():
 def test_exponent_analysis_positive_b():
     # b >= 1 shifts p below -1 regardless of the log power
     rep = exponent_analysis(SQRT, SQRT, 2, 1)
-    assert rep.p < -1 and rep.converges
+    assert rep.p < -1 and rep.verdict == "converging"
 
 
 def test_exponent_analysis_divergent_power():
