@@ -1,11 +1,12 @@
-"""Exact rational linear algebra, simplex, and polyhedra utilities.
+"""Exact rational linear algebra and polyhedra utilities.
 
 Everything here is over the exact rational carrier: Gaussian elimination,
-a two-phase tableau simplex with Bland's rule (small dense problems only,
-which is all the slab geometry needs), Fourier-Motzkin projection, and
-brute-force vertex enumeration for low-dimensional polytopes.  These are
-the primitives behind sup-norm distances, slab enumeration and the
-measure charts; none of them ever touch floating point.
+Fourier-Motzkin projection, and brute-force vertex enumeration for
+low-dimensional polytopes.  These are the primitives behind sup-norm
+distances, slab enumeration and the measure charts; none of them ever
+touch floating point.  Projection is the one polyhedral engine: a
+bound on one variable (a distance, a chart's extent) is what is left
+after the others are eliminated (HPoly.bounds).
 
 Integer points are walked level by level off a projection chain whose
 rows are cleared to integers (integer_levels).  A ParamChain is the
@@ -27,10 +28,6 @@ from typing import List, Optional, Sequence, Tuple
 from .exactnum import Rat, as_rat, den, num, rat, rat_abs
 
 Vec = Tuple[Rat, ...]
-
-
-class InfeasibleError(Exception):
-    pass
 
 
 class UnboundedError(Exception):
@@ -116,132 +113,6 @@ def in_row_span(rows: List[Sequence], v: Sequence) -> bool:
 
 
 # ---------------------------------------------------------------------
-# two-phase simplex, Bland's rule
-
-
-def _pivot(tab: List[List[Rat]], basis: List[int], pr: int, pc: int) -> None:
-    prow = tab[pr]
-    inv = 1 / prow[pc]
-    tab[pr] = [v * inv for v in prow]
-    prow = tab[pr]
-    for i, row in enumerate(tab):
-        if i != pr and row[pc] != 0:
-            f = row[pc]
-            tab[i] = [a - f * b for a, b in zip(row, prow)]
-    basis[pr] = pc
-
-
-def _cost_eliminate(cost: List[Rat], row: List[Rat], f: Rat) -> None:
-    if f == 0:
-        return
-    for j in range(len(cost)):
-        cost[j] -= f * row[j]
-
-
-def _run_simplex(tab, basis, cost) -> None:
-    """Minimize cost (a full row of reduced costs updated in place)."""
-    ncols = len(cost) - 1
-    while True:
-        pc = None
-        for j in range(ncols):
-            if cost[j] < 0:
-                pc = j
-                break
-        if pc is None:
-            return
-        pr = None
-        best = None
-        for i, row in enumerate(tab):
-            if row[pc] > 0:
-                ratio = row[-1] / row[pc]
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[pr]
-                ):
-                    best = ratio
-                    pr = i
-        if pr is None:
-            raise UnboundedError("objective unbounded below")
-        _pivot(tab, basis, pr, pc)
-        _cost_eliminate(cost, tab[pr], cost[pc])
-
-
-def lp_min(
-    c: Sequence, a_ub: List[Sequence], b_ub: Sequence
-) -> Tuple[Rat, List[Rat]]:
-    """min c.x over {A x <= b} with free x; exact two-phase simplex.
-
-    Returns (value, argmin).  Raises InfeasibleError / UnboundedError.
-    """
-    m = len(a_ub)
-    n = len(c)
-    c = [as_rat(v) for v in c]
-    if m == 0:
-        if any(v != 0 for v in c):
-            raise UnboundedError("no constraints")
-        return rat(0), [rat(0)] * n
-    # variables: u (n), v (n), slacks (m), artificials (m)
-    ncols = 2 * n + 2 * m
-    tab: List[List[Rat]] = []
-    for i in range(m):
-        row = [as_rat(v) for v in a_ub[i]]
-        rhs = as_rat(b_ub[i])
-        neg = rhs < 0
-        sgn = rat(-1) if neg else rat(1)
-        r = [sgn * v for v in row] + [-sgn * v for v in row]
-        slack = [rat(0)] * m
-        slack[i] = sgn
-        art = [rat(0)] * m
-        art[i] = rat(1)
-        tab.append(r + slack + art + [sgn * rhs])
-    basis = [2 * n + m + i for i in range(m)]
-
-    # phase 1: minimize sum of artificials
-    cost = [rat(0)] * (ncols + 1)
-    for j in range(2 * n + m, 2 * n + 2 * m):
-        cost[j] = rat(1)
-    for i in range(m):
-        # make reduced costs of the basic artificials zero
-        _cost_eliminate(cost, tab[i], rat(1))
-    _run_simplex(tab, basis, cost)
-    if -cost[-1] != 0:
-        raise InfeasibleError("phase 1 optimum nonzero")
-    # drive remaining artificials out of the basis
-    for i in range(m):
-        if basis[i] >= 2 * n + m:
-            pc = next(
-                (j for j in range(2 * n + m) if tab[i][j] != 0),
-                None,
-            )
-            if pc is not None:
-                _pivot(tab, basis, i, pc)
-    keep = [i for i in range(len(tab)) if basis[i] < 2 * n + m]
-    tab = [tab[i] for i in keep]
-    basis = [basis[i] for i in keep]
-    # drop artificial columns
-    tab = [row[: 2 * n + m] + [row[-1]] for row in tab]
-    ncols = 2 * n + m
-
-    # phase 2
-    cost = [rat(0)] * (ncols + 1)
-    for j in range(n):
-        cost[j] = c[j]
-        cost[n + j] = -c[j]
-    for i, bj in enumerate(basis):
-        _cost_eliminate(cost, tab[i], cost[bj])
-    _run_simplex(tab, basis, cost)
-    x = [rat(0)] * (2 * n + m)
-    for i, bj in enumerate(basis):
-        x[bj] = tab[i][-1]
-    sol = [x[j] - x[n + j] for j in range(n)]
-    return vec_dot(c, sol), sol
-
-
-def lp_max(c, a_ub, b_ub) -> Tuple[Rat, List[Rat]]:
-    v, x = lp_min([-as_rat(t) for t in c], a_ub, b_ub)
-    return -v, x
-
-
-# ---------------------------------------------------------------------
 # H-polyhedra
 
 
@@ -315,6 +186,16 @@ class HPoly:
                 out.add(coeffs, prhs / pc + nrhs / nc)
         out.dedupe()
         return out
+
+    def bounds(self) -> Tuple[Optional[Rat], Optional[Rat]]:
+        """(lo, hi) of the one variable left, None where unbounded.
+
+        Rows over one variable are normalized to x <= b or -x <= b.
+        """
+        assert self.nvars == 1
+        lo = max((-rhs for (c,), rhs in self.rows if c < 0), default=None)
+        hi = min((rhs for (c,), rhs in self.rows if c > 0), default=None)
+        return lo, hi
 
     def vertices(self) -> List[Vec]:
         """All vertices by basis enumeration; intended for nvars <= 4."""

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .badness import BadnessCertificate, VectorBadnessResult, vector_badness
-from .exactlp import HPoly, lp_max, lp_min
+from .exactlp import HPoly
 from .exactnum import (
     HPInterval,
     Rat,
@@ -213,30 +213,36 @@ class RejectionError(RuntimeError):
     pass
 
 
-def _parameter_box(config: ExperimentConfig) -> List[Tuple[Rat, Rat]]:
-    """Per-parameter bounds of {t : sup_norm(point + t*dirs) <= R}.
-
-    The box is grown outward to a dyadic grid: lower corners snap down
-    to multiples of 2^-64 and widths round up to integers, so every grid
-    point lo + k/2^64 is an exact 64-fractional-bit dyadic.
-    """
+def _chart_poly(config: ExperimentConfig) -> HPoly:
+    """The chart {t : sup_norm(point + t*dirs) <= R} of A's parameters."""
     A, R = config.A, config.R
-    a = A.dim
-    rows = []
-    rhs = []
+    poly = HPoly(A.dim)
     for j in range(A.ambient):
-        coeff = [A.directions[i][j] for i in range(a)]
-        rows.append(coeff)
-        rhs.append(R - A.point[j])
-        rows.append([-c for c in coeff])
-        rhs.append(R + A.point[j])
+        coeff = [d[j] for d in A.directions]
+        poly.add(coeff, R - A.point[j])
+        poly.add([-c for c in coeff], R + A.point[j])
+    return poly
+
+
+def _parameter_box(config: ExperimentConfig) -> List[Tuple[Rat, Rat]]:
+    """Per-parameter bounds of the chart (_chart_poly).
+
+    Parameter i's bounds are those left after Fourier-Motzkin eliminates
+    the others.  The box is grown outward to a dyadic grid: lower corners
+    snap down to multiples of 2^-64 and widths round up to integers, so
+    every grid point lo + k/2^64 is an exact 64-fractional-bit dyadic.
+    """
+    chart = _chart_poly(config)
     box = []
     two64 = 1 << 64
-    for i in range(a):
-        c = [rat(0)] * a
-        c[i] = rat(1)
-        lo, _ = lp_min(c, rows, rhs)
-        hi, _ = lp_max(c, rows, rhs)
+    for i in range(chart.nvars):
+        shadow = chart
+        for j in reversed(range(chart.nvars)):
+            if j != i:
+                shadow = shadow.eliminate(j)
+        lo, hi = shadow.bounds()
+        if shadow.infeasible_const or lo > hi:
+            raise RejectionError("the R ball misses A")
         lo_snap = rat(rat_floor(lo * two64), two64)
         width = hi - lo_snap
         w_int = rat_floor(width)
@@ -404,14 +410,7 @@ class MeasureEstimate:
 
 def chart_ball_measure(config: ExperimentConfig) -> Rat:
     """Exact parameter-space measure of {w on A : sup_norm(w) <= R}."""
-    A, R = config.A, config.R
-    a = A.dim
-    poly = HPoly(a)
-    for j in range(A.ambient):
-        coeff = [A.directions[i][j] for i in range(a)]
-        poly.add(coeff, R - A.point[j])
-        poly.add([-c for c in coeff], R + A.point[j])
-    return poly.volume()
+    return _chart_poly(config).volume()
 
 
 def _upper_bound(config: ExperimentConfig, T: int, zeta: int) -> Tuple[Rat, Rat]:

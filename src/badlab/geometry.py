@@ -6,9 +6,9 @@ generated by (1, point) and (0, direction_i); approximation properties of
 the affine object become lattice statements about this span.
 
 Distances are always in the sup norm.  The general case is an exact
-simplex solve; spans of a single vector take a closed-form pair formula
-on integers, with the direction cleared once (ClearedLine), and
-repeated membership tests against one span go through its dual
+Fourier-Motzkin projection; spans of a single vector take a closed-form
+pair formula on integers, with the direction cleared once (ClearedLine),
+and repeated membership tests against one span go through its dual
 functionals (the vertices of the orthogonal L1-ball section), which turn
 "distance <= eps" into finitely many exact half-space tests.
 """
@@ -23,7 +23,6 @@ from typing import List, Sequence, Tuple
 from .exactlp import (
     HPoly,
     in_row_span,
-    lp_min,
     matrix_rank,
     nullspace_basis,
     vec_dot,
@@ -156,30 +155,25 @@ def lift(sub: AffineSubspace) -> LiftedSpan:
     return LiftedSpan(tuple(tuple(r) for r in rows), sub.ambient + 1)
 
 
-def cheb_distance(z: Sequence, span: LiftedSpan) -> Tuple[Rat, Vec]:
-    """Exact sup-norm distance from z to the span, with optimal coefficients.
+def cheb_distance(z: Sequence, span: LiftedSpan) -> Rat:
+    """Exact sup-norm distance from z to the span.
 
-    Solved as the linear program min r over span coefficients t:
-    |z_i - (t . basis)_i| <= r for every coordinate.  Returns (distance,
-    t*); for the zero span t* is empty and the distance is sup_norm(z).
+    The least r with |z_i - (t . basis)_i| <= r for some span
+    coefficients t: Fourier-Motzkin eliminates t from these rows over
+    (t, r), and the distance is the lower bound left on r.  For the zero
+    span nothing is eliminated and the distance is sup_norm(z).
     """
     zv = as_vec(z)
     if len(zv) != span.ambient:
         raise ValueError("point dimension mismatch")
-    m = span.dim
-    if m == 0:
-        return sup_norm(zv), ()
-    a_ub = []
-    b_ub = []
-    for i in range(span.ambient):
-        col = [span.basis[k][i] for k in range(m)]
-        a_ub.append([-c for c in col] + [rat(-1)])
-        b_ub.append(-zv[i])
-        a_ub.append(list(col) + [rat(-1)])
-        b_ub.append(zv[i])
-    c = [rat(0)] * m + [rat(1)]
-    val, x = lp_min(c, a_ub, b_ub)
-    return val, tuple(x[:m])
+    poly = HPoly(span.dim + 1)
+    for i, zi in enumerate(zv):
+        col = [b[i] for b in span.basis]
+        poly.add(col + [-1], zi)
+        poly.add([-c for c in col] + [-1], -zi)
+    for _ in range(span.dim):
+        poly = poly.eliminate(0)
+    return poly.bounds()[0]
 
 
 def clear_vector(v: Sequence) -> Tuple[int, List[int]]:
@@ -252,7 +246,7 @@ def line_distance(z: Sequence, a: Sequence) -> Rat:
     """min_t sup_i |z_i - t a_i| for a nonzero direction a, closed form.
 
     Equals max over coordinate pairs of |z_j a_k - z_k a_j|/(|a_j|+|a_k|);
-    agrees with the simplex route and is what inner loops use for
+    agrees with cheb_distance and is what inner loops use for
     one-dimensional spans.  It clears z to Z = D_z z and a to a
     ClearedLine, whose integer kernel gives the distance of Z; divided by
     D_z it is the distance of z.  A caller that tests many points against

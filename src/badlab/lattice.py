@@ -288,7 +288,7 @@ def _exact_distance(
     elif metric is not None:
         d = distance_via_functionals(z, metric)
     else:
-        d = cheb_distance(z, spec.target)[0]
+        d = cheb_distance(z, spec.target)
     return num(d), den(d)
 
 

@@ -28,7 +28,7 @@ from .exactnum import (
     rat_pow,
     rat_pow_rat,
 )
-from .rates import RateFunction, interval_eval, rate_value
+from .rates import RateFunction, cmp_scaled_ratios, interval_eval, rate_value
 from .lattice import approach_slab, enumerate_slab
 
 
@@ -374,7 +374,9 @@ def mu_strictly_increasing(
 ) -> bool:
     """T/psi(RT) is a product of increasing positive factors, so mu is
     strictly increasing for any admissible rate; the spot checks confirm
-    selected adjacent pairs with exact or interval comparisons."""
+    selected adjacent pairs.  With a - b >= 1, mu_T < mu_(T+1) iff
+    T/psi(RT) < (T+1)/psi(R(T+1)), which cmp_scaled_ratios decides
+    exactly."""
     if not a > b >= 0:
         raise ValueError("need a > b >= 0")
     if psi.alpha < 0 or psi.delta < 0:
@@ -383,45 +385,23 @@ def mu_strictly_increasing(
     for T in spot_checks:
         if not 1 <= T < T_max or R * T < psi.domain_start:
             continue
-        if not _mu_less(psi, a, b, R, T, T + 1):
+        if cmp_scaled_ratios(T, R * T, T + 1, R * (T + 1), psi) >= 0:
             return False
     return True
-
-
-def _mu_less(psi, a: int, b: int, R, T1: int, T2: int) -> bool:
-    m1 = mu_term(T1, R, psi, a, b)
-    m2 = mu_term(T2, R, psi, a, b)
-    if not isinstance(m1, HPInterval) and not isinstance(m2, HPInterval):
-        return m1 < m2
-    cap = max_precision_bits()
-    bits = 96
-    while True:
-        i1 = as_interval(mu_term(T1, R, psi, a, b, bits), bits)
-        i2 = as_interval(mu_term(T2, R, psi, a, b, bits), bits)
-        if i1.hi < i2.lo:
-            return True
-        if i2.hi < i1.lo:
-            return False
-        if bits >= cap:
-            raise ArithmeticError(
-                f"mu comparison undecided at {bits} bits")
-        bits = min(bits * 2, cap)
 
 
 def lambda_all_positive(
     phi: RateFunction, a: int, R, T_values: Sequence[int]
 ) -> bool:
-    """Spot checks below the rate's domain start are skipped."""
+    """lambda_T = (phi(RT)/T)^a - (phi(R(T+1))/(T+1))^a > 0 iff
+    T/phi(RT) < (T+1)/phi(R(T+1)), which cmp_scaled_ratios decides
+    exactly.  Spot checks below the rate's domain start are skipped."""
+    if a < 1:
+        raise ValueError("need a >= 1")
     R = as_rat(R)
-    bits = 96
-    # phi(RT) of the previous term's right end, valid when T == next_T
-    next_T, carry = None, None
     for T in T_values:
         if R * T < phi.domain_start:
             continue
-        left = carry if T == next_T else rate_value(phi, R * T, bits)
-        l, carry = _lambda_step(T, R, phi, a, bits, left)
-        next_T = T + 1
-        if rat_bounds(l)[0] <= 0:
+        if cmp_scaled_ratios(T, R * T, T + 1, R * (T + 1), phi) >= 0:
             return False
     return True

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -17,7 +18,13 @@ from badlab.badness import (
     vector_badness,
 )
 from badlab.exactnum import format_rat, rat, rat_ceil
-from badlab.geometry import LiftedSpan
+from badlab.geometry import (
+    AffineSubspace,
+    LiftedSpan,
+    distance_via_functionals,
+    dual_functionals,
+    lift,
+)
 from badlab.presets import preset_value
 from badlab.rates import PowerLaw, PowerLog, cmp_scaled_ratios, interval_eval
 
@@ -272,6 +279,53 @@ def test_sandwich_cubic_pair():
     rep = sandwich_audit((CBRT2, CBRT4), 120)
     assert rep.ok and rep.checked == 120
     assert rep.min_ratio > 0 and rep.max_ratio <= 1
+
+
+def _brute_subspace_badness(span, psi, height):
+    """The first minimiser (dist, shell, x) of dist(x)/psi(|x|) over the
+    integer x with 0 < |x| <= height whose first nonzero coordinate is
+    positive, met in order of shell and then lexicographically; or a
+    ZeroHit at the first such x on the span."""
+    funcs = dual_functionals(span)
+    box = itertools.product(range(-height, height + 1), repeat=span.ambient)
+    points = [x for x in box if any(x) and next(c for c in x if c) > 0]
+    best = None
+    for x in sorted(points, key=lambda x: (max(map(abs, x)), x)):
+        s = max(map(abs, x))
+        d = distance_via_functionals(x, funcs)
+        if d == 0:
+            return ZeroHit(witness=x, shell=s)
+        if best is None or cmp_scaled_ratios(d, s, best[0], best[1], psi) < 0:
+            best = (d, s, x)
+    return best
+
+
+_coords = st.builds(rat, st.integers(-60, 60), st.integers(1, 40))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_subspace_badness_matches_brute_force(data):
+    # targets: a rational point in d = 1 or 2, or a line in d = 2 or 3;
+    # the box shrinks with the ambient dimension of the lift
+    kind = data.draw(st.sampled_from(("point", "line")))
+    d = data.draw(st.integers(1, 2) if kind == "point" else st.integers(2, 3))
+    point = data.draw(st.tuples(*[_coords] * d))
+    dirs = ()
+    if kind == "line":
+        dirs = (data.draw(st.tuples(*[_coords] * d).filter(any)),)
+    span = lift(AffineSubspace(point=point, directions=dirs))
+    height = data.draw(st.integers(1, {2: 12, 3: 7, 4: 4}[span.ambient]))
+    psi = PowerLaw(data.draw(st.sampled_from((rat(1), rat(1, 2), rat(3)))),
+                   data.draw(st.sampled_from((rat(0), rat(1, 2), rat(1),
+                                              rat(3, 2), rat(2)))))
+    got = subspace_badness(span, psi, height)
+    want = _brute_subspace_badness(span, psi, height)
+    if isinstance(want, ZeroHit):
+        assert got == want
+    else:
+        assert isinstance(got, BadnessCertificate)
+        assert (got.witness_dist, got.witness_norm, got.witness) == want
 
 
 def test_subspace_badness_rejects_late_domain():

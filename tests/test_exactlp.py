@@ -5,12 +5,9 @@ import pytest
 
 from badlab.exactlp import (
     HPoly,
-    InfeasibleError,
     UnboundedError,
     enumerate_integer_points,
     in_row_span,
-    lp_max,
-    lp_min,
     matrix_rank,
     nullspace_basis,
     solve_square,
@@ -44,53 +41,37 @@ def test_nullspace_basis():
     assert matrix_rank(ns) == 2
 
 
-# -- simplex -----------------------------------------------------------
-
-
-def test_lp_min_square():
-    # min x+y over the unit square shifted to [1,2]^2
-    a = [
-        [rat(1), rat(0)],
-        [rat(-1), rat(0)],
-        [rat(0), rat(1)],
-        [rat(0), rat(-1)],
-    ]
-    b = [rat(2), rat(-1), rat(2), rat(-1)]
-    v, x = lp_min([rat(1), rat(1)], a, b)
-    assert v == rat(2) and x == [rat(1), rat(1)]
-    v2, _ = lp_max([rat(1), rat(1)], a, b)
-    assert v2 == rat(4)
-
-
-def test_lp_infeasible_unbounded():
-    a = [[rat(1)], [rat(-1)]]
-    with pytest.raises(InfeasibleError):
-        lp_min([rat(1)], a, [rat(0), rat(-1)])  # x <= 0 and x >= 1
-    with pytest.raises(UnboundedError):
-        lp_min([rat(1)], [[rat(1)]], [rat(0)])  # min x with only x <= 0
+# -- projection bounds -------------------------------------------------
 
 
 def test_lp_matches_vertex_scan():
-    # LP optimum equals the best vertex of a random bounded polygon
+    # each variable's bounds after eliminating the others are the least
+    # and greatest coordinate over the vertices of a random bounded polytope
     rng = random.Random(3)
-    for _ in range(20):
-        poly = HPoly(2)
-        poly.add([rat(1), rat(0)], rat(rng.randint(1, 5)))
-        poly.add([rat(-1), rat(0)], rat(rng.randint(1, 5)))
-        poly.add([rat(0), rat(1)], rat(rng.randint(1, 5)))
-        poly.add([rat(0), rat(-1)], rat(rng.randint(1, 5)))
-        poly.add(
-            [rat(rng.randint(-3, 3)), rat(rng.randint(-3, 3))],
-            rat(rng.randint(0, 6)),
-        )
-        c = [rat(rng.randint(-4, 4)), rat(rng.randint(-4, 4))]
-        try:
-            v, _ = lp_min(c, [list(r[0]) for r in poly.rows],
-                          [r[1] for r in poly.rows])
-        except InfeasibleError:
-            continue
-        best = min(vec_dot(c, vert) for vert in poly.vertices())
-        assert v == best
+    for _ in range(30):
+        n = rng.choice((2, 3))
+        poly = HPoly(n)
+        for j in range(n):
+            e = [rat(0)] * n
+            e[j] = rat(1)
+            poly.add(e, rat(rng.randint(1, 5)))
+            poly.add([-v for v in e], rat(rng.randint(1, 5)))
+        for _ in range(2):
+            poly.add([rat(rng.randint(-3, 3)) for _ in range(n)],
+                     rat(rng.randint(-9, 6), rng.randint(1, 3)))
+        verts = poly.vertices()
+        for i in range(n):
+            shadow = poly
+            for j in reversed(range(n)):
+                if j != i:
+                    shadow = shadow.eliminate(j)
+            lo, hi = shadow.bounds()
+            if not verts:
+                assert shadow.infeasible_const or lo > hi
+                continue
+            assert not shadow.infeasible_const
+            assert (lo, hi) == (min(v[i] for v in verts),
+                                max(v[i] for v in verts))
 
 
 # -- polyhedra ---------------------------------------------------------
@@ -142,11 +123,7 @@ def test_eliminate_is_projection():
     for sx, sy in itertools.product((1, -1), repeat=2):
         poly.add([rat(sx), rat(sy)], rat(2))
     shadow = poly.eliminate(1)
-    a = [list(r[0]) for r in shadow.rows]
-    b = [r[1] for r in shadow.rows]
-    v_min, _ = lp_min([rat(1)], a, b)
-    v_max, _ = lp_max([rat(1)], a, b)
-    assert (v_min, v_max) == (rat(-2), rat(2))
+    assert shadow.bounds() == (rat(-2), rat(2))
 
 
 def _brute_integer_points(poly, bound=12):

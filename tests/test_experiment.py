@@ -194,6 +194,22 @@ def test_rejection_error_on_thin_chart():
         sample_on_A(cfg, 5)
 
 
+def test_rejection_error_on_empty_chart():
+    # the line x = 5 never enters the unit ball: no chart to sample
+    from badlab.badness import subspace_badness
+    from badlab.geometry import lift
+
+    A = AffineSubspace(point=(rat(5), GOLDEN), directions=((rat(0), rat(1)),))
+    B = AffineSubspace(point=(rat(5), GOLDEN), directions=())
+    cert = subspace_badness(lift(B), UNIT, height=10)
+    cfg = ExperimentConfig(
+        A=A, B=B, psi=UNIT, phi=UNIT, R=rat(1), certificate=cert,
+        sample_count=5, X=100, T_range=(2, 10), seed=3,
+    )
+    with pytest.raises(RejectionError, match="misses"):
+        sample_on_A(cfg, 5)
+
+
 # -- membership and measure ----------------------------------------------
 
 

@@ -1,10 +1,10 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from badlab.exactlp import vec_dot
+from badlab.exactlp import matrix_rank, vec_dot
 from badlab.exactnum import rat
 from badlab.geometry import (
     AffineSubspace,
@@ -78,18 +78,18 @@ def test_span_contains():
 
 def test_cheb_distance_zero_span_is_sup_norm():
     zero = LiftedSpan(basis=(), ambient=3)
-    d, t = cheb_distance((rat(1), rat(-4), rat(2)), zero)
-    assert d == rat(4) and t == ()
+    assert cheb_distance((rat(1), rat(-4), rat(2)), zero) == rat(4)
 
 
 def test_cheb_distance_golden_line_closed_form():
     sp = LiftedSpan(basis=((rat(1), GOLDEN),), ambient=2)
     z = (rat(1), rat(1))
-    d, t = cheb_distance(z, sp)
+    d = cheb_distance(z, sp)
     # distance to span{(1,g)} is |z1 - g z0| / (1 + g)
     assert d == abs(rat(1) - GOLDEN) / (1 + GOLDEN)
-    # the optimizer actually achieves the distance
-    assert max(abs(z[0] - t[0]), abs(z[1] - t[0] * GOLDEN)) == d
+    # some point of the span actually attains the distance
+    t = line_witness(z, sp.basis[0], d)
+    assert max(abs(z[0] - t), abs(z[1] - t * GOLDEN)) == d
 
 
 def _random_span(rng, ambient, dim):
@@ -110,10 +110,29 @@ def test_three_distance_routes_agree():
         ambient = rng.choice((2, 3))
         sp = _random_span(rng, ambient, 1)
         z = tuple(rat(rng.randint(-8, 8), rng.randint(1, 3)) for _ in range(ambient))
-        d_lp, _ = cheb_distance(z, sp)
+        d_lp = cheb_distance(z, sp)
         d_line = line_distance(z, sp.basis[0])
         d_dual = distance_via_functionals(z, dual_functionals(sp))
         assert d_lp == d_line == d_dual
+
+
+_small_rationals = st.builds(rat, st.integers(-8, 8), st.integers(1, 5))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_cheb_distance_matches_dual_functionals(data):
+    # Fourier-Motzkin against the dual L1-ball vertices, for spans of
+    # every dimension from 1 to ambient - 1
+    n = data.draw(st.integers(2, 4))
+    m = data.draw(st.integers(1, n - 1))
+    rows = data.draw(st.lists(
+        st.tuples(*[_small_rationals] * n), min_size=m, max_size=m))
+    assume(matrix_rank([list(r) for r in rows]) == m)
+    sp = LiftedSpan(tuple(rows), n)
+    z = data.draw(st.tuples(*[_small_rationals] * n))
+    assert cheb_distance(z, sp) == distance_via_functionals(
+        z, dual_functionals(sp))
 
 
 def _rationals(max_den_bits):
@@ -128,8 +147,9 @@ def _rationals(max_den_bits):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_integer_line_distance_matches_lp(data):
-    # the integer-cleared pair formula against the simplex, with dyadic
-    # denominators up to 2^270 as in the Monte Carlo samples
+    # the integer-cleared pair formula against the Fourier-Motzkin
+    # distance (independent of ClearedLine), with dyadic denominators up
+    # to 2^270 as in the Monte Carlo samples
     n = data.draw(st.integers(2, 4))
     z = data.draw(st.lists(_rationals(270), min_size=n, max_size=n))
     a = data.draw(
@@ -137,7 +157,7 @@ def test_integer_line_distance_matches_lp(data):
             lambda v: any(c != 0 for c in v)
         )
     )
-    d_lp, _ = cheb_distance(z, LiftedSpan((tuple(a),), n))
+    d_lp = cheb_distance(z, LiftedSpan((tuple(a),), n))
     assert line_distance(z, a) == d_lp
     # the witness meets d at its smallest t: some coordinate with a_i != 0
     # is tight on the side that a smaller t would break
@@ -194,7 +214,7 @@ def test_cleared_line_kernel_matches_line_distance(data):
 def test_integer_line_distance_on_layer_points(z, p1, p2):
     # layer points are plain int tuples; the ray is (1, w) with w dyadic
     a = (rat(1), rat(p1, 2**64), rat(p2, 2**66))
-    d_lp, _ = cheb_distance(z, LiftedSpan((a,), 3))
+    d_lp = cheb_distance(z, LiftedSpan((a,), 3))
     assert line_distance(tuple(z), a) == d_lp
 
 
@@ -208,7 +228,7 @@ def test_dual_functionals_plane_case():
             for b in sp.basis:
                 assert vec_dot(u, b) == 0
         z = tuple(rat(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(3))
-        d_lp, _ = cheb_distance(z, sp)
+        d_lp = cheb_distance(z, sp)
         assert distance_via_functionals(z, funcs) == d_lp
 
 

@@ -4,9 +4,12 @@ A top-level function or class, or a method of a top-level class, counts
 as used when its name is referenced in live code of src/badlab outside
 its own body, or anywhere in perfbench/*.py (whose tracer names the
 functions it wraps as strings).  Code that only unused code references
-is unused too.  References are matched by name only: `.contains` anywhere
-keeps every method called `contains`.  Imports do not count as uses, so
-an imported but uncalled function is still reported.
+is unused too.  A member reached through `self` or `cls` inside its own
+class, through `Class.member`, or through a parameter annotated with
+the class is that class's member only.  Any other reference is matched
+by name: `x.contains` keeps every method called `contains`.  Imports do
+not count as uses, so an imported but uncalled function is still
+reported.
 
 Exempt are click commands (click calls them), dunder methods (Python
 calls them) and `_Group.invoke` (click's hook).  The allow-list holds the
@@ -81,18 +84,59 @@ def _definitions():
     return out
 
 
-def _names_in(node, strings=False):
-    """Bare names referenced under node (Name ids and attribute names)."""
+def _names_in(node):
+    """Bare names referenced under node: Name ids, attribute names and the
+    dotted parts of strings."""
     names = []
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             names.append(sub.id)
         elif isinstance(sub, ast.Attribute):
             names.append(sub.attr)
-        elif (strings and isinstance(sub, ast.Constant)
-              and isinstance(sub.value, str)):
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
             names.extend(sub.value.split("."))
     return names
+
+
+def _refs(node, cls=None):
+    """What node references, inside class `cls` (a bare name) if given.
+
+    A method reached through `self` or `cls` of its class, through the
+    class's name, or through a parameter annotated with the class is
+    keyed by its qualified name; every other name is keyed bare.
+    """
+    out = Counter()
+
+    def visit(sub, owners):
+        # owners: variable name -> bare name of the class it holds
+        if isinstance(sub, ast.ClassDef) and sub.name in _CLASSES:
+            owners = {**owners, "self": sub.name, "cls": sub.name}
+        elif isinstance(sub, (ast.FunctionDef, ast.Lambda)):
+            owners = dict(owners)
+            args = sub.args
+            for arg in args.posonlyargs + args.args + args.kwonlyargs:
+                ann = arg.annotation
+                owner = (ann.value if isinstance(ann, ast.Constant)
+                         else getattr(ann, "id", None))
+                if owner in _CLASSES:
+                    owners[arg.arg] = owner
+                elif arg.arg not in ("self", "cls"):
+                    owners.pop(arg.arg, None)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
+            owner = _CLASSES.get(owners.get(sub.value.id, sub.value.id))
+            if f"{owner}.{sub.attr}" in _METHODS:
+                out[f"{owner}.{sub.attr}"] += 1
+                out[sub.value.id] += 1
+                return
+        if isinstance(sub, ast.Name):
+            out[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            out[sub.attr] += 1
+        for child in ast.iter_child_nodes(sub):
+            visit(child, owners)
+
+    visit(node, {"self": cls, "cls": cls} if cls else {})
+    return out
 
 
 def _exempt(qual, name, node):
@@ -101,21 +145,25 @@ def _exempt(qual, name, node):
 
 
 DEFS = _definitions()
+# bare class name -> qualified name; no two modules of src/badlab define
+# classes of the same name
+_CLASSES = {name: qual for qual, name, node, _ in DEFS
+            if isinstance(node, ast.ClassDef)}
+_METHODS = {qual for qual, _, _, cls in DEFS if cls}
 # every def is a top-level statement or a method of one, so the top-level
 # defs and classes hold every reference made in src/badlab outside
 # module-level code; module-level code is added separately
-_MODULE_LEVEL = Counter(
-    name
+_MODULE_LEVEL = sum((
+    _refs(stmt)
     for path in glob.glob(os.path.join(SRC, "**", "*.py"), recursive=True)
     for stmt in ast.parse(open(path, encoding="utf-8").read(), path).body
     if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-    for name in _names_in(stmt)
-)
+), Counter())
 _BENCH = {
     name
     for path in glob.glob(os.path.join(ROOT, "perfbench", "*.py"))
     for name in _names_in(ast.parse(open(path, encoding="utf-8").read(),
-                                    path), strings=True)
+                                    path))
 }
 
 
@@ -125,7 +173,8 @@ def dead_code(roots):
     Code that only dead code references is dead too, so this runs to a
     fixed point.  A method of a dead class is reported as the class.
     """
-    names = {qual: Counter(_names_in(node)) for qual, _, node, _ in DEFS}
+    names = {qual: _refs(node, cls and cls.rsplit(".", 1)[1])
+             for qual, _, node, cls in DEFS}
     dead = set()
     while True:
         # a top-level def or class holds its methods' references, so
@@ -141,7 +190,8 @@ def dead_code(roots):
             if (qual in dead or cls in dead or qual in roots
                     or _exempt(qual, name, node) or name in _BENCH):
                 continue
-            if live[name] - names[qual][name] == 0:  # only its own body
+            own = names[qual]  # only its own body references it
+            if live[name] == own[name] and live[qual] == own[qual]:
                 new.add(qual)
         if not new:
             return sorted(q for q, _, _, cls in DEFS

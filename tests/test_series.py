@@ -226,19 +226,20 @@ def test_mu_monotone_and_lambda_positive():
 
 def test_precision_cap_governs_series_refinement(monkeypatch):
     # at T = 2^100 neighbouring terms differ in the 100th bit: 96 bits
-    # cannot separate them, the default cap can, and a 64-bit cap stops
-    # after the first evaluation instead of doubling on
+    # cannot separate lambda from zero, the default cap can, and a 64-bit
+    # cap stops after the first evaluation instead of doubling on
     phi = PowerLog(rat(1), rat(1, 2), rat(2), rat(2))
     T = 2**100
     assert lambda_term(T, 2, phi, 1).sign_lo() > 0
-    assert mu_strictly_increasing(SQRT, 1, 0, 2, T + 1, spot_checks=(T,))
     monkeypatch.setenv("BADLAB_PRECISION_BITS", "64")
     with pytest.raises(ArithmeticError, match="at 96 bits"):
         lambda_term(T, 2, phi, 1)
-    with pytest.raises(ArithmeticError, match="at 96 bits"):
-        mu_strictly_increasing(SQRT, 1, 0, 2, T + 1, spot_checks=(T,))
+    # mu's order is an exact comparison, which no cap can stop
+    assert mu_strictly_increasing(SQRT, 1, 0, 2, T + 1, spot_checks=(T,))
     # the first evaluation stays at 96 bits whatever the cap
     assert lambda_term(10, 2, phi, 1).prec == 96
+    ps = partial_sum(20, 2, SQRT, phi, 1, 0)
+    assert all(t.lam.prec == 96 for t in ps.terms)
 
 
 def _raw(v):
@@ -254,29 +255,28 @@ def _raw(v):
 def test_carried_phi_matches_term_by_term(monkeypatch, phi, R):
     import badlab.series as series
 
-    ps = partial_sum(60, R, SQRT, phi, 1, 0)
-    assert [_raw(t.lam) for t in ps.terms] == [
-        _raw(lambda_term(t.T, R, phi, 1)) for t in ps.terms
-    ]
-    # spot checks with gaps, one below the domain start, and a term at
-    # T = 2^100 that must raise its precision before it separates
     seen = []
     step = series._lambda_step
 
     def recorded(T, *args):
         out = step(T, *args)
-        seen.append((T, _raw(out[0]), _raw(out[1])))
+        seen.append((T, args[2], _raw(out[0]), _raw(out[1])))
         return out
 
     monkeypatch.setattr(series, "_lambda_step", recorded)
-    Ts = [1, 2, 3, 4, 9, 10, 11, 40, 2**100, 2**100 + 1]
-    assert lambda_all_positive(phi, 2, R, Ts)
+    ps = partial_sum(60, R, SQRT, phi, 1, 0)
+    # where phi is irrational, a term at T = 2^100 must raise its
+    # precision before it separates
+    lambda_term(2**100, R, phi, 2)
     monkeypatch.undo()
+    assert [_raw(t.lam) for t in ps.terms] == [
+        _raw(lambda_term(t.T, R, phi, 1)) for t in ps.terms
+    ]
     # only base-precision values are carried, even after a raised term
     assert seen == [
-        (T, _raw(lambda_term(T, R, phi, 2)),
+        (T, a, _raw(lambda_term(T, R, phi, a)),
          _raw(rate_value(phi, R * (T + 1), 96)))
-        for T in Ts if R * T >= phi.domain_start
+        for T, a in [(t.T, 1) for t in ps.terms] + [(2**100, 2)]
     ]
 
 
