@@ -453,9 +453,16 @@ def series(config_path, N, counts_to, out_dir):
             wr.writerow(["T", "mu", "lambda", "term", "partial_sum",
                          "zeta", "pi_count", "ratio_int", "ratio_cumzeta"])
             wr.writerows(rows)
+        extra = {}
+        if scan is not None:
+            extra["packing"] = {
+                "overall_median": format_rat(scan.overall_median),
+                "top_quartile_median": format_rat(scan.top_quartile_median),
+                "red_flag": scan.red_flag,
+            }
         _write_manifest(out_dir, "series",
                         {"config": config_path, "N": N, "counts_to": counts_to},
-                        started, seed=raw.seed)
+                        started, seed=raw.seed, **extra)
     sys.exit(0)
 
 
@@ -490,8 +497,7 @@ def montecarlo(config_path, out_dir):
     try:
         raw = parse_config(config_path)
         # refuse a divergent series before building the certificate
-        diag = require_convergent(raw.psi, raw.phi, raw.A.dim, raw.B.dim,
-                                  raw.R, raw.T_max)
+        exp = require_convergent(raw.psi, raw.phi, raw.A.dim, raw.B.dim)
         cfg = raw.experiment()
     except DivergingSeriesError as err:
         click.echo(f"refused: {err}", err=True)
@@ -499,7 +505,7 @@ def montecarlo(config_path, out_dir):
     except (ValueError, OSError) as err:
         _fail_config(err)
     try:
-        report = run_theorem1(cfg, diag)
+        report = run_theorem1(cfg, exp)
     except RejectionError as err:
         click.echo(f"sampling failed: {err}", err=True)
         sys.exit(1)

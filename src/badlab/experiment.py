@@ -10,7 +10,12 @@ integers once (geometry.ClearedLine, kept in the layer cache), so the
 distance of an integer layer point is an integer pair (num, den).  It
 meets phi(RT) through lattice.Thickness.admits, the threshold test slab
 filtering shares, by integer cross-multiplication with the ends of one
-enclosure per T kept in the layer cache.
+enclosure per T kept in the layer cache.  Membership answers with the
+admitting layer point.
+
+The series verdict in report.json is series.exponent_analysis's exact
+exponent test, run by require_convergent before the certificate is
+built.
 
 Everything written to samples.csv, tails.csv, and report.json is a pure
 function of the config; wall-clock timing goes to the command's
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .badness import BadnessCertificate, VectorBadnessResult, vector_badness
@@ -48,7 +54,7 @@ from .geometry import (
 )
 from .lattice import Thickness, zeta_layer
 from .rates import RateFunction, admissible_pair, rate_value
-from .series import DiagnosticReport, convergence_diagnostic, exponent_analysis
+from .series import ExponentReport, exponent_analysis
 
 _MASK64 = (1 << 64) - 1
 _PHILOX_M0 = 0xD2E7470EE14C6C93
@@ -145,6 +151,12 @@ class ExperimentConfig:
         lifted_B = lift(self.B)
         if not lifted_B.is_subspace_of(lifted_A):
             raise ValueError("B is not contained in A")
+        chart = _chart_poly(self)
+        for j in reversed(range(chart.nvars)):
+            chart = chart.eliminate(j)
+        if chart.infeasible_const:
+            raise ValueError(
+                "the R ball misses A: no w on A has sup_norm(w) <= R")
         rep = admissible_pair(self.psi, self.phi)
         if not rep.ok:
             raise ValueError("rates not admissible: " + rep.note)
@@ -225,7 +237,8 @@ def _chart_poly(config: ExperimentConfig) -> HPoly:
 
 
 def _parameter_box(config: ExperimentConfig) -> List[Tuple[Rat, Rat]]:
-    """Per-parameter bounds of the chart (_chart_poly).
+    """Per-parameter bounds of the chart (_chart_poly), which
+    ExperimentConfig has checked is not empty.
 
     Parameter i's bounds are those left after Fourier-Motzkin eliminates
     the others.  The box is grown outward to a dyadic grid: lower corners
@@ -241,8 +254,6 @@ def _parameter_box(config: ExperimentConfig) -> List[Tuple[Rat, Rat]]:
             if j != i:
                 shadow = shadow.eliminate(j)
         lo, hi = shadow.bounds()
-        if shadow.infeasible_const or lo > hi:
-            raise RejectionError("the R ball misses A")
         lo_snap = rat(rat_floor(lo * two64), two64)
         width = hi - lo_snap
         w_int = rat_floor(width)
@@ -291,16 +302,10 @@ def sample_on_A(config: ExperimentConfig, n: int) -> List[Vec]:
 # membership
 
 
-@dataclass(frozen=True)
-class MemberWitness:
-    z: Tuple[int, ...]
-    t: Rat
-
-
 class _LayerCache:
     """Z_T layers and the phi(RT) thickness of each T, shared across
-    samples, and the last sample found inside the R ball with its cleared
-    lift."""
+    samples, the last sample found inside the R ball with its cleared
+    lift, and the chart measure."""
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
@@ -335,6 +340,11 @@ class _LayerCache:
             self._layers[T] = pts
         return self._layers[T]
 
+    @cached_property
+    def chart_measure(self) -> Rat:
+        """chart_ball_measure of the config, the same at every T."""
+        return chart_ball_measure(self.config)
+
     def thickness(self, T: int) -> Thickness:
         """phi(RT) as a thickness, one per T, so its enclosure is taken
         once and serves every sample."""
@@ -348,8 +358,9 @@ class _LayerCache:
 def u_t_member(
     w: Sequence, T: int, config: ExperimentConfig,
     cache: Optional[_LayerCache] = None,
-) -> Tuple[bool, Optional[MemberWitness]]:
+) -> Tuple[bool, Optional[Tuple[int, ...]]]:
     """Does some layer point z admit t with sup_norm(t*(1,w) - z) <= phi(RT)?
+    (hit, z) with the first such z in layer order, or (False, None).
 
     The minimum over t is the exact distance d from z to the ray span.
     The lift (1, w) is cleared to integers once per sample (the cache
@@ -360,8 +371,7 @@ def u_t_member(
     lo <= phi(RT) <= hi settles d < lo (a member) and d > hi (not one),
     exactly when phi(RT) is rational, and only a d inside an irrational
     enclosure goes on to interval refinement, which raises if it cannot
-    separate.  The witness's t is formed only on a hit.  A w outside the
-    R ball raises ValueError.
+    separate.  A w outside the R ball raises ValueError.
     """
     cache = cache or _LayerCache(config)
     lifted = cache.in_ball(w)
@@ -370,9 +380,7 @@ def u_t_member(
     for z in cache.layer(T):
         p, q = distance(z)
         if admits(p, q):
-            return True, MemberWitness(
-                z=tuple(int(v) for v in z), t=lifted.witness(z, p, q)
-            )
+            return True, z
     return False, None
 
 
@@ -447,7 +455,7 @@ def measure_estimate(
         upper_hi=hi,
         hit_count=sum(1 for h in hits if h),
         n_samples=len(samples),
-        chart_measure=chart_ball_measure(config),
+        chart_measure=cache.chart_measure,
     )
 
 
@@ -534,33 +542,30 @@ def _quantiles(vals: List[Rat]) -> Dict[str, Rat]:
 
 
 def require_convergent(
-    psi: RateFunction, phi: RateFunction, a: int, b: int, R, T_max: int,
-) -> DiagnosticReport:
-    """The pipeline's series diagnostic; DivergingSeriesError if it diverges.
+    psi: RateFunction, phi: RateFunction, a: int, b: int,
+) -> ExponentReport:
+    """The series' exact exponent test; DivergingSeriesError if it diverges.
 
-    It needs only the rates, dimensions, R and the top scale, so a caller
-    can run it before paying for the badness certificate.
+    It needs only the rates and dimensions, so a caller can run it before
+    paying for the badness certificate.
     """
-    diag = convergence_diagnostic(psi, phi, a, b, R, N=max(10**3, T_max))
-    if not diag.converges:
+    exp = exponent_analysis(psi, phi, a, b)
+    if exp.verdict != "converging":
         raise DivergingSeriesError(
             "comparison series diverges (p=%s, q=%s); the almost-every "
-            "statement needs a convergent series"
-            % (diag.exponent.p, diag.exponent.q)
+            "statement needs a convergent series" % (exp.p, exp.q)
         )
-    return diag
+    return exp
 
 
 def run_theorem1(
-    config: ExperimentConfig, diag: Optional[DiagnosticReport] = None,
+    config: ExperimentConfig, exp: Optional[ExponentReport] = None,
 ) -> TheoremReport:
-    """The full pipeline.  `diag` is require_convergent's report for this
+    """The full pipeline.  `exp` is require_convergent's report for this
     config when the caller already ran it; otherwise it is run here."""
-    if diag is None:
-        diag = require_convergent(
-            config.psi, config.phi, config.a_dim, config.b_dim, config.R,
-            config.T_range[1],
-        )
+    if exp is None:
+        exp = require_convergent(
+            config.psi, config.phi, config.a_dim, config.b_dim)
     samples = sample_on_A(config, config.sample_count)
     cache = _LayerCache(config)
     lo_T, hi_T = config.T_range
@@ -615,7 +620,6 @@ def run_theorem1(
     infinite_looking = sum(
         1 for r in results if sum(1 for h in r.u_t_hits if h >= mid) >= 2
     )
-    exp = exponent_analysis(config.psi, config.phi, config.a_dim, config.b_dim)
     return TheoremReport(
         config=config,
         samples=results,
@@ -624,7 +628,7 @@ def run_theorem1(
         threshold_fractions=thr_fracs,
         gamma_quantiles=_quantiles(gammas) if gammas else {},
         zero_count=sum(1 for r in results if r.is_zero),
-        diagnostic_verdict=diag.verdict,
+        diagnostic_verdict=exp.verdict,
         exponent_p=exp.p,
         exponent_q=exp.q,
         bound_violations=violations,

@@ -3,17 +3,15 @@
 mu_term and lambda_term are the two factors of the comparison series
 Sigma mu_T * lambda_T.  Both come back exact when the rate values are
 rational and as certified intervals otherwise.  The convergence verdict
-itself never rests on floats: for power/power-log rates the term is
+is exponent_analysis's alone: for power/power-log rates the term is
 exactly of order T^p (log T)^q with rational p and q, and the series
-converges iff p < -1, or p = -1 and q < -1.  Numeric partial sums are
-attached as evidence only.
+converges iff p < -1, or p = -1 and q < -1.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .exactnum import (
     HPInterval,
@@ -185,96 +183,6 @@ def exponent_analysis(psi: RateFunction, phi: RateFunction, a: int, b: int) -> E
     return ExponentReport(p=p, q=q, verdict=verdict)
 
 
-def _float_sum(lo: int, hi: int, R, psi, phi, a: int, b: int) -> float:
-    """Float evidence for S over T in [lo, hi); never drives a verdict."""
-    Rf = float(R)
-    cp, ap, dp = float(psi.c), float(psi.alpha), float(psi.delta)
-    cf, af, df = float(phi.c), float(phi.alpha), float(phi.delta)
-    log, s = math.log, 0.0
-
-    def phi_over(T: int) -> float:
-        t = Rf * T
-        v = cf * t ** (-af)
-        if df:
-            v *= log(t) ** (-df)
-        return v / T
-
-    prev = phi_over(lo) ** a
-    for T in range(lo, hi):
-        t = Rf * T
-        pv = cp * t ** (-ap)
-        if dp:
-            pv *= log(t) ** (-dp)
-        nxt = phi_over(T + 1) ** a
-        s += (T / pv) ** (a - b) * (prev - nxt)
-        prev = nxt
-    return s
-
-
-@dataclass(frozen=True)
-class DiagnosticReport:
-    verdict: str  # converging | diverging | inconclusive
-    exponent: Optional[ExponentReport]
-    increments: List[float]
-    increment_verdict: str
-    note: str = ""
-
-    @property
-    def converges(self) -> bool:
-        return self.verdict == "converging"
-
-
-def convergence_diagnostic(
-    psi: RateFunction,
-    phi: RateFunction,
-    a: int,
-    b: int,
-    R=1,
-    N: int = 10**3,
-    doubling_rounds: int = 3,
-) -> DiagnosticReport:
-    """Classify Sigma mu_T lambda_T.
-
-    The exact exponent test decides the power/power-log family outright;
-    tail increments S_{2^k N} - S_{2^(k-1) N} are computed as numeric
-    evidence and any tension with the exact verdict is noted.
-    """
-    if N < 10**3:
-        raise ValueError("diagnostic wants N >= 1000")
-    if R <= 0:
-        raise ValueError("diagnostic wants R > 0")
-    start = max(2, math.ceil(float(psi.domain_start) / float(R)),
-                math.ceil(float(phi.domain_start) / float(R)))
-    increments = [_float_sum(start, N, R, psi, phi, a, b)]
-    lo = N
-    for _ in range(doubling_rounds):
-        hi = 2 * lo
-        increments.append(_float_sum(lo, hi, R, psi, phi, a, b))
-        lo = hi
-    tail = increments[1:]
-    ratios = [tail[i + 1] / tail[i] for i in range(len(tail) - 1) if tail[i] > 0]
-    if ratios and max(ratios) < rat(9, 10):
-        inc_verdict = "converging"
-    elif ratios and min(ratios) > rat(98, 100):
-        inc_verdict = "diverging"
-    else:
-        inc_verdict = "inconclusive"
-    exp = exponent_analysis(psi, phi, a, b)
-    note = ""
-    if inc_verdict not in (exp.verdict, "inconclusive"):
-        note = (
-            "increment heuristic said %s; exact exponent test (p=%s, q=%s) wins"
-            % (inc_verdict, exp.p, exp.q)
-        )
-    return DiagnosticReport(
-        verdict=exp.verdict,
-        exponent=exp,
-        increments=increments,
-        increment_verdict=inc_verdict,
-        note=note,
-    )
-
-
 # ---------------------------------------------------------------------
 # counting-bound ratios
 
@@ -379,8 +287,6 @@ def mu_strictly_increasing(
     exactly."""
     if not a > b >= 0:
         raise ValueError("need a > b >= 0")
-    if psi.alpha < 0 or psi.delta < 0:
-        return False
     R = as_rat(R)
     for T in spot_checks:
         if not 1 <= T < T_max or R * T < psi.domain_start:

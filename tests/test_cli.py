@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -5,9 +6,12 @@ from click.testing import CliRunner
 
 import badlab.cli
 from badlab.cli import config_from_echo, config_hash, main, parse_config
-from badlab.exactnum import UndecidableComparison
+from badlab.exactnum import UndecidableComparison, format_rat
+from badlab.geometry import lift
+from badlab.series import packing_ratio_scan
 
 GOLDEN_CFG = "configs/golden.cfg"
+CUBIC_CFG = "configs/cubic.cfg"
 
 CONTROL_CFG = """\
 ambient = 1
@@ -301,6 +305,38 @@ def test_series_table(runner, tmp_path):
     assert rows[5].split(",")[5] != "" and rows[6].split(",")[5] == ""
 
 
+def test_series_packing_manifest(runner, tmp_path):
+    # the toy size of the benchmark's series-cubic workload
+    out = tmp_path / "ser"
+    res = runner.invoke(
+        main,
+        ["series", "--config", CUBIC_CFG, "--N", "100", "--counts-to", "10",
+         "--out", str(out)],
+    )
+    assert res.exit_code == 0, res.output
+    raw = parse_config(CUBIC_CFG)
+    scan = packing_ratio_scan(
+        lift(raw.A), raw.psi, raw.phi, raw.R, raw.A.dim, raw.B.dim,
+        T_values=range(1, 11),
+    )
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["packing"] == {
+        "overall_median": format_rat(scan.overall_median),
+        "top_quartile_median": format_rat(scan.top_quartile_median),
+        "red_flag": scan.red_flag,
+    }
+    # the verdict adds nothing to series.csv: its digest is the toy-size
+    # reference perfbench/run.py keeps for this workload
+    digest = hashlib.sha256((out / "series.csv").read_bytes()).hexdigest()
+    assert digest == (
+        "20705a51ba755aa9258e7562131025ad5d157a32bdffaf9b8111fd50295cc8bb")
+    # without counts there is no verdict to report
+    res = runner.invoke(
+        main, ["series", "--config", CUBIC_CFG, "--N", "5", "--out", str(out)])
+    assert res.exit_code == 0
+    assert "packing" not in json.loads((out / "manifest.json").read_text())
+
+
 def test_verify_golden(runner):
     res = runner.invoke(
         main, ["verify", "--config", GOLDEN_CFG, "--T", "20", "--translates", "10"]
@@ -331,9 +367,8 @@ def test_montecarlo_refuses_divergent(runner, tmp_path, monkeypatch):
 
 
 def test_montecarlo_negative_R_is_config_error(runner, tmp_path):
-    # the series diagnostic now runs before ExperimentConfig checks R >= 1;
-    # with power-law rates a negative R would reach float powers of
-    # negative numbers there
+    # parse_config checks R >= 1 itself, before the series test and the
+    # certificate run, so a negative R never reaches either
     text = (SMALL_MC_CFG.replace("R = 2", "R = -1")
             .replace("phi = powerlog c=1 alpha=1/2 delta=2 T0=2",
                      "phi = powerlaw c=1 alpha=1"))
@@ -342,6 +377,19 @@ def test_montecarlo_negative_R_is_config_error(runner, tmp_path):
         main, ["montecarlo", "--config", cfg, "--out", str(tmp_path / "o")])
     assert res.exit_code == 2
     assert "config error" in res.output
+
+
+def test_montecarlo_ball_missing_A_is_config_error(runner, tmp_path):
+    # the line x = 5 never enters the R = 2 ball: bad input, not a failed
+    # check, so nothing is sampled
+    text = (SMALL_MC_CFG.replace("A_point = cbrt2, cbrt4", "A_point = 5, golden")
+            .replace("A_dir_0 = 1, cbrt2", "A_dir_0 = 0, 1")
+            .replace("B_point = cbrt2, cbrt4", "B_point = 5, golden"))
+    cfg = _write(tmp_path, "miss.cfg", text)
+    res = runner.invoke(
+        main, ["montecarlo", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2
+    assert "config error: the R ball misses A" in res.output
 
 
 def test_montecarlo_small_run(runner, tmp_path):

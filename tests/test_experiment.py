@@ -16,14 +16,21 @@ from badlab.experiment import (
     _parameter_box,
     chart_ball_measure,
     measure_estimate,
+    require_convergent,
     run_theorem1,
     sample_on_A,
     u_t_member,
     write_outputs,
 )
-from badlab.geometry import AffineSubspace, line_distance, sup_norm
+from badlab.geometry import (
+    AffineSubspace,
+    line_distance,
+    line_witness,
+    sup_norm,
+)
 from badlab.presets import preset_value
 from badlab.rates import PowerLaw, PowerLog, interval_eval, rate_value
+from badlab.series import exponent_analysis
 
 GOLDEN = preset_value("golden")
 UNIT = PowerLaw(rat(1), rat(1))
@@ -202,12 +209,12 @@ def test_rejection_error_on_empty_chart():
     A = AffineSubspace(point=(rat(5), GOLDEN), directions=((rat(0), rat(1)),))
     B = AffineSubspace(point=(rat(5), GOLDEN), directions=())
     cert = subspace_badness(lift(B), UNIT, height=10)
-    cfg = ExperimentConfig(
-        A=A, B=B, psi=UNIT, phi=UNIT, R=rat(1), certificate=cert,
-        sample_count=5, X=100, T_range=(2, 10), seed=3,
-    )
-    with pytest.raises(RejectionError, match="misses"):
-        sample_on_A(cfg, 5)
+    # bad input, so the config refuses it before anything is sampled
+    with pytest.raises(ValueError, match="misses"):
+        ExperimentConfig(
+            A=A, B=B, psi=UNIT, phi=UNIT, R=rat(1), certificate=cert,
+            sample_count=5, X=100, T_range=(2, 10), seed=3,
+        )
 
 
 # -- membership and measure ----------------------------------------------
@@ -215,24 +222,25 @@ def test_rejection_error_on_empty_chart():
 
 def test_u_t_member_known_witness(golden_config):
     cache = _LayerCache(golden_config)
-    member, wit = u_t_member((rat(399, 1000),), 5, golden_config, cache)
-    assert member and wit is not None
-    assert wit.z == (5, 2)
-    # the witness satisfies the slab inequality exactly
-    assert abs(wit.t - 5) <= rat(1, 5)
-    assert abs(wit.t * rat(399, 1000) - 2) <= rat(1, 5)
+    w = rat(399, 1000)
+    member, z = u_t_member((w,), 5, golden_config, cache)
+    assert member and z == (5, 2)
+    # some t puts t*(1, w) within phi(5) = 1/5 of z
+    t = line_witness(z, (rat(1), w), rat(1, 5))
+    assert abs(t - 5) <= rat(1, 5)
+    assert abs(t * w - 2) <= rat(1, 5)
 
 
 def test_u_t_member_constructive_case(golden_config):
     cache = _LayerCache(golden_config)
-    member, wit = u_t_member((rat(1, 2),), 4, golden_config, cache)
-    assert member and wit.z == (4, 2)
+    member, z = u_t_member((rat(1, 2),), 4, golden_config, cache)
+    assert member and z == (4, 2)
 
 
 def test_u_t_member_false_case(golden_config):
     cache = _LayerCache(golden_config)
-    member, wit = u_t_member((rat(1, 2),), 9, golden_config, cache)
-    assert not member and wit is None
+    member, z = u_t_member((rat(1, 2),), 9, golden_config, cache)
+    assert not member and z is None
 
 
 def test_u_t_member_rejects_w_outside_ball(golden_config, monkeypatch):
@@ -295,17 +303,18 @@ def test_u_t_member_matches_definition(shipped_small, data):
         w = [c + t * v for c, v in zip(w, direction)]
     if sup_norm(w) > cfg.R:
         return
-    member, wit = u_t_member(w, T, cfg, cache)
+    member, got = u_t_member(w, T, cfg, cache)
     expect, z = _member_by_definition(w, T, cfg, cache)
     assert member == expect
+    # same first layer point, and a t at its distance lands in the slab
+    assert got == z
     if not member:
-        assert wit is None
         return
-    # same first layer point, and the closed-form t lands in the slab
-    assert wit.z == z
-    gap = sup_norm([wit.t * c - zc for c, zc in zip((rat(1),) + tuple(w), z)])
-    assert gap == line_distance(z, (rat(1),) + tuple(w))
-    assert _cmp_phi(gap, cfg, T) <= 0
+    lifted = (rat(1),) + tuple(w)
+    d = line_distance(z, lifted)
+    t = line_witness(z, lifted, d)
+    assert sup_norm([t * c - zc for c, zc in zip(lifted, z)]) == d
+    assert _cmp_phi(d, cfg, T) <= 0
 
 
 def test_phi_enclosure_per_T(golden_config, cubic_config):
@@ -347,7 +356,7 @@ def test_u_t_member_refines_inside_enclosure(log_phi_config, monkeypatch):
     d = (lo + hi) / 2
     w = _w_at_distance(z, d)
     assert line_distance(z, (rat(1), w)) == d
-    member, wit = u_t_member((w,), T, log_phi_config, cache)
+    member, _ = u_t_member((w,), T, log_phi_config, cache)
     assert member == (_cmp_phi(d, log_phi_config, T) < 0)
     # a tie the cap cannot settle still raises instead of guessing
     monkeypatch.setenv("BADLAB_PRECISION_BITS", "64")
@@ -383,10 +392,14 @@ def test_measure_estimate_needs_samples(golden_config):
 # -- pipeline --------------------------------------------------------------
 
 
-def test_run_theorem1_refuses_divergent(golden_config):
+def test_run_theorem1_refuses_divergent(golden_config, cubic_config):
     # psi = phi = 1/T on a=1,b=0 gives p = -1, q = 0: divergent series
-    with pytest.raises(DivergingSeriesError):
+    with pytest.raises(DivergingSeriesError, match="p=-1, q=0"):
         run_theorem1(golden_config)
+    # a convergent pair passes with exponent_analysis's own report
+    cfg = cubic_config
+    args = (cfg.psi, cfg.phi, cfg.a_dim, cfg.b_dim)
+    assert require_convergent(*args) == exponent_analysis(*args)
 
 
 @pytest.fixture(scope="module")

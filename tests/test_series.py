@@ -6,7 +6,6 @@ from badlab.geometry import LiftedSpan
 from badlab.lattice import zeta_layer
 from badlab.rates import PowerLaw, PowerLog, rate_value
 from badlab.series import (
-    convergence_diagnostic,
     exponent_analysis,
     lambda_all_positive,
     lambda_term,
@@ -142,24 +141,6 @@ def test_exponent_analysis_divergent_power():
     rep = exponent_analysis(UNIT, UNIT, 1, 0)
     assert rep.p == rat(-1) and rep.q == 0
     assert rep.verdict == "diverging"
-
-
-def test_convergence_diagnostic_verdicts():
-    psi, phi2 = _delta_family(2)
-    rep = convergence_diagnostic(psi, phi2, 1, 0, N=10**3)
-    assert rep.verdict == "converging"
-    assert len(rep.increments) == 4
-    assert all(v > 0 for v in rep.increments)
-
-    _, phi_h = _delta_family((1, 2))
-    assert convergence_diagnostic(psi, phi_h, 1, 0, N=10**3).verdict == "diverging"
-    _, phi_1 = _delta_family(1)
-    assert convergence_diagnostic(psi, phi_1, 1, 0, N=10**3).verdict == "diverging"
-
-
-def test_convergence_diagnostic_rejects_small_N():
-    with pytest.raises(ValueError):
-        convergence_diagnostic(UNIT, UNIT, 1, 0, N=100)
 
 
 # -- counting ratios ---------------------------------------------------
