@@ -22,7 +22,6 @@ test, and the other residues are computed only for the q that pass.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
@@ -44,15 +43,15 @@ from .geometry import (
     Vec,
     as_vec,
     canon_sign,
+    clear_vector,
     nearest_int_dist,
     sup_norm,
 )
 from .lattice import (
     SlabSpec,
     Thickness,
-    _exact_distance,
     enumerate_slab,
-    slab_family,
+    span_distance,
 )
 from .rates import RateFunction, cmp_scaled_ratios, rate_value
 
@@ -145,7 +144,7 @@ def subspace_badness(
     best: Optional[Tuple[Rat, int, Tuple[int, ...]]] = None  # (dist, norm, x)
     # 96-bit upper bound of best's ratio, taken again only when best changes
     best_hi: Optional[Rat] = None
-    metric = slab_family(target).metric
+    distance = span_distance(target)
     for s in range(1, height + 1):
         if best is None:
             eps = rat(s)  # dist <= |x| <= s catches everything
@@ -166,7 +165,7 @@ def subspace_badness(
             cx = canon_sign(x)
             if tuple(cx) != tuple(as_vec(x)):
                 continue  # the mirror image is scanned via its representative
-            d = rat(*_exact_distance(spec, x, metric))
+            d = rat(*distance(x))
             if d == 0:
                 return ZeroHit(witness=tuple(int(v) for v in x), shell=s)
             if best is None or cmp_scaled_ratios(
@@ -268,10 +267,7 @@ def vector_badness(
     q_min = max(q_min, rat_ceil(psi.domain_start))
     if q_min > X:
         raise ValueError("empty q range after domain adjustment")
-    D = 1
-    for c in wv:
-        D = D * int(c.denominator) // math.gcd(D, int(c.denominator))
-    nums = [int(c.numerator) * (D // int(c.denominator)) for c in wv]
+    D, nums = clear_vector(wv)
     records, zero_q = kernels.badness_scan(nums, D, X, q_min)
     if zero_q is not None:
         return VectorBadnessResult(

@@ -153,25 +153,28 @@ def format_rat(x: RatLike) -> str:
     return f"{num(x)}/{d}"
 
 
-def exact_kth_root(n: int, k: int) -> Optional[int]:
-    """Integer k-th root of n >= 0 if n is a perfect k-th power, else None."""
+def kth_root_floor(n: int, k: int) -> int:
+    """floor(n^(1/k)) for integers n >= 0 and k >= 1."""
     if n < 0 or k <= 0:
         raise ValueError("need n >= 0, k >= 1")
-    if n in (0, 1) or k == 1:
-        return n if k >= 1 else None
     if HAVE_GMPY2:
-        r, exact = gmpy2.iroot(_mpz(n), k)
-        return int(r) if exact else None
+        return int(gmpy2.iroot(_mpz(n), k)[0])
     lo, hi = 0, 1
-    while hi**k < n:
+    while hi**k <= n:
         hi <<= 1
-    while lo < hi:
+    while hi - lo > 1:  # lo^k <= n < hi^k
         mid = (lo + hi) // 2
-        if mid**k < n:
-            lo = mid + 1
+        if mid**k <= n:
+            lo = mid
         else:
             hi = mid
-    return lo if lo**k == n else None
+    return lo
+
+
+def exact_kth_root(n: int, k: int) -> Optional[int]:
+    """Integer k-th root of n >= 0 if n is a perfect k-th power, else None."""
+    r = kth_root_floor(n, k)
+    return r if r**k == n else None
 
 
 def rat_pow(x: Rat, e: int) -> Rat:
@@ -495,23 +498,19 @@ def _mul_straddling(a, b, c, d, p: int) -> HPInterval:
     )
 
 
-def refine_cmp(
-    x: RatLike,
-    evaluator: Callable[[int], Value],
-    max_bits: Optional[int] = None,
-) -> int:
+def refine_cmp(x: RatLike, evaluator: Callable[[int], Value]) -> int:
     """Ordering of x against a quantity that is exact or enclosed.
 
     `evaluator(bits)` returns the quantity itself when it is rational, and
     then the comparison is a plain rational compare; otherwise it returns
     an HPInterval containing it at `bits`.  The interval route doubles
-    precision up to the cap and intersects refined intervals with earlier
-    ones (all contain the value, so this is sound and keeps refinement
-    monotone).  Equality is only reachable on the exact path; an interval
+    precision up to the cap, max_precision_bits(), and intersects refined
+    intervals with earlier ones (all contain the value, so this is sound
+    and keeps refinement monotone).  Equality is only reachable on the exact path; an interval
     that never separates raises.
     """
     x = as_rat(x)
-    cap = max_bits if max_bits is not None else max_precision_bits()
+    cap = max_precision_bits()
     bits = _START_BITS
     acc = None
     while True:

@@ -31,7 +31,7 @@ from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .badness import BadnessCertificate, VectorBadnessResult, vector_badness
-from .exactlp import HPoly
+from .exactlp import HPoly, matrix_rank
 from .exactnum import (
     HPInterval,
     Rat,
@@ -51,6 +51,7 @@ from .geometry import (
     sup_norm,
     vec_add,
     vec_scale,
+    vec_sub,
 )
 from .lattice import Thickness, zeta_layer
 from .rates import RateFunction, admissible_pair, rate_value
@@ -151,12 +152,13 @@ class ExperimentConfig:
         lifted_B = lift(self.B)
         if not lifted_B.is_subspace_of(lifted_A):
             raise ValueError("B is not contained in A")
-        chart = _chart_poly(self)
-        for j in reversed(range(chart.nvars)):
-            chart = chart.eliminate(j)
-        if chart.infeasible_const:
+        vertices = _chart_poly(self).vertices()
+        if not vertices:
             raise ValueError(
                 "the R ball misses A: no w on A has sup_norm(w) <= R")
+        v0 = vertices[0]
+        if matrix_rank([vec_sub(v, v0) for v in vertices]) < self.A.dim:
+            raise ValueError("the R ball meets A in a set of measure zero")
         rep = admissible_pair(self.psi, self.phi)
         if not rep.ok:
             raise ValueError("rates not admissible: " + rep.note)
@@ -238,22 +240,19 @@ def _chart_poly(config: ExperimentConfig) -> HPoly:
 
 def _parameter_box(config: ExperimentConfig) -> List[Tuple[Rat, Rat]]:
     """Per-parameter bounds of the chart (_chart_poly), which
-    ExperimentConfig has checked is not empty.
+    ExperimentConfig has checked has positive measure.
 
-    Parameter i's bounds are those left after Fourier-Motzkin eliminates
-    the others.  The box is grown outward to a dyadic grid: lower corners
-    snap down to multiples of 2^-64 and widths round up to integers, so
-    every grid point lo + k/2^64 is an exact 64-fractional-bit dyadic.
+    The chart is a polytope, so its projection onto parameter i is the
+    span of its vertices' i-th coordinates.  The box is grown outward to a
+    dyadic grid: lower corners snap down to multiples of 2^-64 and widths
+    round up to integers, so every grid point lo + k/2^64 is an exact
+    64-fractional-bit dyadic.
     """
-    chart = _chart_poly(config)
+    vertices = _chart_poly(config).vertices()
     box = []
     two64 = 1 << 64
-    for i in range(chart.nvars):
-        shadow = chart
-        for j in reversed(range(chart.nvars)):
-            if j != i:
-                shadow = shadow.eliminate(j)
-        lo, hi = shadow.bounds()
+    for coords in zip(*vertices):
+        lo, hi = min(coords), max(coords)
         lo_snap = rat(rat_floor(lo * two64), two64)
         width = hi - lo_snap
         w_int = rat_floor(width)

@@ -2,16 +2,17 @@
 
 A slab is the set of z in R^(d+1) with z_0 in a window, |z_j| <= R*T for
 j >= 1, and sup-norm distance to a target span at most a thickness eps.
-Irrational thicknesses (log-rate values) are handled by enumerating the
-slab for a certified rational upper bound and then filtering each
-candidate with Thickness.admits, the one threshold test that slab
-filtering and U_T membership (experiment.u_t_member) share: a 64-bit
-enclosure lo <= thickness <= hi, taken once per thickness, keeps a
-distance below lo and drops one above hi, and only a distance inside is
-refined.  Distances arrive as integer pairs (num, den) and meet the
-enclosure's ends by cross-multiplication; a line target is cleared to
-integers once per slab (geometry.ClearedLine), not once per candidate.
-Membership is decided by the true thickness, never by a rounded one.
+Each thickness takes one 64-bit enclosure lo <= thickness <= hi
+(Thickness.bounds).  Irrational thicknesses (log-rate values) are handled
+by enumerating the slab at hi and then filtering each candidate with
+Thickness.admits, the one threshold test that slab filtering and U_T
+membership (experiment.u_t_member) share: it keeps a distance below lo
+and drops one above hi, and only a distance inside is refined.
+Distances arrive as integer pairs (num, den) from the target's one
+distance (span_distance) and meet the enclosure's ends by
+cross-multiplication; a line target is cleared to integers once per
+target (geometry.ClearedLine), not once per candidate.  Membership is
+decided by the true thickness, never by a rounded one.
 
 Two independent enumeration routes exist on purpose.  enumerate_slab
 projects the constraint system exactly (Fourier-Motzkin over the span
@@ -25,11 +26,11 @@ Slabs around one target differ only in their parameters (z0 window, box
 bound, thickness), which enter the constraint system as right-hand sides
 alone.  slab_family therefore projects once per target, with the
 parameters as variables that are never eliminated (exactlp.ParamChain),
-and keeps the family with the target's distance metric in a bounded
-cache.  Each slab, certificate shell, Monte Carlo layer and half-dilation
-translate is an integer evaluation of that chain; build_slab_poly, the
-chain of one slab built directly, is the reference the tests hold the
-family to.
+and keeps the chain in a bounded cache; span_distance keeps the target's
+one distance the same way.  Each slab, certificate shell, Monte Carlo
+layer and half-dilation translate is an integer evaluation of that chain,
+enumerated by enumerate_slab; build_slab_poly, the chain of one slab built
+directly, is the reference the tests hold the family to.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import lcm
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .exactlp import (
     HPoly,
@@ -52,8 +53,7 @@ from .exactnum import (
     Rat,
     Value,
     as_rat,
-    den,
-    num,
+    num_den,
     rat,
     rat_abs,
     rat_bounds,
@@ -76,8 +76,6 @@ from .geometry import (
 from .rates import RateFunction, rate_value
 
 BOX_GUARD = 10**9
-# precision of the rational thickness bounds a projection chain is built from
-CHAIN_BITS = 96
 
 
 class BoxTooLargeError(Exception):
@@ -89,11 +87,11 @@ class Thickness:
     """Either an exact rational thickness or scale * rate(arg).
 
     `at(bits)` is the value: the rational itself when it is one, else a
-    certified interval at `bits`.  Chains are built from its 96-bit
-    rational bounds.  `admits` is the threshold test every membership
-    filter shares: one 64-bit enclosure, computed once per thickness,
-    settles each distance outside it, and only a distance inside goes on
-    to interval refinement, which raises if it cannot separate.
+    certified interval at `bits`.  `bounds` is one 64-bit enclosure,
+    computed once per thickness: chains are built from its upper end, and
+    `admits`, the threshold test every membership filter shares, settles
+    each distance outside it; only a distance inside goes on to interval
+    refinement, which raises if it cannot separate.
     """
 
     value: Optional[Rat] = None
@@ -131,7 +129,7 @@ class Thickness:
     @cached_property
     def _integer_bounds(self) -> Tuple[int, int, int, int]:
         lo, hi = self.bounds
-        return num(lo), den(lo), num(hi), den(hi)
+        return (*num_den(lo), *num_den(hi))
 
     def admits(self, dist_num: int, dist_den: int = 1) -> bool:
         """dist_num/dist_den <= thickness, for integers dist_num >= 0 and
@@ -231,17 +229,8 @@ def build_slab_poly(spec: SlabSpec, eps: Rat) -> HPoly:
     return poly
 
 
-class SlabFamily(NamedTuple):
-    """What every slab around one target shares: the projection chain of
-    build_slab_poly with the slab parameters as variables, and the
-    target's distance metric (_span_metric)."""
-
-    chain: ParamChain
-    metric: object
-
-
 @lru_cache(maxsize=32)
-def slab_family(target: LiftedSpan) -> SlabFamily:
+def slab_family(target: LiftedSpan) -> ParamChain:
     """The target's slab family, built once per target: the rows of
     _slab_rows with their forms moved to the left, over (z, t, p), and a
     ParamChain that projects out t and walks z.
@@ -259,7 +248,7 @@ def slab_family(target: LiftedSpan) -> SlabFamily:
         domain[n + m + i] = rat(-1)
         poly.add(domain, 0)
     poly.dedupe()
-    return SlabFamily(ParamChain(poly, 4, n), _span_metric(target))
+    return ParamChain(poly, 4, n)
 
 
 def _slab_levels(spec: SlabSpec, eps: Rat, center: Optional[Vec] = None):
@@ -267,32 +256,37 @@ def _slab_levels(spec: SlabSpec, eps: Rat, center: Optional[Vec] = None):
     family without Fourier-Motzkin; with a center c, the levels of
     {x : 2(x - c) in that slab} (ParamChain.levels)."""
     lo, hi = spec.z0_range
-    return slab_family(spec.target).chain.levels(
+    return slab_family(spec.target).levels(
         (lo, hi, spec.box_bound, eps), center
     )
 
 
-def _exact_distance(
-    spec: SlabSpec, z: Sequence, metric=None
-) -> Tuple[int, int]:
-    """The sup distance from z to the slab's target span, as integers
-    (num, den).  `metric` is the target's, from slab_family."""
-    if spec.target.dim == 1:
-        if metric is None:
-            metric = ClearedLine(spec.target.basis[0])
-        scale, zi = clear_vector(z)
-        p, q = metric.distance(zi)
-        return p, q * scale
-    if spec.target.dim == 0:
-        d = sup_norm(z)
-    elif metric is not None:
-        d = distance_via_functionals(z, metric)
-    else:
-        d = cheb_distance(z, spec.target)
-    return num(d), den(d)
+@lru_cache(maxsize=32)
+def span_distance(target: LiftedSpan) -> Callable[[Sequence], Tuple[int, int]]:
+    """The sup distance from a point z to `target`, as integers (num, den).
+
+    One route per target, with what it reuses across points built here
+    once: the sup norm for the zero span, the line's ClearedLine for a
+    line (z is cleared per call), the dual functionals for a span of
+    dimension >= 2 in ambient dimension <= 4, and cheb_distance beyond."""
+    if target.dim == 0:
+        return lambda z: num_den(sup_norm(z))
+    if target.dim == 1:
+        line = ClearedLine(target.basis[0])
+
+        def distance(z):
+            scale, zi = clear_vector(z)
+            p, q = line.distance(zi)
+            return p, q * scale
+
+        return distance
+    if target.ambient <= 4:
+        funcs = dual_functionals(target)
+        return lambda z: num_den(distance_via_functionals(z, funcs))
+    return lambda z: num_den(cheb_distance(z, target))
 
 
-def member_exact(spec: SlabSpec, z: Sequence, metric=None) -> bool:
+def member_exact(spec: SlabSpec, z: Sequence) -> bool:
     """Exact slab membership of a rational point (true thickness)."""
     zv = as_vec(z)
     lo, hi = spec.z0_range
@@ -302,40 +296,39 @@ def member_exact(spec: SlabSpec, z: Sequence, metric=None) -> bool:
     for c in zv[1:]:
         if rat_abs(c) > bb:
             return False
-    return spec.thickness.admits(*_exact_distance(spec, zv, metric))
+    return spec.thickness.admits(*span_distance(spec.target)(zv))
 
 
-def _span_metric(target: LiftedSpan):
-    """What _exact_distance reuses across the points of every slab around
-    `target`: its ClearedLine for a line, its dual functionals for a small
-    span of dimension >= 2, else None."""
-    if target.dim == 1:
-        return ClearedLine(target.basis[0])
-    if 2 <= target.dim and target.ambient <= 4:
-        return dual_functionals(target)
-    return None
+def enumerate_slab(
+    spec: SlabSpec, center: Optional[Vec] = None
+) -> List[Tuple[int, ...]]:
+    """All integer points of the slab, in lexicographic order; with a
+    center c, all integer x with 2(x - c) in the slab instead.
 
-
-def enumerate_slab(spec: SlabSpec) -> List[Tuple[int, ...]]:
-    """All integer points of the slab, in lexicographic order.
-
-    Projection-chain enumeration off the target's slab family; when the
-    thickness is irrational the chain is instantiated for a certified
-    upper bound and every candidate goes through the thickness's
-    threshold test, the one U_T membership uses.
+    Projection-chain enumeration off the target's slab family at the
+    upper end of the thickness's enclosure, which is the slab itself when
+    the thickness is rational.  When it is irrational, every candidate
+    (its 2(x - c) with a center) goes through the thickness's threshold
+    test, the one U_T membership uses; the window and box hold exactly
+    on the chain, so only the distance is tested.
     """
     if spec.box_candidates() > BOX_GUARD:
         raise BoxTooLargeError(
             f"candidate box holds {spec.box_candidates()} points "
             f"(guard {BOX_GUARD}); refuse to enumerate"
         )
-    lo, hi = rat_bounds(spec.thickness.at(CHAIN_BITS))
-    pts = enumerate_integer_points(_slab_levels(spec, hi))
+    lo, hi = spec.thickness.bounds
+    pts = enumerate_integer_points(_slab_levels(spec, hi, center))
     if lo == hi:  # a rational thickness: the chain is the slab
         return list(pts)
-    metric = slab_family(spec.target).metric
+    distance = span_distance(spec.target)
     admits = spec.thickness.admits
-    return [p for p in pts if admits(*_exact_distance(spec, p, metric))]
+    if center is None:
+        return [p for p in pts if admits(*distance(p))]
+    return [
+        p for p in pts
+        if admits(*distance(vec_scale(vec_sub(p, center), 2)))
+    ]
 
 
 def naive_slab_scan(spec: SlabSpec) -> List[Tuple[int, ...]]:
@@ -349,7 +342,7 @@ def naive_slab_scan(spec: SlabSpec) -> List[Tuple[int, ...]]:
     if spec.box_candidates() > BOX_GUARD:
         raise BoxTooLargeError("candidate box too large for the oracle scan")
     funcs = dual_functionals(spec.target)
-    eps_lo, eps_hi = rat_bounds(spec.thickness.at(CHAIN_BITS))
+    eps_lo, eps_hi = spec.thickness.bounds
     # integer-cleared rows: L*u . z <= floor(L*eps) exactly, for integer z
     rows_c: List[Tuple[int, ...]] = []
     rows_r: List[int] = []
@@ -501,37 +494,31 @@ def half_dilation_check(
 ) -> HalfDilationReport:
     """Each translate of half the badness slab traps at most one lattice point.
 
-    For every sampled center c the integer solutions of 2(x - c) in the
-    slab are enumerated exactly.  When two distinct solutions x, y appear,
-    their difference (or its negation) is itself certified to lie in the
-    slab, which exhibits the triviality violation that made the packing
-    fail; with a trivial slab no such pair can exist.
+    For every sampled center c, enumerate_slab lists the integer
+    solutions x of 2(x - c) in the slab exactly.  When two distinct
+    solutions x, y appear, their difference (or its negation) is itself
+    certified to lie in the slab, which exhibits the triviality violation
+    that made the packing fail; with a trivial slab no such pair can
+    exist.
     """
     spec = badness_slab(B_span, gamma, psi, R, T)
-    eps = rat_bounds(spec.thickness.at(CHAIN_BITS))[1]
     rng = random.Random(seed)
     centers = (
         [as_vec(c) for c in explicit_translates]
         if explicit_translates is not None
         else [_random_translate(rng, spec) for _ in range(translates)]
     )
-    metric = slab_family(spec.target).metric
     violations: List[TranslateHit] = []
     max_pts = 0
     for c in centers:
-        cands = list(enumerate_integer_points(_slab_levels(spec, eps, c)))
-        pts = [
-            p
-            for p in cands
-            if member_exact(spec, vec_scale(vec_sub(p, c), 2), metric)
-        ]
+        pts = enumerate_slab(spec, c)
         max_pts = max(max_pts, len(pts))
         if len(pts) > 1:
             x, y = pts[0], pts[1]
             diff = vec_sub(x, y)
             witness = None
             for cand in (diff, vec_scale(diff, -1)):
-                if member_exact(spec, cand, metric):
+                if member_exact(spec, cand):
                     witness = tuple(int(v) for v in cand)
                     break
             violations.append(

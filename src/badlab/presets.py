@@ -10,9 +10,7 @@ golden denotes (sqrt(5) - 1) / 2, the fractional part of the golden ratio.
 
 from __future__ import annotations
 
-from math import isqrt
-
-from .exactnum import Rat, exact_kth_root, rat
+from .exactnum import Rat, kth_root_floor, rat
 
 PRESET_BITS = 200
 PRESET_EPS = rat(1, 1 << PRESET_BITS)
@@ -20,27 +18,16 @@ PRESET_EPS = rat(1, 1 << PRESET_BITS)
 _SCALE = 1 << PRESET_BITS
 
 
-def _cbrt_floor(n: int) -> int:
-    r = exact_kth_root(n, 3)
-    if r is not None:
-        return r
-    lo, hi = 0, 1
-    while hi**3 <= n:
-        hi <<= 1
-    while lo < hi - 1:
-        mid = (lo + hi) // 2
-        if mid**3 <= n:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+def _root_floor(x: int, k: int) -> int:
+    """floor(x^(1/k) * 2^200): the numerator of x^(1/k)'s stand-in."""
+    return kth_root_floor(x * _SCALE**k, k)
 
 
 PRESETS: dict[str, Rat] = {
-    "golden": rat((isqrt(5 * _SCALE * _SCALE) - _SCALE) // 2, _SCALE),
-    "sqrt2": rat(isqrt(2 * _SCALE * _SCALE), _SCALE),
-    "cbrt2": rat(_cbrt_floor(2 * _SCALE**3), _SCALE),
-    "cbrt4": rat(_cbrt_floor(4 * _SCALE**3), _SCALE),
+    "golden": rat((_root_floor(5, 2) - _SCALE) // 2, _SCALE),
+    "sqrt2": rat(_root_floor(2, 2), _SCALE),
+    "cbrt2": rat(_root_floor(2, 3), _SCALE),
+    "cbrt4": rat(_root_floor(4, 3), _SCALE),
 }
 
 

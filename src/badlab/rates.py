@@ -11,7 +11,7 @@ at finitely many critical points, then double-checked on a geometric grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
 from typing import Optional, Union
 
@@ -155,9 +155,7 @@ def interval_eval(f: RateFunction, T: RatLike, bits: int) -> HPInterval:
     return as_interval(rate_value(f, T, bits), bits)
 
 
-def cmp_rates_at(
-    f: RateFunction, g: RateFunction, T: RatLike, max_bits: Optional[int] = None
-) -> int:
+def cmp_rates_at(f: RateFunction, g: RateFunction, T: RatLike) -> int:
     """Ordering of f(T) vs g(T), exact on pure powers."""
     T = as_rat(T)
     if f == g:
@@ -170,7 +168,7 @@ def cmp_rates_at(
     def evaluator(bits: int) -> HPInterval:
         return interval_eval(f, T, bits) - interval_eval(g, T, bits)
 
-    return -refine_cmp(rat(0), evaluator, max_bits=max_bits)
+    return -refine_cmp(rat(0), evaluator)
 
 
 def cmp_scaled_ratios(
@@ -179,7 +177,6 @@ def cmp_scaled_ratios(
     d2: RatLike,
     s2: RatLike,
     f: RateFunction,
-    max_bits: Optional[int] = None,
 ) -> int:
     """Ordering of d1/f(s1) against d2/f(s2) with d1, d2 >= 0.
 
@@ -228,7 +225,7 @@ def cmp_scaled_ratios(
         ratio_of_logs = _log_enclosure(s2, bits) / _log_enclosure(s1, bits)
         return ratio_of_logs.pow_rat(k)
 
-    return refine_cmp(ratio, evaluator, max_bits=max_bits)
+    return refine_cmp(ratio, evaluator)
 
 
 @lru_cache(maxsize=64)
@@ -294,11 +291,11 @@ def _cmp_phi_le_psi(psi: RateFunction, phi: RateFunction, T: RatLike) -> bool:
     return cmp_rates_at(phi, psi, T) <= 0
 
 
-def admissible_pair(
-    psi: RateFunction,
-    phi: RateFunction,
-    grid_doublings: int = 24,
-) -> AdmissibleReport:
+# spot checks of admissible_pair's grid, at T = S, 2S, 4S, ...
+_GRID_DOUBLINGS = 24
+
+
+def admissible_pair(psi: RateFunction, phi: RateFunction) -> AdmissibleReport:
     """Decide phi(T) <= psi(T) for all T >= effective start.
 
     The ratio r(T) = phi/psi restricted to this family is unimodal in
@@ -343,7 +340,7 @@ def admissible_pair(
 
     # geometric spot grid, defense in depth for the analysis above
     T = S
-    for _ in range(grid_doublings):
+    for _ in range(_GRID_DOUBLINGS):
         if not _cmp_phi_le_psi(psi, phi, T):
             return AdmissibleReport(False, witness_T=T, note="grid check")
         T *= 2
@@ -394,18 +391,25 @@ def _peak_neighbour(psi, phi, A: Rat, D: Rat, S: int) -> Optional[int]:
     return None
 
 
-def parse_rate(kind: str, **fields) -> RateFunction:
+_RATE_KINDS = {"powerlaw": PowerLaw, "powerlog": PowerLog}
+
+
+def parse_rate(kind: str, **values) -> RateFunction:
+    """The rate of `kind` with the given fields.  ValueError for an
+    unknown kind, a missing field, or a field the kind does not take;
+    only a field with a default (powerlog's T0) may be left out."""
     kind = kind.strip().lower()
-    if kind == "powerlaw":
-        return PowerLaw(c=fields["c"], alpha=fields["alpha"])
-    if kind == "powerlog":
-        return PowerLog(
-            c=fields["c"],
-            alpha=fields["alpha"],
-            delta=fields["delta"],
-            T0=fields.get("T0", rat(2)),
-        )
-    raise ValueError(f"unknown rate kind {kind!r}")
+    cls = _RATE_KINDS.get(kind)
+    if cls is None:
+        raise ValueError(f"unknown rate kind {kind!r}")
+    taken = {f.name: f.default is MISSING for f in fields(cls)}
+    missing = [k for k, needed in taken.items() if needed and k not in values]
+    if missing:
+        raise ValueError(f"{kind} rate lacks field {missing[0]!r}")
+    unknown = [k for k in values if k not in taken]
+    if unknown:
+        raise ValueError(f"{kind} rate takes no field {unknown[0]!r}")
+    return cls(**values)
 
 
 def rate_from_text(text: str) -> RateFunction:
@@ -415,10 +419,12 @@ def rate_from_text(text: str) -> RateFunction:
     parts = text.split()
     if not parts:
         raise ValueError("empty rate")
-    fields = {}
+    values = {}
     for p in parts[1:]:
         if "=" not in p:
             raise ValueError(f"bad rate field {p!r}")
         k, v = p.split("=", 1)
-        fields[k] = parse_rat(v)
-    return parse_rate(parts[0], **fields)
+        if k in values:
+            raise ValueError(f"repeated rate field {k!r}")
+        values[k] = parse_rat(v)
+    return parse_rate(parts[0], **values)

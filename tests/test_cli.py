@@ -392,6 +392,45 @@ def test_montecarlo_ball_missing_A_is_config_error(runner, tmp_path):
     assert "config error: the R ball misses A" in res.output
 
 
+def test_montecarlo_zero_measure_chart_is_config_error(runner, tmp_path):
+    # the line through (1 + 3e, 1 - 3e) along (1, -1), e = 2^-30, meets
+    # the unit ball only at its corner (1, 1): nothing to sample from
+    point = "1073741827/2^30, 1073741821/2^30"
+    text = (SMALL_MC_CFG.replace("A_point = cbrt2, cbrt4", f"A_point = {point}")
+            .replace("A_dir_0 = 1, cbrt2", "A_dir_0 = 1, -1")
+            .replace("B_point = cbrt2, cbrt4", f"B_point = {point}")
+            .replace("R = 2", "R = 1"))
+    cfg = _write(tmp_path, "corner.cfg", text)
+    res = runner.invoke(
+        main, ["montecarlo", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2
+    assert res.stderr == (
+        "config error: the R ball meets A in a set of measure zero\n")
+
+
+@pytest.mark.parametrize("line, bad, message", [
+    ("psi = powerlaw c=1 alpha=1", "psi = powerlaw c=1",
+     "powerlaw rate lacks field 'alpha'"),
+    ("phi = powerlaw c=1 alpha=1", "phi = powerlaw c=1 alpha=1 delta=2",
+     "powerlaw rate takes no field 'delta'"),
+    ("phi = powerlaw c=1 alpha=1", "phi = powerlog c=1 alpha=1 T0=3",
+     "powerlog rate lacks field 'delta'"),
+    ("phi = powerlaw c=1 alpha=1", "phi = powerlaw c=1 alpha=1 alpha=2",
+     "repeated rate field 'alpha'"),
+], ids=["missing", "unknown", "powerlog-missing", "repeated"])
+@pytest.mark.parametrize("command", [
+    ["verify", "--T", "3"], ["series", "--N", "5"], ["badness"],
+], ids=["verify", "series", "badness"])
+def test_bad_rate_fields_exit_two(runner, tmp_path, line, bad, message,
+                                  command):
+    text = open(GOLDEN_CFG).read()
+    assert line in text
+    cfg = _write(tmp_path, "bad.cfg", text.replace(line, bad))
+    res = runner.invoke(main, [command[0], "--config", cfg, *command[1:]])
+    assert res.exit_code == 2
+    assert res.stderr == f"config error: {message}\n"
+
+
 def test_montecarlo_small_run(runner, tmp_path):
     cfg = _write(tmp_path, "small.cfg", SMALL_MC_CFG)
     out1, out2 = tmp_path / "r1", tmp_path / "r2"

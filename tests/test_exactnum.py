@@ -18,6 +18,7 @@ from badlab.exactnum import (
     HPInterval,
     UndecidableComparison,
     exact_kth_root,
+    kth_root_floor,
     format_rat,
     is_pow2,
     max_precision_bits,
@@ -91,6 +92,22 @@ def test_exact_kth_root():
     assert exact_kth_root(7**30 + 1, 5) is None
     with pytest.raises(ValueError):
         exact_kth_root(-1, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 1 << 300), st.integers(1, 7))
+def test_kth_root_floor(n, k):
+    r = kth_root_floor(n, k)
+    assert r**k <= n < (r + 1) ** k
+
+
+def test_kth_root_floor_edges():
+    floors = [0, 1, 1, 1, 2, 2, 2, 2, 2, 3]
+    assert [kth_root_floor(n, 2) for n in range(10)] == floors
+    assert kth_root_floor(8, 3) == 2 and kth_root_floor(7, 3) == 1
+    assert kth_root_floor(2**200, 1) == 2**200
+    with pytest.raises(ValueError):
+        kth_root_floor(4, 0)
 
 
 def test_rat_pow_and_roots():

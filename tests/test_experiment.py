@@ -1,18 +1,20 @@
 import dataclasses
 import json
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from badlab.cli import parse_config
-from badlab.exactnum import UndecidableComparison, rat, refine_cmp
+from badlab.exactnum import UndecidableComparison, rat, rat_floor, refine_cmp
 from badlab.experiment import (
     DivergingSeriesError,
     ExperimentConfig,
     PhiloxStream,
     RejectionError,
     _LayerCache,
+    _chart_poly,
     _parameter_box,
     chart_ball_measure,
     measure_estimate,
@@ -215,6 +217,65 @@ def test_rejection_error_on_empty_chart():
             A=A, B=B, psi=UNIT, phi=UNIT, R=rat(1), certificate=cert,
             sample_count=5, X=100, T_range=(2, 10), seed=3,
         )
+
+
+def test_zero_measure_chart_is_refused():
+    # the line through (1 + 3e, 1 - 3e) along (1, -1), e = 2^-30, meets
+    # the unit ball only at its corner (1, 1): a chart of one point
+    from badlab.badness import subspace_badness
+    from badlab.geometry import lift
+
+    e = rat(3, 1 << 30)
+    point = (1 + e, 1 - e)
+    A = AffineSubspace(point=point, directions=((rat(1), rat(-1)),))
+    B = AffineSubspace(point=point, directions=())
+    cert = subspace_badness(lift(B), UNIT, height=12)
+    with pytest.raises(ValueError, match="measure zero"):
+        ExperimentConfig(
+            A=A, B=B, psi=UNIT, phi=UNIT, R=rat(1), certificate=cert,
+            sample_count=5, X=100, T_range=(2, 10), seed=3,
+        )
+
+
+def _box_by_elimination(chart):
+    """Each parameter's bounds after Fourier-Motzkin eliminates the
+    others, snapped like _parameter_box: the reference for its box."""
+    two64 = 1 << 64
+    box = []
+    for i in range(chart.nvars):
+        shadow = chart
+        for j in reversed(range(chart.nvars)):
+            if j != i:
+                shadow = shadow.eliminate(j)
+        lo, hi = shadow.bounds()
+        lo_snap = rat(rat_floor(lo * two64), two64)
+        width = hi - lo_snap
+        w_int = rat_floor(width)
+        if w_int < width:
+            w_int += 1
+        box.append((lo_snap, lo_snap + w_int))
+    return box
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_parameter_box_matches_elimination(data):
+    # a random chart of dimension a = 1-3 around a point inside the R ball
+    a = data.draw(st.integers(1, 3), label="a")
+    n = data.draw(st.integers(a, 4), label="ambient")
+    R = data.draw(st.builds(rat, st.integers(1, 9), st.integers(1, 3)))
+    point = tuple(
+        rat(data.draw(st.integers(-3, 3)), 4) * R for _ in range(n)
+    )
+    coeff = st.builds(rat, st.integers(-5, 5), st.integers(1, 4))
+    dirs = data.draw(st.lists(
+        st.tuples(*[coeff] * n), min_size=a, max_size=a))
+    try:
+        A = AffineSubspace(point=point, directions=tuple(dirs))
+    except ValueError:  # dependent directions
+        assume(False)
+    config = SimpleNamespace(A=A, R=R)
+    assert _parameter_box(config) == _box_by_elimination(_chart_poly(config))
 
 
 # -- membership and measure ----------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import random
 from functools import cached_property
 from types import SimpleNamespace
@@ -15,8 +16,10 @@ from badlab.exactnum import (
     num,
     rat,
     rat_bounds,
+    rat_ceil,
+    rat_floor,
 )
-from badlab.geometry import AffineSubspace, LiftedSpan, lift
+from badlab.geometry import AffineSubspace, LiftedSpan, cheb_distance, lift
 from badlab.lattice import (
     BoxTooLargeError,
     SlabSpec,
@@ -29,6 +32,7 @@ from badlab.lattice import (
     member_exact,
     naive_slab_scan,
     pi_count,
+    span_distance,
     verify_omega_trivial,
     zeta_layer,
 )
@@ -406,7 +410,7 @@ def test_half_dilation_translates_match_shifted_poly(case):
     else:
         B = lift(AffineSubspace(point=(CBRT2, CBRT4), directions=()))
         spec = badness_slab(B, rat(1, 5), PowerLaw(rat(1), rat(1, 2)), 2, 6)
-    eps = rat_bounds(spec.thickness.at(lattice.CHAIN_BITS))[1]
+    eps = spec.thickness.bounds[1]
     poly = build_slab_poly(spec, eps)
     rng = random.Random(7)
     centers = [(rat(0),) * spec.ambient] + [
@@ -418,3 +422,70 @@ def test_half_dilation_translates_match_shifted_poly(case):
         assert got == list(enumerate_integer_points(_shifted_poly(poly, c)))
         sizes.append(len(got))
     assert sizes[0] >= 1  # the origin's translate holds the origin
+
+
+def _half_dilate_by_box(spec, c):
+    """The integer x with 2(x - c) in the slab, by a walk of the integer
+    box around c and the true thickness: the reference for
+    enumerate_slab(spec, c)."""
+    lo, hi = spec.z0_range
+    half = spec.box_bound / 2
+    z0 = range(rat_ceil(c[0] + rat(lo, 2)), rat_floor(c[0] + rat(hi, 2)) + 1)
+    ranges = [z0]
+    ranges += [
+        range(rat_ceil(cj - half), rat_floor(cj + half) + 1) for cj in c[1:]
+    ]
+    return [
+        x for x in itertools.product(*ranges)
+        if spec.thickness.cmp_dist(cheb_distance(
+            [2 * (xj - cj) for xj, cj in zip(x, c)], spec.target)) <= 0
+    ]
+
+
+@pytest.mark.parametrize("target", [
+    golden_span(),
+    lift(AffineSubspace(point=(CBRT2, CBRT4), directions=())),
+    lift(AffineSubspace(point=(rat(1, 3), GOLDEN), directions=((rat(1), CBRT2),))),
+], ids=["line-R2", "line-R3", "plane-R3"])
+def test_enumerate_slab_center_matches_box_walk(monkeypatch, target):
+    # an irrational thickness, and candidates from a bound 1/4 above it,
+    # so the filter of 2(x - c) must drop some of each translate's
+    phi = PowerLog(rat(3), rat(1, 2), rat(1), rat(2))
+    spec = approach_slab(target, phi, 1, 6)
+    loose = spec.thickness.bounds[1] + rat(1, 4)
+    real_levels = lattice._slab_levels
+    monkeypatch.setattr(lattice, "_slab_levels",
+                        lambda spec, eps, center=None:
+                        real_levels(spec, loose, center))
+    rng = random.Random(5)
+    centers = [(rat(0),) * spec.ambient] + [
+        lattice._random_translate(rng, spec) for _ in range(12)
+    ]
+    kept = dropped = 0
+    for c in centers:
+        expected = _half_dilate_by_box(spec, c)
+        assert enumerate_slab(spec, c) == expected
+        cands = list(enumerate_integer_points(real_levels(spec, loose, c)))
+        kept += len(expected)
+        dropped += len(cands) - len(expected)
+    assert kept > 0 and dropped > 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_span_distance_matches_cheb_distance(data):
+    n = data.draw(st.integers(1, 5), label="ambient")
+    small = st.builds(rat, st.integers(-4, 4), st.integers(1, 5))
+    basis = []
+    for _ in range(data.draw(st.integers(0, min(2, n)), label="dim")):
+        row = tuple(data.draw(small) for _ in range(n))
+        try:
+            LiftedSpan(basis=tuple(basis) + (row,), ambient=n)
+        except ValueError:
+            continue
+        basis.append(row)
+    target = LiftedSpan(basis=tuple(basis), ambient=n)
+    distance = span_distance(target)
+    for _ in range(4):
+        z = tuple(data.draw(small) for _ in range(n))
+        assert rat(*distance(z)) == cheb_distance(z, target)

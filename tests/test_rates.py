@@ -412,3 +412,25 @@ def test_parse_rate_unknown_kind():
         parse_rate("exponential", c=rat(1))
     with pytest.raises(ValueError):
         rate_from_text("powerlaw c=1 alpha")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("powerlaw c=1", "powerlaw rate lacks field 'alpha'"),
+    ("powerlaw alpha=1/2", "powerlaw rate lacks field 'c'"),
+    ("powerlaw c=1 alpha=1/2 delta=2", "powerlaw rate takes no field 'delta'"),
+    ("powerlaw c=1 alpha=1/2 T0=3", "powerlaw rate takes no field 'T0'"),
+    ("powerlog c=1 alpha=1/2 T0=3", "powerlog rate lacks field 'delta'"),
+    ("powerlog c=1 alpha=1/2 delta=2 beta=1",
+     "powerlog rate takes no field 'beta'"),
+    ("powerlaw c=1 alpha=1/2 c=2", "repeated rate field 'c'"),
+])
+def test_rate_fields_checked(text, message):
+    # a missing field or one the kind does not take is refused, never
+    # dropped or left to a KeyError
+    with pytest.raises(ValueError, match=message):
+        rate_from_text(text)
+
+
+def test_powerlog_t0_defaults_to_two():
+    assert rate_from_text("powerlog c=1 alpha=1/2 delta=2") == PowerLog(
+        rat(1), rat(1, 2), rat(2), rat(2))
