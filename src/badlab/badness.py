@@ -115,10 +115,7 @@ BadnessOutcome = Union[BadnessCertificate, ZeroHit]
 
 def _ratio(dist: Rat, norm: int, psi: RateFunction, bits: int) -> Value:
     """dist/psi(norm): exact when psi(norm) is rational, else enclosed."""
-    v = rate_value(psi, norm, bits)
-    if isinstance(v, HPInterval):
-        return HPInterval.from_rat(dist, bits) / v
-    return dist / v
+    return dist / rate_value(psi, norm, bits)
 
 
 def subspace_badness(

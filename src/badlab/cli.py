@@ -20,10 +20,11 @@ comparisons downstream.  Example:
     T_max = 256
     cert_height = 512
 
-Exit codes: 0 completed, 1 invariant violation detected, 2 invalid
-config or usage, a refused size guard, or a comparison the exact
-arithmetic could not settle.  BADLAB_PRECISION_BITS caps interval
-refinement.
+Exit codes: 0 completed, 1 invariant violation detected or sampling
+failed, 2 invalid config or usage, a refused divergent series, a refused
+size guard, or a comparison the exact arithmetic could not settle; one
+table (_FAILURES) maps each failure to its code.  BADLAB_PRECISION_BITS
+caps interval refinement.
 """
 
 from __future__ import annotations
@@ -48,13 +49,11 @@ from .badness import (
 from .exactnum import (
     Rat,
     UndecidableComparison,
-    as_rat,
     format_rat,
     max_precision_bits,
     parse_rat,
     rat,
     rat_bounds,
-    rat_ceil,
 )
 from .experiment import (
     RNG_NAME,
@@ -77,7 +76,7 @@ from .lattice import (
 )
 from .presets import PRESETS
 from .rates import RateFunction, admissible_pair, rate_from_text
-from .series import packing_ratio_scan, partial_sum, term_product
+from .series import packing_ratio_scan, partial_sum
 
 
 def _parse_scalar(text: str) -> Rat:
@@ -293,14 +292,16 @@ def _write_manifest(
         fh.write("\n")
 
 
-def _fail_config(err: Exception) -> None:
-    click.echo(f"config error: {err}", err=True)
-    sys.exit(2)
-
-
-# Failures of the exact machinery itself rather than of a checked property:
-# a size guard refused the work, or a comparison could not be settled.
-_UNSETTLED = (BoxTooLargeError, UndecidableComparison, ArithmeticError)
+# Every failure a run reports, first match wins: (types, stderr prefix,
+# exit code), where a None prefix prints the exception's class name.  A
+# sampling failure is a failed check (exit 1); the rest are bad input or
+# a refused run (exit 2).  Anything else is a bug and keeps its traceback.
+_FAILURES = (
+    ((DivergingSeriesError,), "refused", 2),
+    ((RejectionError,), "sampling failed", 1),
+    ((BoxTooLargeError, UndecidableComparison, ArithmeticError), None, 2),
+    ((ValueError, OSError), "config error", 2),
+)
 
 
 # scales, counts and heights; click rejects anything below 1 with exit 2
@@ -311,9 +312,13 @@ class _Group(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except _UNSETTLED as err:
-            click.echo(f"{type(err).__name__}: {err}", err=True)
-            sys.exit(2)
+        except Exception as err:
+            for types, prefix, code in _FAILURES:
+                if isinstance(err, types):
+                    click.echo(f"{prefix or type(err).__name__}: {err}",
+                               err=True)
+                    sys.exit(code)
+            raise
 
 
 @click.group(cls=_Group)
@@ -322,10 +327,7 @@ def main() -> None:
     """Exact experiments around badly approximable subspaces."""
     # a bad BADLAB_PRECISION_BITS fails every subcommand up front, not at
     # the first comparison that happens to refine
-    try:
-        max_precision_bits()
-    except ValueError as err:
-        _fail_config(err)
+    max_precision_bits()
 
 
 @main.command()
@@ -341,16 +343,10 @@ def main() -> None:
 def badness(config_path, height, vector_text, x_max, out_dir):
     """Certify the badness infimum of B, or scan a single vector."""
     started = time.time()
-    try:
-        raw = parse_config(config_path)
-    except (ValueError, OSError) as err:
-        _fail_config(err)
+    raw = parse_config(config_path)
     if vector_text is not None:
-        try:
-            res = vector_badness(_parse_vector(vector_text), raw.psi,
-                                 x_max or raw.X)
-        except ValueError as err:
-            _fail_config(err)
+        res = vector_badness(_parse_vector(vector_text), raw.psi,
+                             x_max or raw.X)
         payload = res.to_json_dict()
     else:
         out = subspace_badness(lift(raw.B), raw.psi, height or raw.cert_height)
@@ -384,20 +380,17 @@ def badness(config_path, height, vector_text, x_max, out_dir):
 def enumerate_cmd(config_path, T, which, out_dir):
     """List integer points of a slab or layer at scale T."""
     started = time.time()
-    try:
-        raw = parse_config(config_path)
-        if which == "omega":
-            if raw.gamma is None:
-                raise ValueError("omega enumeration needs a gamma key")
-            spec = badness_slab(lift(raw.B), raw.gamma, raw.psi, raw.R, T)
-            pts = enumerate_slab(spec)
-        elif which == "pi":
-            spec = approach_slab(lift(raw.A), raw.phi, raw.R, T)
-            pts = enumerate_slab(spec)
-        else:
-            _, pts = zeta_layer(lift(raw.A), raw.phi, raw.R, T)
-    except (ValueError, OSError) as err:
-        _fail_config(err)
+    raw = parse_config(config_path)
+    if which == "omega":
+        if raw.gamma is None:
+            raise ValueError("omega enumeration needs a gamma key")
+        spec = badness_slab(lift(raw.B), raw.gamma, raw.psi, raw.R, T)
+        pts = enumerate_slab(spec)
+    elif which == "pi":
+        spec = approach_slab(lift(raw.A), raw.phi, raw.R, T)
+        pts = enumerate_slab(spec)
+    else:
+        _, pts = zeta_layer(lift(raw.A), raw.phi, raw.R, T)
     click.echo(f"{which} T={T}: {len(pts)} points")
     if out_dir:
         import os
@@ -426,22 +419,17 @@ def enumerate_cmd(config_path, T, which, out_dir):
 def series(config_path, N, counts_to, out_dir):
     """Emit the comparison series table up to N."""
     started = time.time()
-    try:
-        raw = parse_config(config_path)
-    except (ValueError, OSError) as err:
-        _fail_config(err)
+    raw = parse_config(config_path)
     a, b = raw.A.dim, raw.B.dim
     ps = partial_sum(N, raw.R, raw.psi, raw.phi, a, b)
     scan = None
     if counts_to:
-        first = max(1, rat_ceil(raw.phi.domain_start / as_rat(raw.R)))
-        try:
-            scan = packing_ratio_scan(
-                lift(raw.A), raw.psi, raw.phi, raw.R, a, b,
-                T_values=range(first, counts_to + 1),
-            )
-        except ValueError as err:  # counts_to below phi's domain
-            _fail_config(err)
+        # the scan starts where the series does, inside both rate
+        # domains; counts_to below that leaves an empty T range
+        scan = packing_ratio_scan(
+            lift(raw.A), raw.psi, raw.phi, raw.R, a, b,
+            T_values=range(ps.terms[0].T, counts_to + 1),
+        )
     rows = _series_rows(ps, scan)
     click.echo(f"S_{N} = {rows[-1][4]}")
     if out_dir:
@@ -481,8 +469,8 @@ def _series_rows(ps, scan) -> List[list]:
         r = by_T.get(term.T)
         if r is not None:
             extra = [r.zeta, r.pi, format_rat(r.ratio_pi), format_rat(r.ratio_cum)]
-        rows.append([term.T, fmt(mu), fmt(lam), fmt(term_product(mu, lam, 96)),
-                     fmt(s)] + extra)
+        rows.append([term.T, fmt(mu), fmt(lam), fmt(mu * lam), fmt(s)]
+                    + extra)
     return rows
 
 
@@ -494,21 +482,11 @@ def _series_rows(ps, scan) -> List[list]:
 def montecarlo(config_path, out_dir):
     """Sample A and test the almost-every conclusion quantitatively."""
     started = time.time()
-    try:
-        raw = parse_config(config_path)
-        # refuse a divergent series before building the certificate
-        exp = require_convergent(raw.psi, raw.phi, raw.A.dim, raw.B.dim)
-        cfg = raw.experiment()
-    except DivergingSeriesError as err:
-        click.echo(f"refused: {err}", err=True)
-        sys.exit(2)
-    except (ValueError, OSError) as err:
-        _fail_config(err)
-    try:
-        report = run_theorem1(cfg, exp)
-    except RejectionError as err:
-        click.echo(f"sampling failed: {err}", err=True)
-        sys.exit(1)
+    raw = parse_config(config_path)
+    # refuse a divergent series before building the certificate
+    exp = require_convergent(raw.psi, raw.phi, raw.A.dim, raw.B.dim)
+    cfg = raw.experiment()
+    report = run_theorem1(cfg, exp)
     elapsed = time.time() - started
     write_outputs(report, out_dir)
     _write_manifest(out_dir, "montecarlo", {"config": config_path},
@@ -531,12 +509,9 @@ def montecarlo(config_path, out_dir):
 def verify(config_path, T, translates, out_dir):
     """Check slab triviality for every scale up to T, then the packing step."""
     started = time.time()
-    try:
-        raw = parse_config(config_path)
-        if raw.gamma is None:
-            raise ValueError("verify needs a gamma key in the config")
-    except (ValueError, OSError) as err:
-        _fail_config(err)
+    raw = parse_config(config_path)
+    if raw.gamma is None:
+        raise ValueError("verify needs a gamma key in the config")
     span = lift(raw.B)
     for t in range(1, T + 1):
         rep = verify_omega_trivial(span, raw.gamma, raw.psi, raw.R, t)

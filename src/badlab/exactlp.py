@@ -1,12 +1,13 @@
 """Exact rational linear algebra and polyhedra utilities.
 
 Everything here is over the exact rational carrier: Gaussian elimination,
-Fourier-Motzkin projection, and brute-force vertex enumeration for
-low-dimensional polytopes.  These are the primitives behind sup-norm
-distances, slab enumeration and the measure charts; none of them ever
-touch floating point.  Projection is the one polyhedral engine: a
-bound on one variable (a distance, a chart's extent) is what is left
-after the others are eliminated (HPoly.bounds).
+Fourier-Motzkin projection, brute-force vertex enumeration for
+low-dimensional polytopes, and the exact volume of a polytope in any
+dimension (HPoly.volume, Lasserre's facet recursion).  These are the
+primitives behind sup-norm distances, slab enumeration and the measure
+charts; none of them ever touch floating point.  Projection is the one
+polyhedral engine: a bound on one variable (a distance, a chart's
+extent) is what is left after the others are eliminated (HPoly.bounds).
 
 Integer points are walked level by level off a projection chain whose
 rows are cleared to integers (integer_levels).  A ParamChain is the
@@ -219,44 +220,42 @@ class HPoly:
         return sorted(out)
 
     def volume(self) -> Rat:
-        """Exact volume for nvars <= 2 via vertex enumeration."""
-        vs = self.vertices()
-        if not vs:
+        """Exact volume in any dimension, by Lasserre's facet recursion
+        (J. Optim. Theory Appl. 39, 1983): vol_n(P) = (1/n) sum_i b_i
+        vol_{n-1}(F_i) over the distinct rows a_i . x <= b_i.
+
+        F_i is row i's facet projected along its first nonzero coordinate
+        (_facet); that coefficient is +-1 after _normalize_row, so the
+        projection scales the facet by exactly 1/|a_i| and b_i/|a_i| is
+        the cone's height.  A row whose hyperplane meets P in less than a
+        facet adds 0, and a flat P gives exactly 0: the rows that hold it
+        come in opposite pairs with equal facets and opposite b_i.  The
+        base case is the length of HPoly.bounds.
+        """
+        if self.infeasible_const:
             return rat(0)
         if self.nvars == 1:
-            xs = [v[0] for v in vs]
-            return max(xs) - min(xs)
-        if self.nvars == 2:
-            return _hull_area(vs)
-        raise NotImplementedError("exact volume implemented for dimension <= 2")
+            lo, hi = self.bounds()
+            if lo is None or hi is None:
+                raise UnboundedError("volume of an unbounded polyhedron")
+            return max(hi - lo, rat(0))
+        poly = HPoly(self.nvars, list(self.rows))
+        poly.dedupe()
+        total = sum((b * poly._facet(a, b).volume() for a, b in poly.rows),
+                    rat(0))
+        return total / self.nvars
 
-
-def _hull_area(points: List[Vec]) -> Rat:
-    """Area of the convex hull of exact 2-d points (monotone chain)."""
-    pts = sorted(set(points))
-    if len(pts) < 3:
-        return rat(0)
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: List[Vec] = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: List[Vec] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    area2 = rat(0)
-    for i in range(len(hull)):
-        x1, y1 = hull[i]
-        x2, y2 = hull[(i + 1) % len(hull)]
-        area2 += x1 * y2 - x2 * y1
-    return rat_abs(area2) / 2
+    def _facet(self, a: Tuple[Rat, ...], b: Rat) -> "HPoly":
+        """P on the hyperplane a . x = b, over the coordinates other than
+        a's first nonzero one, j: x_j = a_j (b - sum_{k != j} a_k x_k)
+        because a_j = +-1."""
+        j = next(k for k, v in enumerate(a) if v != 0)
+        out = HPoly(self.nvars - 1)
+        for c, d in self.rows:
+            f = c[j] * a[j]
+            out.add([ck - f * ak for k, (ck, ak) in enumerate(zip(c, a))
+                     if k != j], d - f * b)
+        return out
 
 
 # ---------------------------------------------------------------------

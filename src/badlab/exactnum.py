@@ -11,8 +11,13 @@ used whenever a quantity (log T, T^(1/2), ...) is irrational: the interval
 certifiably contains the true value, and comparisons against rationals are
 decided by doubling the working precision until the interval separates
 from the query point or a hard cap is reached.  An undecided comparison
-raises; nothing is silently rounded.  A `Value` is either kind, a Rat
-when the quantity is rational: `as_interval` and `rat_bounds` carry it
+raises; nothing is silently rounded.
+
+A `Value` is either kind, a Rat when the quantity is rational, and it is
+closed under arithmetic: HPInterval's +, -, * and / take a Rat or an int
+on either side, enclosing it at the interval's own precision, and ** takes
+an int.  So an expression over Values is written once, and it stays exact
+until an interval enters it.  `as_interval` and `rat_bounds` carry a Value
 on, and `refine_cmp` compares against it.
 """
 
@@ -288,11 +293,6 @@ class HPInterval:
             prec,
         )
 
-    @staticmethod
-    def from_int_value(n: int, prec: int) -> "HPInterval":
-        t = from_int(n)
-        return _iv(t, t, prec)
-
     @property
     def lo(self) -> Rat:
         return _to_rat(self._lo)
@@ -310,8 +310,11 @@ class HPInterval:
     # -- arithmetic ---------------------------------------------------
     # Directed rounding is monotone, so every result below is ordered
     # when its operands are, and is built without the inversion check.
+    # A Rat or int operand is enclosed at self.prec first.
 
-    def __add__(self, other: "HPInterval") -> "HPInterval":
+    def __add__(self, other: "Value") -> "HPInterval":
+        if not isinstance(other, HPInterval):
+            other = HPInterval.from_rat(other, self.prec)
         p = min(self.prec, other.prec)
         return _iv(
             mpf_add(self._lo, other._lo, p, round_floor),
@@ -319,7 +322,11 @@ class HPInterval:
             p,
         )
 
-    def __sub__(self, other: "HPInterval") -> "HPInterval":
+    __radd__ = __add__
+
+    def __sub__(self, other: "Value") -> "HPInterval":
+        if not isinstance(other, HPInterval):
+            other = HPInterval.from_rat(other, self.prec)
         p = min(self.prec, other.prec)
         return _iv(
             mpf_sub(self._lo, other._hi, p, round_floor),
@@ -327,10 +334,13 @@ class HPInterval:
             p,
         )
 
+    def __rsub__(self, other: RatLike) -> "HPInterval":
+        return HPInterval.from_rat(other, self.prec) - self
+
     def __neg__(self) -> "HPInterval":
         return _iv(mpf_neg(self._hi), mpf_neg(self._lo), self.prec)
 
-    def __mul__(self, other: "HPInterval") -> "HPInterval":
+    def __mul__(self, other: "Value") -> "HPInterval":
         """Product by the sign cases of [a, b] * [c, d] (Moore 1966).
 
         Each case names the two endpoint products that are the exact
@@ -339,6 +349,8 @@ class HPInterval:
         Only two intervals that both straddle zero compare two candidates
         for each end.
         """
+        if not isinstance(other, HPInterval):
+            other = HPInterval.from_rat(other, self.prec)
         p = min(self.prec, other.prec)
         a, b, c, d = self._lo, self._hi, other._lo, other._hi
         if not a[0]:  # a >= 0
@@ -367,6 +379,10 @@ class HPInterval:
             p,
         )
 
+    def __rmul__(self, other: RatLike) -> "HPInterval":
+        # through self * other, so a rebound __mul__ sees this product too
+        return self * other
+
     def inverse(self) -> "HPInterval":
         if self.contains_zero():
             raise ZeroDivisionError("interval straddles zero")
@@ -378,8 +394,11 @@ class HPInterval:
             p,
         )
 
-    def __truediv__(self, other: "HPInterval") -> "HPInterval":
-        return self * other.inverse()
+    def __truediv__(self, other: "Value") -> "HPInterval":
+        return self * as_interval(other, self.prec).inverse()
+
+    def __rtruediv__(self, other: RatLike) -> "HPInterval":
+        return HPInterval.from_rat(other, self.prec) * self.inverse()
 
     def log(self) -> "HPInterval":
         if self.sign_lo() <= 0:
@@ -399,13 +418,13 @@ class HPInterval:
             p,
         )
 
-    def pow_int(self, e: int) -> "HPInterval":
+    def __pow__(self, e: int) -> "HPInterval":
         p = self.prec
         if e == 0:
             one = from_int(1)
             return _iv(one, one, p)
         if e < 0:
-            return self.inverse().pow_int(-e)
+            return self.inverse() ** -e
         if self.sign_lo() >= 0:
             return _iv(
                 mpf_pow_int(self._lo, e, p, round_floor),
@@ -422,7 +441,7 @@ class HPInterval:
         """self**e for rational e via exp(e log self); base must be > 0."""
         e = as_rat(e)
         if den(e) == 1:
-            return self.pow_int(num(e))
+            return self ** num(e)
         ei = HPInterval.from_rat(e, self.prec)
         return (self.log() * ei).exp()
 

@@ -33,14 +33,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .badness import BadnessCertificate, VectorBadnessResult, vector_badness
 from .exactlp import HPoly, matrix_rank
 from .exactnum import (
-    HPInterval,
     Rat,
     as_rat,
     format_rat,
     rat,
     rat_bounds,
     rat_floor,
-    rat_pow,
 )
 from .geometry import (
     AffineSubspace,
@@ -165,6 +163,10 @@ class ExperimentConfig:
         lo, hi = self.T_range
         if not 1 <= lo <= hi:
             raise ValueError("bad T range")
+        if R * lo < self.phi.domain_start:
+            raise ValueError(
+                f"R*T_min = {format_rat(R * lo)} lies below phi's domain "
+                f"start {format_rat(self.phi.domain_start)}")
         cert = self.certificate
         if cert is None:
             raise ValueError("a badness certificate for (B, psi) is required")
@@ -422,15 +424,8 @@ def chart_ball_measure(config: ExperimentConfig) -> Rat:
 
 def _upper_bound(config: ExperimentConfig, T: int, zeta: int) -> Tuple[Rat, Rat]:
     """Certified enclosure of zeta * (2*phi(RT)/T)^a."""
-    a = config.a_dim
-    bits = 96
-    v = rate_value(config.phi, config.R * T, bits)
-    if isinstance(v, HPInterval):
-        v = (v + v) / HPInterval.from_int_value(T, bits)
-        v = v.pow_int(a) * HPInterval.from_int_value(zeta, bits)
-    else:
-        v = zeta * rat_pow(2 * v / T, a)
-    return rat_bounds(v)
+    v = rate_value(config.phi, config.R * T, 96)
+    return rat_bounds(zeta * (2 * v / T) ** config.a_dim)
 
 
 def measure_estimate(

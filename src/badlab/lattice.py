@@ -49,7 +49,6 @@ from .exactlp import (
     vec_dot,
 )
 from .exactnum import (
-    HPInterval,
     Rat,
     Value,
     as_rat,
@@ -110,10 +109,7 @@ class Thickness:
     def at(self, bits: int) -> Value:
         if self.value is not None:
             return self.value
-        v = rate_value(self.rate, self.arg, bits)
-        if isinstance(v, HPInterval):
-            return HPInterval.from_rat(self.scale, bits) * v
-        return self.scale * v
+        return self.scale * rate_value(self.rate, self.arg, bits)
 
     @cached_property
     def bounds(self) -> Tuple[Rat, Rat]:

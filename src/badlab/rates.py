@@ -134,7 +134,7 @@ def rate_value(f: RateFunction, T: RatLike, bits: int) -> Value:
     # the operations are those of ti.pow_rat(e) and ti.log().pow_rat(...)
     lt = ti.log() if den(e) != 1 or f.delta != 0 else None
     if den(e) == 1:
-        power = ti.pow_int(num(e))
+        power = ti ** num(e)
     else:
         power = (lt * _enclosed_constant(e, bits)).exp()
     out = _enclosed_constant(f.c, bits) * power

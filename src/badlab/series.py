@@ -23,36 +23,16 @@ from .exactnum import (
     rat,
     rat_bounds,
     rat_ceil,
-    rat_pow,
-    rat_pow_rat,
 )
 from .rates import RateFunction, cmp_scaled_ratios, interval_eval, rate_value
 from .lattice import approach_slab, enumerate_slab
-
-
-def _pow(v: Value, e: Rat, bits: int) -> Value:
-    e = as_rat(e)
-    if isinstance(v, HPInterval):
-        return v.pow_rat(e)
-    if e.denominator == 1:
-        return rat_pow(v, int(e))
-    exact = rat_pow_rat(v, e)
-    if exact is not None:
-        return exact
-    return HPInterval.from_rat(v, bits).pow_rat(e)
 
 
 def mu_term(T: int, R, psi: RateFunction, a: int, b: int, bits: int = 96) -> Value:
     """(T / psi(RT))^(a-b), the covering scale at height T."""
     if not a > b >= 0:
         raise ValueError("need a > b >= 0")
-    R = as_rat(R)
-    v = rate_value(psi, R * T, bits)
-    if isinstance(v, HPInterval):
-        base = HPInterval.from_int_value(T, bits) / v
-    else:
-        base = rat(T) / v
-    return _pow(base, rat(a - b), bits)
+    return (T / rate_value(psi, as_rat(R) * T, bits)) ** (a - b)
 
 
 def lambda_term(T: int, R, phi: RateFunction, a: int, bits: int = 96) -> Value:
@@ -80,15 +60,13 @@ def _lambda_step(
         raise ValueError("need a >= 1")
     right = rate_value(phi, R * (T + 1), bits)
     if not isinstance(left, HPInterval) and not isinstance(right, HPInterval):
-        out = rat_pow(left / T, a) - rat_pow(right / (T + 1), a)
+        out = (left / T) ** a - (right / (T + 1)) ** a
         assert out > 0
         return out, right
     cap = max_precision_bits()
     cur, li, ri = bits, as_interval(left, bits), as_interval(right, bits)
     while True:
-        out = (li / HPInterval.from_int_value(T, cur)).pow_rat(rat(a)) - (
-            ri / HPInterval.from_int_value(T + 1, cur)
-        ).pow_rat(rat(a))
+        out = (li / T) ** a - (ri / (T + 1)) ** a
         if out.sign_lo() > 0:
             return out, right
         if cur >= cap:
@@ -97,14 +75,6 @@ def _lambda_step(
         cur = min(cur * 2, cap)
         li = interval_eval(phi, R * T, cur)
         ri = interval_eval(phi, R * (T + 1), cur)
-
-
-def term_product(mu: Value, lam: Value, bits: int) -> Value:
-    """mu * lam, exact when both are rational, else an interval product
-    with a rational factor enclosed at `bits`."""
-    if isinstance(mu, HPInterval) or isinstance(lam, HPInterval):
-        return as_interval(mu, bits) * as_interval(lam, bits)
-    return mu * lam
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -7,7 +8,13 @@ from click.testing import CliRunner
 import badlab.cli
 from badlab.cli import config_from_echo, config_hash, main, parse_config
 from badlab.exactnum import UndecidableComparison, format_rat
+from badlab.experiment import (
+    DivergingSeriesError,
+    RejectionError,
+    chart_ball_measure,
+)
 from badlab.geometry import lift
+from badlab.lattice import BoxTooLargeError
 from badlab.series import packing_ratio_scan
 
 GOLDEN_CFG = "configs/golden.cfg"
@@ -193,6 +200,120 @@ def test_unsettled_arithmetic_exits_two(runner, monkeypatch, exc):
     res = runner.invoke(main, ["verify", "--config", GOLDEN_CFG, "--T", "1"])
     assert res.exit_code == 2
     assert res.stderr == f"{exc.__name__}: cap reached\n"
+
+
+@pytest.mark.parametrize("exc, code, prefix", [
+    (DivergingSeriesError, 2, "refused"),
+    (RejectionError, 1, "sampling failed"),
+    (BoxTooLargeError, 2, "BoxTooLargeError"),
+    (ZeroDivisionError, 2, "ZeroDivisionError"),
+    (ValueError, 2, "config error"),
+    (FileNotFoundError, 2, "config error"),
+])
+def test_failure_table(runner, monkeypatch, exc, code, prefix):
+    def boom(*args, **kwargs):
+        raise exc("stop")
+
+    monkeypatch.setattr(badlab.cli, "verify_omega_trivial", boom)
+    res = runner.invoke(main, ["verify", "--config", GOLDEN_CFG, "--T", "1"])
+    assert res.exit_code == code
+    assert res.stderr == f"{prefix}: stop\n"
+
+
+def test_unlisted_failure_keeps_its_traceback(runner, monkeypatch):
+    # an exception outside the table is a bug, not a verdict: it is not
+    # turned into an exit code
+    def boom(*args, **kwargs):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(badlab.cli, "verify_omega_trivial", boom)
+    res = runner.invoke(main, ["verify", "--config", GOLDEN_CFG, "--T", "1"])
+    assert isinstance(res.exception, KeyError)
+
+
+def _cubic_with(tmp_path, **keys):
+    """configs/cubic.cfg with the given keys' values replaced."""
+    text = open(CUBIC_CFG).read()
+    for key, value in keys.items():
+        text, n = re.subn(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+        assert n == 1, key
+    return _write(tmp_path, "domain.cfg", text)
+
+
+PSI_FROM_2 = "powerlog c=1 alpha=1/2 delta=1 T0=2"
+
+# one bad-domain run per subcommand: a rate asked for below where it is
+# defined is bad input, whichever layer notices it
+BAD_DOMAIN = {
+    "badness": ({"psi": PSI_FROM_2}, ["--height", "5"],
+                "badness scans need the rate defined from 1 on; domain "
+                "starts at 2"),
+    "enumerate": ({"psi": PSI_FROM_2, "R": "1"},
+                  ["--set", "omega", "--T", "1"],
+                  "argument 1 below domain start 2"),
+    "montecarlo": ({"R": "1", "T_min": "1", "samples": "4", "X": "100",
+                    "T_max": "4", "cert_height": "8"}, ["--out", "mc"],
+                   "R*T_min = 1 lies below phi's domain start 2"),
+    "series": ({"R": "1"}, ["--N", "1"],
+               "N=1 lies below the rates' domain start 2"),
+    "verify": ({"psi": PSI_FROM_2, "R": "1"}, ["--T", "2"],
+               "argument 1 below domain start 2"),
+}
+
+
+def test_bad_domain_cases_cover_every_subcommand():
+    assert set(BAD_DOMAIN) == set(main.commands)
+
+
+@pytest.mark.parametrize("command", sorted(BAD_DOMAIN))
+def test_bad_domain_exits_two(runner, tmp_path, monkeypatch, command):
+    keys, args, message = BAD_DOMAIN[command]
+    cfg = _cubic_with(tmp_path, **keys)
+    monkeypatch.chdir(tmp_path)
+    res = runner.invoke(main, [command, "--config", cfg, *args])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert res.stderr == f"config error: {message}\n"
+    assert "Traceback" not in res.output
+
+
+def test_montecarlo_T_range_below_phi_refused_before_sampling(
+        runner, tmp_path, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled a T range below phi's domain")
+
+    monkeypatch.setattr(badlab.cli, "run_theorem1", no_sampling)
+    keys, args, message = BAD_DOMAIN["montecarlo"]
+    cfg = _cubic_with(tmp_path, **keys)
+    res = runner.invoke(
+        main, ["montecarlo", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2
+    assert res.stderr == f"config error: {message}\n"
+
+
+def test_series_counts_start_where_the_series_starts(runner, tmp_path):
+    # psi starts at 4 and phi at 2 (R = 1): both the sums and the counts
+    # start at T = 4
+    cfg = _cubic_with(tmp_path, R="1",
+                      psi="powerlog c=1 alpha=1/2 delta=1 T0=4")
+    out = tmp_path / "ser"
+    res = runner.invoke(main, ["series", "--config", cfg, "--N", "20",
+                               "--counts-to", "6", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    rows = [r.split(",") for r in
+            (out / "series.csv").read_text().splitlines()[1:]]
+    assert [r[0] for r in rows] == [str(T) for T in range(4, 21)]
+    assert [r[0] for r in rows if r[5]] == ["4", "5", "6"]
+
+
+def test_unwritable_out_is_config_error(runner, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    res = runner.invoke(main, ["badness", "--config", GOLDEN_CFG, "--height",
+                               "5", "--out", str(blocker / "sub")])
+    assert res.exit_code == 2
+    assert res.stderr.startswith("config error: ")
+    assert "Traceback" not in res.output
 
 
 LATE_PHI_CFG = """\
@@ -429,6 +550,35 @@ def test_bad_rate_fields_exit_two(runner, tmp_path, line, bad, message,
     res = runner.invoke(main, [command[0], "--config", cfg, *command[1:]])
     assert res.exit_code == 2
     assert res.stderr == f"config error: {message}\n"
+
+
+DIM3_CFG = """\
+# A = R^3, so the chart is the cube [-1, 1]^3
+ambient = 3
+A_point = 0, 0, 0
+A_dir_0 = 1, 0, 0
+A_dir_1 = 0, 1, 0
+A_dir_2 = 0, 0, 1
+B_point = cbrt2, cbrt4, golden
+psi = powerlaw c=1 alpha=1/3
+phi = powerlog c=1 alpha=1/3 delta=2 T0=2
+R = 1
+samples = 100
+X = 50
+T_min = 2
+T_max = 3
+cert_height = 4
+"""
+
+
+def test_montecarlo_three_dimensional_chart(runner, tmp_path):
+    cfg = _write(tmp_path, "dim3.cfg", DIM3_CFG)
+    out = tmp_path / "mc"
+    res = runner.invoke(main, ["montecarlo", "--config", cfg, "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    tails = (out / "tails.csv").read_text().splitlines()
+    assert len(tails) == 3  # the header, T = 2 and T = 3
+    assert chart_ball_measure(parse_config(cfg).experiment()) == 8
 
 
 def test_montecarlo_small_run(runner, tmp_path):

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from badlab.exactlp import (
     HPoly,
@@ -115,6 +117,72 @@ def test_hpoly_volume():
     seg.add([rat(1)], rat(5, 2))
     seg.add([rat(-1)], rat(1, 2))
     assert seg.volume() == rat(3)
+    # a repeated row is one facet, and a looser parallel row none
+    square = _box(0, 2)
+    for coeffs, rhs in list(square.rows):
+        square.add(coeffs, rhs)
+        square.add(coeffs, rhs + 1)
+    assert square.volume() == rat(4)
+
+
+def _det(m):
+    """Determinant by exact elimination."""
+    m = [list(r) for r in m]
+    n, d = len(m), rat(1)
+    for c in range(n):
+        p = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if p is None:
+            return rat(0)
+        if p != c:
+            m[c], m[p] = m[p], m[c]
+            d = -d
+        d *= m[c][c]
+        for i in range(c + 1, n):
+            f = m[i][c] / m[c][c]
+            m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return d
+
+
+_ENTRIES = st.builds(rat, st.integers(-6, 6), st.integers(1, 4))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(_ENTRIES, min_size=n, max_size=n),
+             min_size=n, max_size=n),
+    st.lists(_ENTRIES, min_size=n, max_size=n))))
+def test_volume_of_parallelepiped(case):
+    # {x : |(M^-1 (x - c))_i| <= 1} is M's image of the cube [-1, 1]^n,
+    # moved by c: its volume is 2^n |det M| wherever it sits
+    m, c = case
+    n = len(m)
+    det = _det(m)
+    assume(det != 0)
+    inv_cols = [solve_square(m, [rat(int(i == j)) for i in range(n)])
+                for j in range(n)]
+    inv = [[inv_cols[j][i] for j in range(n)] for i in range(n)]
+    box = HPoly(n)
+    for row in inv:
+        shift = vec_dot(row, c)
+        box.add(row, 1 + shift)
+        box.add([-v for v in row], 1 - shift)
+    assert box.volume() == 2**n * abs(det)
+
+
+def test_volume_of_flat_polytope_is_zero():
+    # the unit square in the plane z = 1/3 of R^3, held by opposite rows
+    flat = HPoly(3)
+    for k, bound in ((0, 1), (1, 1), (2, rat(1, 3))):
+        e = [rat(int(i == k)) for i in range(3)]
+        flat.add(e, bound)
+        flat.add([-v for v in e], 0 if k < 2 else -bound)
+    assert flat.volume() == 0
+    # the square [-1, 1]^2 cut by x + y >= 2 is its corner (1, 1), and
+    # by x + y >= 3 nothing
+    for cut in (2, 3):
+        corner = _box(-1, 1)
+        corner.add([rat(-1), rat(-1)], rat(-cut))
+        assert corner.volume() == 0
 
 
 def test_eliminate_is_projection():

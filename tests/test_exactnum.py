@@ -203,11 +203,11 @@ def test_interval_log_rejects_nonpositive():
 
 def test_interval_pow_int():
     iv = HPInterval.from_rat(rat(3, 2), 96)
-    cube = iv.pow_int(3)
+    cube = iv ** 3
     assert _encloses(cube, rat(27, 8))
-    inv = iv.pow_int(-2)
+    inv = iv ** -2
     assert _encloses(inv, rat(4, 9))
-    neg = HPInterval.from_rat(rat(-2), 96).pow_int(2)
+    neg = HPInterval.from_rat(rat(-2), 96) ** 2
     assert _encloses(neg, rat(4))
 
 
@@ -295,3 +295,50 @@ def _intervals(draw):
 def test_interval_mul_sign_cases_match_all_products(x, y):
     out = x * y
     assert (out._lo, out._hi, out.prec) == _mul_reference(x, y)
+
+
+_RATIONALS = st.builds(
+    rat, st.integers(-(2**80), 2**80), st.integers(1, 2**40)
+) | st.integers(-(2**80), 2**80)
+
+
+def _same(x, y):
+    return (x._lo, x._hi, x.prec) == (y._lo, y._hi, y.prec)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_intervals(), _RATIONALS, st.integers(-4, 6))
+def test_mixed_arithmetic_is_explicit_promotion(iv, q, k):
+    # a Rat or int operand is enclosed at the interval's own precision,
+    # on either side, endpoint for endpoint
+    qi = HPInterval.from_rat(q, iv.prec)
+    assert _same(q * iv, qi * iv)
+    assert _same(iv * q, iv * qi)
+    assert _same(iv + q, iv + qi)
+    assert _same(q + iv, qi + iv)
+    assert _same(iv - q, iv - qi)
+    assert _same(q - iv, qi - iv)
+    if not iv.contains_zero():
+        assert _same(q / iv, qi * iv.inverse())
+    if q != 0:
+        assert _same(iv / q, iv * qi.inverse())
+    if k >= 0 or not iv.contains_zero():
+        power = iv ** k
+        assert _same(power, iv.pow_rat(rat(k)))
+        assert _encloses(power, iv.lo ** k) and _encloses(power, iv.hi ** k)
+
+
+def test_reflected_product_goes_through_mul(monkeypatch):
+    # a rebound HPInterval.__mul__ (a tracer's wrapper) sees q * iv too
+    seen = []
+    mul = HPInterval.__mul__
+
+    def counting(self, other):
+        seen.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(HPInterval, "__mul__", counting)
+    iv = HPInterval.from_rat(rat(1, 3), 96)
+    rat(2, 5) * iv
+    7 * iv
+    assert len(seen) == 2
