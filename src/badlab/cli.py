@@ -3,7 +3,9 @@
 Config files are flat key = value text.  Rational quantities use "p/q" or
 "p/2^k" literals, or a preset name (golden, sqrt2, cbrt2, cbrt4); float
 literals are rejected because they would silently poison the exact
-comparisons downstream.  Example:
+comparisons downstream.  parse_config returns an ExperimentConfig, which
+checks every constraint once, so each subcommand refuses a bad config
+(exit 2) before any work.  Example:
 
     ambient = 2
     A_point = cbrt2, cbrt4
@@ -34,18 +36,12 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import click
 
 from . import __version__
-from .badness import (
-    BadnessCertificate,
-    ZeroHit,
-    subspace_badness,
-    vector_badness,
-)
+from .badness import ZeroHit, subspace_badness, vector_badness
 from .exactnum import (
     Rat,
     UndecidableComparison,
@@ -60,11 +56,10 @@ from .experiment import (
     DivergingSeriesError,
     ExperimentConfig,
     RejectionError,
-    require_convergent,
     run_theorem1,
     write_outputs,
 )
-from .geometry import AffineSubspace, lift
+from .geometry import AffineSubspace
 from .lattice import (
     BoxTooLargeError,
     badness_slab,
@@ -75,7 +70,7 @@ from .lattice import (
     zeta_layer,
 )
 from .presets import PRESETS
-from .rates import RateFunction, admissible_pair, rate_from_text
+from .rates import rate_from_text
 from .series import packing_ratio_scan, partial_sum
 
 
@@ -83,6 +78,9 @@ def _parse_scalar(text: str) -> Rat:
     text = text.strip()
     if text in PRESETS:
         return PRESETS[text]
+    if text[:1].isalpha():
+        raise ValueError(
+            f"unknown preset {text!r}; choose from {sorted(PRESETS)}")
     if "." in text:
         raise ValueError(
             f"float literal {text!r} not accepted; use p/q or a preset name"
@@ -93,47 +91,6 @@ def _parse_scalar(text: str) -> Rat:
 def _parse_vector(text: str) -> Tuple[Rat, ...]:
     items = [p for p in (s.strip() for s in text.split(",")) if p]
     return tuple(_parse_scalar(p) for p in items)
-
-
-@dataclass
-class RawConfig:
-    """Parsed key-value file, structurally checked but not yet certified."""
-
-    A: AffineSubspace
-    B: AffineSubspace
-    psi: RateFunction
-    phi: RateFunction
-    R: Rat
-    gamma: Optional[Rat]
-    seed: int
-    samples: int
-    X: int
-    T_min: int
-    T_max: int
-    cert_height: int
-    thresholds: Tuple[Rat, ...]
-
-    def experiment(self) -> ExperimentConfig:
-        cert = subspace_badness(lift(self.B), self.psi, self.cert_height)
-        if isinstance(cert, ZeroHit):
-            raise ValueError(
-                "B contains the integer point "
-                f"{cert.witness}; it cannot be psi-badly approximable "
-                '(hypothesis "Let B be a psi-badly approximable affine subspace")'
-            )
-        return ExperimentConfig(
-            A=self.A,
-            B=self.B,
-            psi=self.psi,
-            phi=self.phi,
-            R=self.R,
-            certificate=cert,
-            sample_count=self.samples,
-            X=self.X,
-            T_range=(self.T_min, self.T_max),
-            seed=self.seed,
-            thresholds=self.thresholds,
-        )
 
 
 def _read_pairs(path: str) -> Dict[str, str]:
@@ -150,8 +107,9 @@ def _read_pairs(path: str) -> Dict[str, str]:
     return pairs
 
 
-def parse_config(path: str) -> RawConfig:
-    """Load and validate a config, naming the hypothesis any error breaks."""
+def parse_config(path: str) -> ExperimentConfig:
+    """Load a config; ExperimentConfig checks it, naming the hypothesis
+    any error breaks."""
     pairs = _read_pairs(path)
 
     def need(key: str) -> str:
@@ -175,49 +133,27 @@ def parse_config(path: str) -> RawConfig:
     for v in (a_point, b_point, *a_dirs, *b_dirs):
         if len(v) != ambient:
             raise ValueError("coordinate arity does not match ambient")
-    A = AffineSubspace(point=a_point, directions=tuple(a_dirs))
-    B = AffineSubspace(point=b_point, directions=tuple(b_dirs))
-    if not B.dim < A.dim:
-        raise ValueError(
-            'need dim B < dim A (hypothesis "0 <= b = dim B < a = dim A")'
-        )
     psi = rate_from_text(need("psi"))
     phi = rate_from_text(need("phi"))
-    rep = admissible_pair(psi, phi)
-    if not rep.ok:
-        where = "" if rep.witness_T is None else f" at T={rep.witness_T}"
-        raise ValueError(
-            f'rates inadmissible{where} '
-            '(hypothesis "phi(T) <= psi(T)"): ' + rep.note
-        )
     R = _parse_scalar(need("R"))
-    if R < 1:
-        raise ValueError("R must be >= 1")
-    gamma = _parse_scalar(pairs["gamma"]) if "gamma" in pairs else None
-    if gamma is not None and gamma <= 0:
-        raise ValueError("gamma must be > 0")
-    thresholds = (
-        _parse_vector(pairs["thresholds"]) if "thresholds" in pairs else ()
-    )
-    T_min = int(pairs.get("T_min", "2"))
     T_max = int(pairs.get("T_max", "256"))
     cert_height = int(pairs.get("cert_height", "0"))
     if cert_height < 0:
         raise ValueError("cert_height must be >= 0 (0 means R*T_max + 1)")
-    return RawConfig(
-        A=A,
-        B=B,
+    return ExperimentConfig(
+        A=AffineSubspace(point=a_point, directions=tuple(a_dirs)),
+        B=AffineSubspace(point=b_point, directions=tuple(b_dirs)),
         psi=psi,
         phi=phi,
         R=R,
-        gamma=gamma,
-        seed=int(pairs.get("seed", "0")),
-        samples=int(pairs.get("samples", "100")),
-        X=int(pairs.get("X", "100000")),
-        T_min=T_min,
-        T_max=T_max,
         cert_height=cert_height or int(rat(T_max) * R) + 1,
-        thresholds=thresholds,
+        sample_count=int(pairs.get("samples", "100")),
+        X=int(pairs.get("X", "100000")),
+        T_range=(int(pairs.get("T_min", "2")), T_max),
+        seed=int(pairs.get("seed", "0")),
+        thresholds=(_parse_vector(pairs["thresholds"])
+                    if "thresholds" in pairs else ()),
+        gamma=_parse_scalar(pairs["gamma"]) if "gamma" in pairs else None,
     )
 
 
@@ -227,7 +163,10 @@ def config_hash(echo: dict) -> str:
 
 
 def config_from_echo(echo: dict) -> ExperimentConfig:
-    """Rebuild a config from a report.json echo; hashes must agree."""
+    """Rebuild a config from a report.json echo; hashes must agree.
+
+    The certificate is derived again at the echoed height, so matching
+    hashes also show that the echoed certificate reproduces."""
     A = AffineSubspace(
         point=tuple(parse_rat(s) for s in echo["A_point"]),
         directions=tuple(
@@ -240,28 +179,13 @@ def config_from_echo(echo: dict) -> ExperimentConfig:
             tuple(parse_rat(s) for s in row) for row in echo["B_directions"]
         ),
     )
-    psi = rate_from_text(echo["psi"])
-    phi = rate_from_text(echo["phi"])
-    c = echo["certificate"]
-    cert = BadnessCertificate(
-        target=lift(B),
-        rate=psi,
-        height=int(c["height"]),
-        witness=tuple(int(v) for v in c["witness"]),
-        witness_dist=parse_rat(c["witness_dist"]),
-        witness_norm=int(c["witness_norm"]),
-        gamma_lower=parse_rat(c["gamma_lower"]),
-        gamma_exact=None
-        if c["gamma_exact"] is None
-        else parse_rat(c["gamma_exact"]),
-    )
     return ExperimentConfig(
         A=A,
         B=B,
-        psi=psi,
-        phi=phi,
+        psi=rate_from_text(echo["psi"]),
+        phi=rate_from_text(echo["phi"]),
         R=parse_rat(echo["R"]),
-        certificate=cert,
+        cert_height=int(echo["certificate"]["height"]),
         sample_count=int(echo["sample_count"]),
         X=int(echo["X"]),
         T_range=tuple(echo["T_range"]),
@@ -343,13 +267,14 @@ def main() -> None:
 def badness(config_path, height, vector_text, x_max, out_dir):
     """Certify the badness infimum of B, or scan a single vector."""
     started = time.time()
-    raw = parse_config(config_path)
+    cfg = parse_config(config_path)
     if vector_text is not None:
-        res = vector_badness(_parse_vector(vector_text), raw.psi,
-                             x_max or raw.X)
+        res = vector_badness(_parse_vector(vector_text), cfg.psi,
+                             x_max or cfg.X)
         payload = res.to_json_dict()
     else:
-        out = subspace_badness(lift(raw.B), raw.psi, height or raw.cert_height)
+        out = subspace_badness(cfg.lifted_B, cfg.psi,
+                               height or cfg.cert_height)
         if isinstance(out, ZeroHit):
             payload = {"kind": "zero_hit", "witness": list(out.witness),
                        "shell": out.shell}
@@ -366,7 +291,7 @@ def badness(config_path, height, vector_text, x_max, out_dir):
         _write_manifest(out_dir, "badness",
                         {"config": config_path, "height": height,
                          "vector": vector_text, "x_max": x_max},
-                        started, seed=raw.seed)
+                        started, seed=cfg.seed)
     sys.exit(1 if payload.get("kind") == "zero_hit" else 0)
 
 
@@ -380,17 +305,17 @@ def badness(config_path, height, vector_text, x_max, out_dir):
 def enumerate_cmd(config_path, T, which, out_dir):
     """List integer points of a slab or layer at scale T."""
     started = time.time()
-    raw = parse_config(config_path)
+    cfg = parse_config(config_path)
     if which == "omega":
-        if raw.gamma is None:
+        if cfg.gamma is None:
             raise ValueError("omega enumeration needs a gamma key")
-        spec = badness_slab(lift(raw.B), raw.gamma, raw.psi, raw.R, T)
+        spec = badness_slab(cfg.lifted_B, cfg.gamma, cfg.psi, cfg.R, T)
         pts = enumerate_slab(spec)
     elif which == "pi":
-        spec = approach_slab(lift(raw.A), raw.phi, raw.R, T)
+        spec = approach_slab(cfg.lifted_A, cfg.phi, cfg.R, T)
         pts = enumerate_slab(spec)
     else:
-        _, pts = zeta_layer(lift(raw.A), raw.phi, raw.R, T)
+        _, pts = zeta_layer(cfg.lifted_A, cfg.phi, cfg.R, T)
     click.echo(f"{which} T={T}: {len(pts)} points")
     if out_dir:
         import os
@@ -399,12 +324,12 @@ def enumerate_cmd(config_path, T, which, out_dir):
         path = os.path.join(out_dir, "points.csv")
         with open(path, "w", newline="\n") as fh:
             wr = csv.writer(fh, lineterminator="\n")
-            wr.writerow([f"z{i}" for i in range(raw.A.ambient + 1)])
+            wr.writerow([f"z{i}" for i in range(cfg.A.ambient + 1)])
             for p in pts:
                 wr.writerow(list(p))
         _write_manifest(out_dir, "enumerate",
                         {"config": config_path, "T": T, "set": which},
-                        started, seed=raw.seed)
+                        started, seed=cfg.seed)
     sys.exit(0)
 
 
@@ -419,19 +344,20 @@ def enumerate_cmd(config_path, T, which, out_dir):
 def series(config_path, N, counts_to, out_dir):
     """Emit the comparison series table up to N."""
     started = time.time()
-    raw = parse_config(config_path)
-    a, b = raw.A.dim, raw.B.dim
-    ps = partial_sum(N, raw.R, raw.psi, raw.phi, a, b)
+    cfg = parse_config(config_path)
+    a, b = cfg.A.dim, cfg.B.dim
+    ps = partial_sum(N, cfg.R, cfg.psi, cfg.phi, a, b)
     scan = None
     if counts_to:
-        # the scan starts where the series does, inside both rate
+        # the counts start where the series does, inside both rate
         # domains; counts_to below that leaves an empty T range
-        scan = packing_ratio_scan(
-            lift(raw.A), raw.psi, raw.phi, raw.R, a, b,
-            T_values=range(ps.terms[0].T, counts_to + 1),
-        )
-    rows = _series_rows(ps, scan)
-    click.echo(f"S_{N} = {rows[-1][4]}")
+        T_values = range(ps.terms[0].T, counts_to + 1)
+        if not T_values:
+            raise ValueError("empty T range")
+        if out_dir:  # only series.csv and the manifest read the scan
+            scan = packing_ratio_scan(cfg.lifted_A, cfg.psi, cfg.phi, cfg.R,
+                                      a, b, T_values=T_values)
+    click.echo(f"S_{N} = {_upper(ps.sums[-1])}")
     if out_dir:
         import os
 
@@ -440,7 +366,7 @@ def series(config_path, N, counts_to, out_dir):
             wr = csv.writer(fh, lineterminator="\n")
             wr.writerow(["T", "mu", "lambda", "term", "partial_sum",
                          "zeta", "pi_count", "ratio_int", "ratio_cumzeta"])
-            wr.writerows(rows)
+            wr.writerows(_series_rows(ps, scan))
         extra = {}
         if scan is not None:
             extra["packing"] = {
@@ -450,15 +376,16 @@ def series(config_path, N, counts_to, out_dir):
             }
         _write_manifest(out_dir, "series",
                         {"config": config_path, "N": N, "counts_to": counts_to},
-                        started, seed=raw.seed, **extra)
+                        started, seed=cfg.seed, **extra)
     sys.exit(0)
 
 
-def _series_rows(ps, scan) -> List[list]:
-    def fmt(v) -> str:
-        # an exact value, or an interval's upper end
-        return format_rat(rat_bounds(v)[1])
+def _upper(v) -> str:
+    """An exact value, or an interval's upper end."""
+    return format_rat(rat_bounds(v)[1])
 
+
+def _series_rows(ps, scan) -> List[list]:
     by_T = {}
     if scan is not None:
         by_T = {r.T: r for r in scan.rows}
@@ -469,8 +396,8 @@ def _series_rows(ps, scan) -> List[list]:
         r = by_T.get(term.T)
         if r is not None:
             extra = [r.zeta, r.pi, format_rat(r.ratio_pi), format_rat(r.ratio_cum)]
-        rows.append([term.T, fmt(mu), fmt(lam), fmt(mu * lam), fmt(s)]
-                    + extra)
+        rows.append([term.T, _upper(mu), _upper(lam), _upper(mu * lam),
+                     _upper(s)] + extra)
     return rows
 
 
@@ -482,11 +409,8 @@ def _series_rows(ps, scan) -> List[list]:
 def montecarlo(config_path, out_dir):
     """Sample A and test the almost-every conclusion quantitatively."""
     started = time.time()
-    raw = parse_config(config_path)
-    # refuse a divergent series before building the certificate
-    exp = require_convergent(raw.psi, raw.phi, raw.A.dim, raw.B.dim)
-    cfg = raw.experiment()
-    report = run_theorem1(cfg, exp)
+    cfg = parse_config(config_path)
+    report = run_theorem1(cfg)
     elapsed = time.time() - started
     write_outputs(report, out_dir)
     _write_manifest(out_dir, "montecarlo", {"config": config_path},
@@ -509,19 +433,19 @@ def montecarlo(config_path, out_dir):
 def verify(config_path, T, translates, out_dir):
     """Check slab triviality for every scale up to T, then the packing step."""
     started = time.time()
-    raw = parse_config(config_path)
-    if raw.gamma is None:
+    cfg = parse_config(config_path)
+    if cfg.gamma is None:
         raise ValueError("verify needs a gamma key in the config")
-    span = lift(raw.B)
+    span = cfg.lifted_B
     for t in range(1, T + 1):
-        rep = verify_omega_trivial(span, raw.gamma, raw.psi, raw.R, t)
+        rep = verify_omega_trivial(span, cfg.gamma, cfg.psi, cfg.R, t)
         if not rep.ok:
             click.echo(
                 f"triviality FAILED at T={t}: counterexample {rep.counterexample}"
             )
             sys.exit(1)
-    half = half_dilation_check(span, raw.gamma, raw.psi, raw.R, T,
-                               translates=translates, seed=raw.seed)
+    half = half_dilation_check(span, cfg.gamma, cfg.psi, cfg.R, T,
+                               translates=translates, seed=cfg.seed)
     if not half.ok:
         v = half.violations[0]
         click.echo(f"packing FAILED at T={T}: translate {v.translate}")
@@ -534,7 +458,7 @@ def verify(config_path, T, translates, out_dir):
         _write_manifest(out_dir, "verify",
                         {"config": config_path, "T": T,
                          "translates": translates},
-                        started, seed=raw.seed)
+                        started, seed=cfg.seed)
     sys.exit(0)
 
 

@@ -13,9 +13,10 @@ filtering shares, by integer cross-multiplication with the ends of one
 enclosure per T kept in the layer cache.  Membership answers with the
 admitting layer point.
 
-The series verdict in report.json is series.exponent_analysis's exact
-exponent test, run by require_convergent before the certificate is
-built.
+The config is checked once, when ExperimentConfig is built, and B's
+badness certificate is derived from it on first use.  The series verdict
+in report.json is series.exponent_analysis's exact exponent test, run by
+require_convergent before the certificate is built.
 
 Everything written to samples.csv, tails.csv, and report.json is a pure
 function of the config; wall-clock timing goes to the command's
@@ -30,7 +31,13 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .badness import BadnessCertificate, VectorBadnessResult, vector_badness
+from .badness import (
+    BadnessCertificate,
+    VectorBadnessResult,
+    ZeroHit,
+    subspace_badness,
+    vector_badness,
+)
 from .exactlp import HPoly, matrix_rank
 from .exactnum import (
     Rat,
@@ -125,27 +132,47 @@ class PhiloxStream:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment, checked once at construction.
+
+    __post_init__ raises ValueError, naming the broken hypothesis where
+    there is one, for every constraint any subcommand relies on, so a bad
+    config is refused before any work is done.  B's badness certificate
+    at cert_height is derived from the config on first use.
+    """
+
     A: AffineSubspace
     B: AffineSubspace
     psi: RateFunction
     phi: RateFunction
     R: Rat
-    certificate: BadnessCertificate
+    cert_height: int
     sample_count: int
     X: int
     T_range: Tuple[int, int]
     seed: int
     thresholds: Tuple[Rat, ...] = ()
+    gamma: Optional[Rat] = None  # slab scale of enumerate and verify
 
     def __post_init__(self):
+        if self.A.ambient != self.B.ambient:
+            raise ValueError("A and B live in different ambient spaces")
+        if not self.B.dim < self.A.dim:
+            raise ValueError(
+                'need dim B < dim A (hypothesis "0 <= b = dim B < a = dim A")'
+            )
+        rep = admissible_pair(self.psi, self.phi)
+        if not rep.ok:
+            where = "" if rep.witness_T is None else f" at T={rep.witness_T}"
+            raise ValueError(
+                f'rates inadmissible{where} '
+                '(hypothesis "phi(T) <= psi(T)"): ' + rep.note
+            )
         R = as_rat(self.R)
         object.__setattr__(self, "R", R)
         if R < 1:
             raise ValueError("R must be >= 1")
-        if self.A.ambient != self.B.ambient:
-            raise ValueError("A and B live in different ambient spaces")
-        if not self.B.dim < self.A.dim:
-            raise ValueError("need dim B < dim A")
+        if self.gamma is not None and self.gamma <= 0:
+            raise ValueError("gamma must be > 0")
         lifted_A = lift(self.A)
         lifted_B = lift(self.B)
         if not lifted_B.is_subspace_of(lifted_A):
@@ -157,9 +184,6 @@ class ExperimentConfig:
         v0 = vertices[0]
         if matrix_rank([vec_sub(v, v0) for v in vertices]) < self.A.dim:
             raise ValueError("the R ball meets A in a set of measure zero")
-        rep = admissible_pair(self.psi, self.phi)
-        if not rep.ok:
-            raise ValueError("rates not admissible: " + rep.note)
         lo, hi = self.T_range
         if not 1 <= lo <= hi:
             raise ValueError("bad T range")
@@ -167,14 +191,7 @@ class ExperimentConfig:
             raise ValueError(
                 f"R*T_min = {format_rat(R * lo)} lies below phi's domain "
                 f"start {format_rat(self.phi.domain_start)}")
-        cert = self.certificate
-        if cert is None:
-            raise ValueError("a badness certificate for (B, psi) is required")
-        if tuple(cert.target.basis) != tuple(lifted_B.basis):
-            raise ValueError("certificate targets a different subspace")
-        if cert.rate != self.psi:
-            raise ValueError("certificate was issued for a different rate")
-        if cert.height < R * hi:
+        if self.cert_height < R * hi:
             raise ValueError("certificate height does not cover R*max(T)")
         if self.sample_count < 0 or self.X < 1:
             raise ValueError("bad sample_count or X")
@@ -188,6 +205,18 @@ class ExperimentConfig:
             )
         object.__setattr__(self, "lifted_A", lifted_A)
         object.__setattr__(self, "lifted_B", lifted_B)
+
+    @cached_property
+    def certificate(self) -> BadnessCertificate:
+        """B's badness certificate at cert_height, scanned on first use."""
+        cert = subspace_badness(self.lifted_B, self.psi, self.cert_height)
+        if isinstance(cert, ZeroHit):
+            raise ValueError(
+                "B contains the integer point "
+                f"{cert.witness}; it cannot be psi-badly approximable "
+                '(hypothesis "Let B be a psi-badly approximable affine subspace")'
+            )
+        return cert
 
     @property
     def a_dim(self) -> int:
@@ -538,11 +567,7 @@ def _quantiles(vals: List[Rat]) -> Dict[str, Rat]:
 def require_convergent(
     psi: RateFunction, phi: RateFunction, a: int, b: int,
 ) -> ExponentReport:
-    """The series' exact exponent test; DivergingSeriesError if it diverges.
-
-    It needs only the rates and dimensions, so a caller can run it before
-    paying for the badness certificate.
-    """
+    """The series' exact exponent test; DivergingSeriesError if it diverges."""
     exp = exponent_analysis(psi, phi, a, b)
     if exp.verdict != "converging":
         raise DivergingSeriesError(
@@ -552,14 +577,12 @@ def require_convergent(
     return exp
 
 
-def run_theorem1(
-    config: ExperimentConfig, exp: Optional[ExponentReport] = None,
-) -> TheoremReport:
-    """The full pipeline.  `exp` is require_convergent's report for this
-    config when the caller already ran it; otherwise it is run here."""
-    if exp is None:
-        exp = require_convergent(
-            config.psi, config.phi, config.a_dim, config.b_dim)
+def run_theorem1(config: ExperimentConfig) -> TheoremReport:
+    """The full pipeline: the series test, then the certificate, then the
+    samples, so a divergent series is refused before the scan."""
+    exp = require_convergent(
+        config.psi, config.phi, config.a_dim, config.b_dim)
+    config.certificate  # built here: a B through an integer point raises
     samples = sample_on_A(config, config.sample_count)
     cache = _LayerCache(config)
     lo_T, hi_T = config.T_range

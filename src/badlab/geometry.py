@@ -32,10 +32,6 @@ from .exactnum import Rat, as_rat, num_den, rat, rat_abs, rat_floor
 Vec = Tuple[Rat, ...]
 
 
-def vec(*coords) -> Vec:
-    return tuple(as_rat(c) for c in coords)
-
-
 def as_vec(coords: Sequence) -> Vec:
     return tuple(as_rat(c) for c in coords)
 

@@ -29,12 +29,3 @@ PRESETS: dict[str, Rat] = {
     "cbrt2": rat(_root_floor(2, 3), _SCALE),
     "cbrt4": rat(_root_floor(4, 3), _SCALE),
 }
-
-
-def preset_value(name: str) -> Rat:
-    try:
-        return PRESETS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown preset {name!r}; choose from {sorted(PRESETS)}"
-        ) from None

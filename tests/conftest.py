@@ -2,19 +2,30 @@
 
 The golden line (d=1) and the cubic pair line (d=2) are the workhorses;
 their badness certificates take a couple of seconds each to scan, so
-they are built once per session.
+each config is built once per session and derives its certificate once.
+
+Also the helpers tests build their inputs with: preset_value and vec.
 """
 
 import time
 
 import pytest
 
-from badlab.badness import BadnessCertificate, subspace_badness
-from badlab.exactnum import rat
+from badlab.badness import BadnessCertificate
+from badlab.exactnum import Rat, as_rat, rat
 from badlab.experiment import ExperimentConfig
-from badlab.geometry import AffineSubspace, LiftedSpan
-from badlab.presets import preset_value
+from badlab.geometry import AffineSubspace, LiftedSpan, Vec
+from badlab.presets import PRESETS
 from badlab.rates import PowerLaw, PowerLog
+
+
+def preset_value(name: str) -> Rat:
+    return PRESETS[name]
+
+
+def vec(*coords) -> Vec:
+    return tuple(as_rat(c) for c in coords)
+
 
 GOLDEN = preset_value("golden")
 CBRT2 = preset_value("cbrt2")
@@ -33,14 +44,7 @@ def golden_span():
 
 
 @pytest.fixture(scope="session")
-def golden_cert(golden_span, unit_psi) -> BadnessCertificate:
-    cert = subspace_badness(golden_span, unit_psi, height=1000)
-    assert isinstance(cert, BadnessCertificate)
-    return cert
-
-
-@pytest.fixture(scope="session")
-def golden_config(golden_cert, unit_psi) -> ExperimentConfig:
+def golden_config(unit_psi) -> ExperimentConfig:
     # d=1, A = R^1, B = {golden}, psi = phi = 1/T
     A = AffineSubspace(point=(rat(0),), directions=((rat(1),),))
     B = AffineSubspace(point=(GOLDEN,), directions=())
@@ -50,12 +54,17 @@ def golden_config(golden_cert, unit_psi) -> ExperimentConfig:
         psi=unit_psi,
         phi=unit_psi,
         R=rat(1),
-        certificate=golden_cert,
+        cert_height=1000,
         sample_count=100,
         X=10**4,
         T_range=(2, 100),
         seed=42,
     )
+
+
+@pytest.fixture(scope="session")
+def golden_cert(golden_config) -> BadnessCertificate:
+    return golden_config.certificate
 
 
 @pytest.fixture(scope="session")
@@ -79,28 +88,24 @@ def cubic_phi():
 
 
 @pytest.fixture(scope="session")
-def cubic_cert(cubic_B, cubic_psi) -> BadnessCertificate:
-    from badlab.geometry import lift
-
-    cert = subspace_badness(lift(cubic_B), cubic_psi, height=512)
-    assert isinstance(cert, BadnessCertificate)
-    return cert
-
-
-@pytest.fixture(scope="session")
-def cubic_config(cubic_A, cubic_B, cubic_psi, cubic_phi, cubic_cert) -> ExperimentConfig:
+def cubic_config(cubic_A, cubic_B, cubic_psi, cubic_phi) -> ExperimentConfig:
     return ExperimentConfig(
         A=cubic_A,
         B=cubic_B,
         psi=cubic_psi,
         phi=cubic_phi,
         R=rat(2),
-        certificate=cubic_cert,
+        cert_height=512,
         sample_count=100,
         X=10**5,
         T_range=(2, 256),
         seed=42,
     )
+
+
+@pytest.fixture(scope="session")
+def cubic_cert(cubic_config) -> BadnessCertificate:
+    return cubic_config.certificate
 
 
 @pytest.fixture(scope="session")

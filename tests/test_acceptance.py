@@ -29,7 +29,6 @@ from badlab.lattice import (
     naive_slab_scan,
     verify_omega_trivial,
 )
-from badlab.presets import preset_value
 from badlab.rates import PowerLaw, PowerLog, admissible_pair
 from badlab.series import (
     exponent_analysis,
@@ -37,6 +36,8 @@ from badlab.series import (
     mu_strictly_increasing,
     packing_ratio_scan,
 )
+
+from conftest import preset_value
 
 GOLDEN = preset_value("golden")
 CBRT2 = preset_value("cbrt2")

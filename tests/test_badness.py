@@ -25,8 +25,9 @@ from badlab.geometry import (
     dual_functionals,
     lift,
 )
-from badlab.presets import preset_value
 from badlab.rates import PowerLaw, PowerLog, cmp_scaled_ratios, interval_eval
+
+from conftest import preset_value
 
 GOLDEN = preset_value("golden")
 CBRT2 = preset_value("cbrt2")

@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 import badlab.cli
+import badlab.experiment
 from badlab.cli import config_from_echo, config_hash, main, parse_config
 from badlab.exactnum import UndecidableComparison, format_rat
 from badlab.experiment import (
@@ -13,7 +14,6 @@ from badlab.experiment import (
     RejectionError,
     chart_ball_measure,
 )
-from badlab.geometry import lift
 from badlab.lattice import BoxTooLargeError
 from badlab.series import packing_ratio_scan
 
@@ -291,6 +291,56 @@ def test_montecarlo_T_range_below_phi_refused_before_sampling(
     assert res.stderr == f"config error: {message}\n"
 
 
+def _forbid_certificate(monkeypatch):
+    """Make any badness certificate scan fail the test."""
+    def no_certificate(*args, **kwargs):
+        raise AssertionError("certificate built for a refused config")
+
+    for module in (badlab.cli, badlab.experiment):
+        monkeypatch.setattr(module, "subspace_badness", no_certificate)
+
+
+# configs every subcommand refuses at load, whatever its options (those
+# of BAD_DOMAIN): (keys of cubic.cfg to replace, the one stderr line)
+REFUSED_AT_LOAD = {
+    "B-off-A": ({"B_point": "cbrt2, golden"},
+                "config error: B is not contained in A\n"),
+    "T_min=0": ({"T_min": "0"}, "config error: bad T range\n"),
+    "cert_height=100": ({"cert_height": "100"},
+                        "config error: certificate height does not cover "
+                        "R*max(T)\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_AT_LOAD))
+@pytest.mark.parametrize("command", sorted(BAD_DOMAIN))
+def test_every_subcommand_refuses_bad_config_at_load(
+        runner, tmp_path, monkeypatch, command, case):
+    keys, stderr = REFUSED_AT_LOAD[case]
+    cfg = _cubic_with(tmp_path, **keys)
+    monkeypatch.chdir(tmp_path)
+    args = BAD_DOMAIN[command][1]
+    res = runner.invoke(main, [command, "--config", cfg, *args])
+    assert res.exit_code == 2, res.output
+    assert res.stderr == stderr
+    assert res.stdout == ""
+    assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("keys, message", [
+    ({"T_min": "0"}, "bad T range"),
+    ({"samples": "-5"}, "bad sample_count or X"),
+], ids=["T_min=0", "samples=-5"])
+def test_montecarlo_refuses_before_the_certificate(
+        runner, tmp_path, monkeypatch, keys, message):
+    _forbid_certificate(monkeypatch)
+    cfg = _cubic_with(tmp_path, **keys)
+    res = runner.invoke(
+        main, ["montecarlo", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    assert res.stderr == f"config error: {message}\n"
+
+
 def test_series_counts_start_where_the_series_starts(runner, tmp_path):
     # psi starts at 4 and phi at 2 (R = 1): both the sums and the counts
     # start at T = 4
@@ -324,6 +374,7 @@ B_point = golden
 psi = powerlaw c=1 alpha=1
 phi = powerlog c=1 alpha=1 delta=1 T0=8
 R = 1
+T_min = 8
 """
 
 
@@ -435,9 +486,9 @@ def test_series_packing_manifest(runner, tmp_path):
          "--out", str(out)],
     )
     assert res.exit_code == 0, res.output
-    raw = parse_config(CUBIC_CFG)
+    cfg = parse_config(CUBIC_CFG)
     scan = packing_ratio_scan(
-        lift(raw.A), raw.psi, raw.phi, raw.R, raw.A.dim, raw.B.dim,
+        cfg.lifted_A, cfg.psi, cfg.phi, cfg.R, cfg.A.dim, cfg.B.dim,
         T_values=range(1, 11),
     )
     manifest = json.loads((out / "manifest.json").read_text())
@@ -478,7 +529,7 @@ def test_montecarlo_refuses_divergent(runner, tmp_path, monkeypatch):
     def no_certificate(*args, **kwargs):
         raise AssertionError("certificate built for a divergent run")
 
-    monkeypatch.setattr(badlab.cli, "subspace_badness", no_certificate)
+    monkeypatch.setattr(badlab.experiment, "subspace_badness", no_certificate)
     out = tmp_path / "mc"
     res = runner.invoke(
         main, ["montecarlo", "--config", GOLDEN_CFG, "--out", str(out)]
@@ -488,8 +539,8 @@ def test_montecarlo_refuses_divergent(runner, tmp_path, monkeypatch):
 
 
 def test_montecarlo_negative_R_is_config_error(runner, tmp_path):
-    # parse_config checks R >= 1 itself, before the series test and the
-    # certificate run, so a negative R never reaches either
+    # the config checks R >= 1 when it is loaded, before the series test
+    # and the certificate run, so a negative R never reaches either
     text = (SMALL_MC_CFG.replace("R = 2", "R = -1")
             .replace("phi = powerlog c=1 alpha=1/2 delta=2 T0=2",
                      "phi = powerlaw c=1 alpha=1"))
@@ -500,9 +551,11 @@ def test_montecarlo_negative_R_is_config_error(runner, tmp_path):
     assert "config error" in res.output
 
 
-def test_montecarlo_ball_missing_A_is_config_error(runner, tmp_path):
+def test_montecarlo_ball_missing_A_is_config_error(runner, tmp_path,
+                                                  monkeypatch):
     # the line x = 5 never enters the R = 2 ball: bad input, not a failed
-    # check, so nothing is sampled
+    # check, so nothing is sampled and no certificate built
+    _forbid_certificate(monkeypatch)
     text = (SMALL_MC_CFG.replace("A_point = cbrt2, cbrt4", "A_point = 5, golden")
             .replace("A_dir_0 = 1, cbrt2", "A_dir_0 = 0, 1")
             .replace("B_point = cbrt2, cbrt4", "B_point = 5, golden"))
@@ -578,7 +631,7 @@ def test_montecarlo_three_dimensional_chart(runner, tmp_path):
     assert res.exit_code == 0, res.output
     tails = (out / "tails.csv").read_text().splitlines()
     assert len(tails) == 3  # the header, T = 2 and T = 3
-    assert chart_ball_measure(parse_config(cfg).experiment()) == 8
+    assert chart_ball_measure(parse_config(cfg)) == 8
 
 
 def test_montecarlo_small_run(runner, tmp_path):
@@ -602,10 +655,9 @@ def test_montecarlo_small_run(runner, tmp_path):
         "report.json", "samples.csv", "tails.csv", "manifest.json"}
 
 
-def test_raw_config_experiment_roundtrip(tmp_path):
+def test_config_echo_roundtrip(tmp_path):
     cfg_path = _write(tmp_path, "small.cfg", SMALL_MC_CFG)
-    raw = parse_config(cfg_path)
-    cfg = raw.experiment()
+    cfg = parse_config(cfg_path)
     assert cfg.sample_count == 12
     assert cfg.T_range == (2, 32)
     assert cfg.certificate.height == 64
@@ -613,8 +665,19 @@ def test_raw_config_experiment_roundtrip(tmp_path):
     assert config_hash(echo) == config_hash(config_from_echo(echo).describe())
 
 
-def test_raw_config_rejects_zero_hit_target(tmp_path):
-    cfg_path = _write(tmp_path, "control.cfg", CONTROL_CFG)
-    raw = parse_config(cfg_path)
+def test_config_echo_reproduces_certificate(tmp_path):
+    # the rebuilt config derives its certificate again, so an echo whose
+    # certificate does not reproduce hashes differently
+    cfg = parse_config(_write(tmp_path, "small.cfg", SMALL_MC_CFG))
+    echo = cfg.describe()
+    cert = dict(echo["certificate"], gamma_lower="1/1000")
+    altered = dict(echo, certificate=cert)
+    rebuilt = config_from_echo(altered).describe()
+    assert config_hash(rebuilt) != config_hash(altered)
+    assert config_hash(rebuilt) == config_hash(echo)
+
+
+def test_config_rejects_zero_hit_target(tmp_path):
+    cfg = parse_config(_write(tmp_path, "control.cfg", CONTROL_CFG))
     with pytest.raises(ValueError, match="badly approximable"):
-        raw.experiment()
+        cfg.certificate

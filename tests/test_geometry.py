@@ -20,9 +20,9 @@ from badlab.geometry import (
     line_witness,
     nearest_int_dist,
     sup_norm,
-    vec,
 )
-from badlab.presets import preset_value
+
+from conftest import preset_value, vec
 
 GOLDEN = preset_value("golden")
 

@@ -36,8 +36,9 @@ from badlab.lattice import (
     verify_omega_trivial,
     zeta_layer,
 )
-from badlab.presets import preset_value
 from badlab.rates import PowerLaw, PowerLog
+
+from conftest import preset_value
 
 GOLDEN = preset_value("golden")
 CBRT2 = preset_value("cbrt2")

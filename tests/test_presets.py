@@ -1,7 +1,10 @@
-import pytest
+from click.testing import CliRunner
 
+from badlab.cli import main
 from badlab.exactnum import rat
-from badlab.presets import PRESET_BITS, PRESET_EPS, PRESETS, preset_value
+from badlab.presets import PRESET_BITS, PRESET_EPS, PRESETS
+
+from conftest import preset_value
 
 
 def test_preset_error_budget():
@@ -33,10 +36,18 @@ def test_preset_denominators_dyadic():
         assert d <= 1 << PRESET_BITS
 
 
-def test_preset_lookup():
+def test_preset_lookup(tmp_path):
     assert preset_value("golden") == PRESETS["golden"]
-    with pytest.raises(ValueError, match="unknown preset"):
-        preset_value("pi")
+    # a name that is no preset is bad config input
+    text = open("configs/golden.cfg").read()
+    assert "B_point = golden" in text
+    cfg = tmp_path / "pi.cfg"
+    cfg.write_text(text.replace("B_point = golden", "B_point = pi"))
+    res = CliRunner().invoke(main, ["badness", "--config", str(cfg)])
+    assert res.exit_code == 2
+    assert res.stderr == (
+        "config error: unknown preset 'pi'; choose from "
+        "['cbrt2', 'cbrt4', 'golden', 'sqrt2']\n")
 
 
 def test_preset_precision_scale():

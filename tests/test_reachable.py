@@ -42,10 +42,7 @@ ALLOWED = {
     "series.lambda_all_positive": "acceptance API: "
         "test_acceptance::test_07_lambda_positive_mu_increasing",
     "cli.config_from_echo": "report.json round trip: "
-        "test_cli::test_raw_config_experiment_roundtrip",
-    "geometry.vec":
-        "test vectors: test_geometry::test_sup_norm_and_nearest_int",
-    "presets.preset_value": "checked lookup: test_presets::test_preset_lookup",
+        "test_cli::test_config_echo_roundtrip",
 }
 
 

@@ -268,7 +268,7 @@ def test_partial_sum_evaluates_each_rate_value_once(monkeypatch):
     import badlab.rates as rates
     from badlab.cli import parse_config
 
-    raw = parse_config("configs/cubic.cfg")
+    cfg = parse_config("configs/cubic.cfg")
     calls = []
     real = rates.eval_exact
 
@@ -280,6 +280,6 @@ def test_partial_sum_evaluates_each_rate_value_once(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("badlab") and vars(module).get("eval_exact") is real:
             monkeypatch.setattr(module, "eval_exact", counted)
-    ps = partial_sum(800, raw.R, raw.psi, raw.phi, raw.A.dim, raw.B.dim)
+    ps = partial_sum(800, cfg.R, cfg.psi, cfg.phi, cfg.A.dim, cfg.B.dim)
     assert len(ps.terms) == 800
     assert len(calls) <= 2 * 800 + 2
