@@ -315,7 +315,7 @@ def enumerate_cmd(config_path, T, which, out_dir):
         spec = approach_slab(cfg.lifted_A, cfg.phi, cfg.R, T)
         pts = enumerate_slab(spec)
     else:
-        _, pts = zeta_layer(cfg.lifted_A, cfg.phi, cfg.R, T)
+        pts = zeta_layer(cfg.lifted_A, cfg.phi, cfg.R, T)
     click.echo(f"{which} T={T}: {len(pts)} points")
     if out_dir:
         import os

@@ -6,8 +6,8 @@ depend only on (seed, sample index), never on scheduling.  Membership in
 the shrinking target sets is decided exactly: layer points come from the
 lattice enumerator, and the per-candidate minimax over the ray parameter
 is the exact line distance.  Each sample's lift (1, w) is cleared to
-integers once (geometry.ClearedLine, kept in the layer cache), so the
-distance of an integer layer point is an integer pair (num, den).  It
+integers once (cleared_lift, a geometry.ClearedLine passed to every T), so
+the distance of an integer layer point is an integer pair (num, den).  It
 meets phi(RT) through lattice.Thickness.admits, the threshold test slab
 filtering shares, by integer cross-multiplication with the ends of one
 enclosure per T kept in the layer cache.  Membership answers with the
@@ -33,7 +33,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .badness import (
     BadnessCertificate,
-    VectorBadnessResult,
     ZeroHit,
     subspace_badness,
     vector_badness,
@@ -195,6 +194,10 @@ class ExperimentConfig:
             raise ValueError("certificate height does not cover R*max(T)")
         if self.sample_count < 0 or self.X < 1:
             raise ValueError("bad sample_count or X")
+        if self.X < self.phi.domain_start:  # vector_badness scans q <= X
+            raise ValueError(
+                f"X = {self.X} lies below phi's domain start "
+                f"{format_rat(self.phi.domain_start)}")
         if not 0 <= self.seed < 1 << 64:
             raise ValueError("seed must fit in 64 bits")
         if not self.thresholds:
@@ -217,14 +220,6 @@ class ExperimentConfig:
                 '(hypothesis "Let B be a psi-badly approximable affine subspace")'
             )
         return cert
-
-    @property
-    def a_dim(self) -> int:
-        return self.A.dim
-
-    @property
-    def b_dim(self) -> int:
-        return self.B.dim
 
     def describe(self) -> dict:
         return {
@@ -310,7 +305,6 @@ def sample_on_A(config: ExperimentConfig, n: int) -> List[Vec]:
         stream = PhiloxStream(config.seed, index)
         for attempt in range(1000):
             t = []
-            ok = True
             for lo, hi in box:
                 cells = int(hi - lo) * two64
                 t.append(lo + rat(stream.below(cells), two64))
@@ -332,42 +326,35 @@ def sample_on_A(config: ExperimentConfig, n: int) -> List[Vec]:
 # membership
 
 
+def cleared_lift(w: Sequence, R: Rat) -> ClearedLine:
+    """The lift (1, w) cleared to integers; ValueError unless
+    sup_norm(w) <= R.
+
+    run_theorem1 builds one per sample and passes it to u_t_member at
+    every T, so neither the sample's norm nor the lcm of its 260-bit
+    denominators is taken twice.
+    """
+    if sup_norm(w) > R:
+        raise ValueError("w outside the R ball")
+    return ClearedLine((rat(1), *w))
+
+
 class _LayerCache:
     """Z_T layers and the phi(RT) thickness of each T, shared across
-    samples, the last sample found inside the R ball with its cleared
-    lift, and the chart measure."""
+    samples, and the chart measure."""
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
         self._layers: Dict[int, List[Tuple[int, ...]]] = {}
         self._thickness: Dict[int, Thickness] = {}
-        self._in_ball: Optional[Tuple[tuple, ClearedLine]] = None
-
-    def in_ball(self, w: Sequence) -> ClearedLine:
-        """The lift (1, w) cleared to integers; ValueError unless
-        sup_norm(w) <= R.
-
-        A sample is tested at every T as the same tuple, so the last tuple
-        that passed is remembered with its cleared lift: neither its norm
-        nor the lcm of its 260-bit denominators is taken again (a tuple
-        of rationals cannot change).
-        """
-        if self._in_ball is not None and w is self._in_ball[0]:
-            return self._in_ball[1]
-        wv = as_vec(w)
-        if sup_norm(wv) > self.config.R:
-            raise ValueError("w outside the R ball")
-        lifted = ClearedLine((rat(1),) + wv)
-        if type(w) is tuple:
-            self._in_ball = (w, lifted)
-        return lifted
 
     def layer(self, T: int) -> List[Tuple[int, ...]]:
+        # perfbench/tracer.py wraps this method and counts a layer-cache
+        # miss for each zeta_layer call made from inside it
         if T not in self._layers:
-            _, pts = zeta_layer(
+            self._layers[T] = zeta_layer(
                 self.config.lifted_A, self.config.phi, self.config.R, T
             )
-            self._layers[T] = pts
         return self._layers[T]
 
     @cached_property
@@ -386,25 +373,26 @@ class _LayerCache:
 
 
 def u_t_member(
-    w: Sequence, T: int, config: ExperimentConfig,
-    cache: Optional[_LayerCache] = None,
+    lifted: ClearedLine, T: int, cache: _LayerCache,
 ) -> Tuple[bool, Optional[Tuple[int, ...]]]:
     """Does some layer point z admit t with sup_norm(t*(1,w) - z) <= phi(RT)?
     (hit, z) with the first such z in layer order, or (False, None).
 
     The minimum over t is the exact distance d from z to the ray span.
-    The lift (1, w) is cleared to integers once per sample (the cache
-    keeps it), so d comes from the integer line kernel as a pair
+    The lift (1, w) is cleared to integers once per sample (`lifted`, its
+    cleared_lift), so d comes from the integer line kernel as a pair
     (num, den) for each integer layer point.  It goes through the
     threshold test slab filtering uses, Thickness.admits on the cached
     phi(RT): integer cross-multiplication against the enclosure
     lo <= phi(RT) <= hi settles d < lo (a member) and d > hi (not one),
     exactly when phi(RT) is rational, and only a d inside an irrational
     enclosure goes on to interval refinement, which raises if it cannot
-    separate.  A w outside the R ball raises ValueError.
+    separate.
+
+    perfbench/tracer.py wraps this function, counts one call per
+    (sample, T) and reads the hit from out[0], so it keeps this return
+    shape and is called once per (sample, T) from run_theorem1.
     """
-    cache = cache or _LayerCache(config)
-    lifted = cache.in_ball(w)
     admits = cache.thickness(T).admits
     distance = lifted.distance
     for z in cache.layer(T):
@@ -454,30 +442,24 @@ def chart_ball_measure(config: ExperimentConfig) -> Rat:
 def _upper_bound(config: ExperimentConfig, T: int, zeta: int) -> Tuple[Rat, Rat]:
     """Certified enclosure of zeta * (2*phi(RT)/T)^a."""
     v = rate_value(config.phi, config.R * T, 96)
-    return rat_bounds(zeta * (2 * v / T) ** config.a_dim)
+    return rat_bounds(zeta * (2 * v / T) ** config.A.dim)
 
 
 def measure_estimate(
-    T: int,
-    config: ExperimentConfig,
-    samples: Sequence[Sequence],
-    hits: Optional[Sequence[bool]] = None,
-    cache: Optional[_LayerCache] = None,
+    T: int, hits: Sequence[bool], cache: _LayerCache,
 ) -> MeasureEstimate:
-    if len(samples) < 100:
+    """The estimate at T from the samples' membership at T, one per sample."""
+    if len(hits) < 100:
         raise ValueError("measure estimates want n >= 100")
-    cache = cache or _LayerCache(config)
-    layer = cache.layer(T)
-    if hits is None:
-        hits = [u_t_member(w, T, config, cache)[0] for w in samples]
-    lo, hi = _upper_bound(config, T, len(layer))
+    zeta = len(cache.layer(T))
+    lo, hi = _upper_bound(cache.config, T, zeta)
     return MeasureEstimate(
         T=T,
-        zeta=len(layer),
+        zeta=zeta,
         upper_lo=lo,
         upper_hi=hi,
-        hit_count=sum(1 for h in hits if h),
-        n_samples=len(samples),
+        hit_count=sum(hits),
+        n_samples=len(hits),
         chart_measure=cache.chart_measure,
     )
 
@@ -530,21 +512,13 @@ class TheoremReport:
             ],
             "bound_violations": self.bound_violations,
             "infinite_looking_members": self.infinite_looking,
-            "tail_first": None
-            if not self.tails
-            else [self.tails[0][0], format_rat(self.tails[0][1])],
-            "tail_last": None
-            if not self.tails
-            else [self.tails[-1][0], format_rat(self.tails[-1][1])],
+            "tail_first": [self.tails[0][0], format_rat(self.tails[0][1])],
+            "tail_last": [self.tails[-1][0], format_rat(self.tails[-1][1])],
         }
 
 
 class DivergingSeriesError(RuntimeError):
     """The comparison series must converge before the pipeline runs."""
-
-
-def _gamma_of(res: VectorBadnessResult) -> Rat:
-    return res.gamma_bounds[0]
 
 
 def _quantiles(vals: List[Rat]) -> Dict[str, Rat]:
@@ -580,8 +554,7 @@ def require_convergent(
 def run_theorem1(config: ExperimentConfig) -> TheoremReport:
     """The full pipeline: the series test, then the certificate, then the
     samples, so a divergent series is refused before the scan."""
-    exp = require_convergent(
-        config.psi, config.phi, config.a_dim, config.b_dim)
+    exp = require_convergent(config.psi, config.phi, config.A.dim, config.B.dim)
     config.certificate  # built here: a B through an integer point raises
     samples = sample_on_A(config, config.sample_count)
     cache = _LayerCache(config)
@@ -590,11 +563,11 @@ def run_theorem1(config: ExperimentConfig) -> TheoremReport:
     results: List[SampleResult] = []
     hit_table: Dict[int, List[bool]] = {T: [] for T in Ts}
     for idx, w in enumerate(samples):
-        cache.in_ball(w)  # once per sample; u_t_member finds it cleared
+        lifted = cleared_lift(w, config.R)
         vb = vector_badness(w, config.phi, config.X)
         hits = []
         for T in Ts:
-            member, _ = u_t_member(w, T, config, cache)
+            member, _ = u_t_member(lifted, T, cache)
             hit_table[T].append(member)
             if member:
                 hits.append(T)
@@ -602,7 +575,7 @@ def run_theorem1(config: ExperimentConfig) -> TheoremReport:
             SampleResult(
                 index=idx,
                 w=w,
-                gamma_phi=_gamma_of(vb),
+                gamma_phi=vb.gamma_bounds[0],
                 argmin_q=vb.argmin_q,
                 min_dist=vb.min_dist,
                 u_t_hits=tuple(hits),
@@ -611,9 +584,9 @@ def run_theorem1(config: ExperimentConfig) -> TheoremReport:
         )
     estimates = []
     violations = []
-    if samples and len(samples) >= 100:
+    if len(samples) >= 100:
         for T in Ts:
-            est = measure_estimate(T, config, samples, hits=hit_table[T], cache=cache)
+            est = measure_estimate(T, hit_table[T], cache)
             estimates.append(est)
             if not est.within_bound():
                 violations.append(T)

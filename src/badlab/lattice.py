@@ -405,18 +405,16 @@ def approach_slab(
 
 def zeta_layer(
     A_span: LiftedSpan, phi: RateFunction, R, T: int
-) -> Tuple[int, List[Tuple[int, ...]]]:
-    """Count and list the layer z0 = T of the approach slab at scale T."""
+) -> List[Tuple[int, ...]]:
+    """The points of the layer z0 = T of the approach slab at scale T."""
     R = as_rat(R)
-    spec = SlabSpec(
+    return enumerate_slab(SlabSpec(
         T=T,
         R=R,
         target=A_span,
         thickness=Thickness.of_rate(phi, R * T),
         z0_range=(T, T),
-    )
-    pts = enumerate_slab(spec)
-    return len(pts), pts
+    ))
 
 
 def pi_count(A_span: LiftedSpan, phi: RateFunction, R, T: int) -> int:

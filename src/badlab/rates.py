@@ -6,7 +6,7 @@ certified intervals via exactnum.HPInterval.  `rate_value` makes that
 choice for every caller in the package.  Admissibility of a pair
 (psi, phi), meaning phi(T) <= psi(T) from the start of the common domain,
 is decided analytically from the exponents with interval arithmetic only
-at finitely many critical points, then double-checked on a geometric grid.
+at finitely many critical points.
 """
 
 from __future__ import annotations
@@ -291,17 +291,12 @@ def _cmp_phi_le_psi(psi: RateFunction, phi: RateFunction, T: RatLike) -> bool:
     return cmp_rates_at(phi, psi, T) <= 0
 
 
-# spot checks of admissible_pair's grid, at T = S, 2S, 4S, ...
-_GRID_DOUBLINGS = 24
-
-
 def admissible_pair(psi: RateFunction, phi: RateFunction) -> AdmissibleReport:
     """Decide phi(T) <= psi(T) for all T >= effective start.
 
     The ratio r(T) = phi/psi restricted to this family is unimodal in
     log T, so the verdict follows from the exponent differences plus a
     check at the start point and (when it exists) the interior maximum.
-    A geometric grid of spot checks guards the analysis.
     """
     A = phi.alpha - psi.alpha
     D = phi.delta - psi.delta
@@ -337,13 +332,6 @@ def admissible_pair(psi: RateFunction, phi: RateFunction) -> AdmissibleReport:
             return AdmissibleReport(False, witness_T=witness_search())
     else:
         return AdmissibleReport(False, witness_T=witness_search())
-
-    # geometric spot grid, defense in depth for the analysis above
-    T = S
-    for _ in range(_GRID_DOUBLINGS):
-        if not _cmp_phi_le_psi(psi, phi, T):
-            return AdmissibleReport(False, witness_T=T, note="grid check")
-        T *= 2
     return AdmissibleReport(True)
 
 

@@ -27,15 +27,19 @@ from .exactnum import (
 from .rates import RateFunction, cmp_scaled_ratios, interval_eval, rate_value
 from .lattice import approach_slab, enumerate_slab
 
+# the precision every series enclosure starts at; a lambda term that
+# cannot separate from zero there doubles it up to the cap
+BITS = 96
 
-def mu_term(T: int, R, psi: RateFunction, a: int, b: int, bits: int = 96) -> Value:
+
+def mu_term(T: int, R, psi: RateFunction, a: int, b: int) -> Value:
     """(T / psi(RT))^(a-b), the covering scale at height T."""
     if not a > b >= 0:
         raise ValueError("need a > b >= 0")
-    return (T / rate_value(psi, as_rat(R) * T, bits)) ** (a - b)
+    return (T / rate_value(psi, as_rat(R) * T, BITS)) ** (a - b)
 
 
-def lambda_term(T: int, R, phi: RateFunction, a: int, bits: int = 96) -> Value:
+def lambda_term(T: int, R, phi: RateFunction, a: int) -> Value:
     """(phi(RT)/T)^a - (phi(R(T+1))/(T+1))^a, certified positive.
 
     Positivity is structural: phi is non-increasing and 1/T strictly
@@ -43,13 +47,13 @@ def lambda_term(T: int, R, phi: RateFunction, a: int, bits: int = 96) -> Value:
     zero is excluded.
     """
     R = as_rat(R)
-    return _lambda_step(T, R, phi, a, bits, rate_value(phi, R * T, bits))[0]
+    return _lambda_step(T, R, phi, a, rate_value(phi, R * T, BITS))[0]
 
 
 def _lambda_step(
-    T: int, R: Rat, phi: RateFunction, a: int, bits: int, left: Value,
+    T: int, R: Rat, phi: RateFunction, a: int, left: Value,
 ) -> Tuple[Value, Value]:
-    """lambda_T and phi(R(T+1)) at `bits`, given left = phi(RT) at `bits`.
+    """lambda_T and phi(R(T+1)) at BITS, given left = phi(RT) at BITS.
 
     A walk over consecutive T passes the second value on as the next
     term's left end, so each phi(RT) is evaluated once.  A term that has
@@ -58,13 +62,13 @@ def _lambda_step(
     """
     if a < 1:
         raise ValueError("need a >= 1")
-    right = rate_value(phi, R * (T + 1), bits)
+    right = rate_value(phi, R * (T + 1), BITS)
     if not isinstance(left, HPInterval) and not isinstance(right, HPInterval):
         out = (left / T) ** a - (right / (T + 1)) ** a
         assert out > 0
         return out, right
     cap = max_precision_bits()
-    cur, li, ri = bits, as_interval(left, bits), as_interval(right, bits)
+    cur, li, ri = BITS, as_interval(left, BITS), as_interval(right, BITS)
     while True:
         out = (li / T) ** a - (ri / (T + 1)) ** a
         if out.sign_lo() > 0:
@@ -93,14 +97,9 @@ class PartialSums:
     exact: bool
     final_width: Rat
 
-    @property
-    def last(self) -> Value:
-        return self.sums[-1]
-
 
 def partial_sum(
     N: int, R, psi: RateFunction, phi: RateFunction, a: int, b: int,
-    bits: int = 96,
 ) -> PartialSums:
     """Sums start at the first T with R*T inside both rate domains."""
     if N < 1:
@@ -114,14 +113,14 @@ def partial_sum(
     sums: List[Value] = []
     acc: Value = rat(0)
     exact = True
-    left = rate_value(phi, R_r * start, bits)
+    left = rate_value(phi, R_r * start, BITS)
     for T in range(start, N + 1):
-        m = mu_term(T, R, psi, a, b, bits)
-        l, left = _lambda_step(T, R_r, phi, a, bits, left)
+        m = mu_term(T, R, psi, a, b)
+        l, left = _lambda_step(T, R_r, phi, a, left)
         if isinstance(m, HPInterval) or isinstance(l, HPInterval) or not exact:
             exact = False
-            inc = as_interval(m, bits) * as_interval(l, bits)
-            acc = as_interval(acc, bits) + inc
+            inc = as_interval(m, BITS) * as_interval(l, BITS)
+            acc = as_interval(acc, BITS) + inc
         else:
             acc = acc + m * l
         terms.append(SeriesTerm(T=T, mu=m, lam=l))

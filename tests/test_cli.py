@@ -306,6 +306,8 @@ REFUSED_AT_LOAD = {
     "B-off-A": ({"B_point": "cbrt2, golden"},
                 "config error: B is not contained in A\n"),
     "T_min=0": ({"T_min": "0"}, "config error: bad T range\n"),
+    "X=1": ({"X": "1"},
+            "config error: X = 1 lies below phi's domain start 2\n"),
     "cert_height=100": ({"cert_height": "100"},
                         "config error: certificate height does not cover "
                         "R*max(T)\n"),

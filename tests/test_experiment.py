@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -17,6 +18,7 @@ from badlab.experiment import (
     _chart_poly,
     _parameter_box,
     chart_ball_measure,
+    cleared_lift,
     measure_estimate,
     require_convergent,
     run_theorem1,
@@ -26,6 +28,7 @@ from badlab.experiment import (
 )
 from badlab.geometry import (
     AffineSubspace,
+    ClearedLine,
     line_distance,
     line_witness,
     sup_norm,
@@ -109,7 +112,7 @@ def test_config_validation_errors():
         A=A, B=B, psi=UNIT, phi=UNIT, R=rat(1), cert_height=1000,
         sample_count=10, X=100, T_range=(2, 50), seed=1,
     )
-    assert ExperimentConfig(**ok).a_dim == 1
+    assert ExperimentConfig(**ok).A.dim == 1
 
     with pytest.raises(ValueError):
         ExperimentConfig(**{**ok, "R": rat(1, 2)})
@@ -257,10 +260,14 @@ def test_parameter_box_matches_elimination(data):
 # -- membership and measure ----------------------------------------------
 
 
+def _member(w, T, cfg, cache):
+    return u_t_member(cleared_lift(w, cfg.R), T, cache)
+
+
 def test_u_t_member_known_witness(golden_config):
     cache = _LayerCache(golden_config)
     w = rat(399, 1000)
-    member, z = u_t_member((w,), 5, golden_config, cache)
+    member, z = _member((w,), 5, golden_config, cache)
     assert member and z == (5, 2)
     # some t puts t*(1, w) within phi(5) = 1/5 of z
     t = line_witness(z, (rat(1), w), rat(1, 5))
@@ -270,36 +277,46 @@ def test_u_t_member_known_witness(golden_config):
 
 def test_u_t_member_constructive_case(golden_config):
     cache = _LayerCache(golden_config)
-    member, z = u_t_member((rat(1, 2),), 4, golden_config, cache)
+    member, z = _member((rat(1, 2),), 4, golden_config, cache)
     assert member and z == (4, 2)
 
 
 def test_u_t_member_false_case(golden_config):
     cache = _LayerCache(golden_config)
-    member, z = u_t_member((rat(1, 2),), 9, golden_config, cache)
+    member, z = _member((rat(1, 2),), 9, golden_config, cache)
     assert not member and z is None
 
 
-def test_u_t_member_rejects_w_outside_ball(golden_config, monkeypatch):
-    import badlab.experiment as experiment
-
+def test_cleared_lift_rejects_w_outside_ball(golden_config):
+    R = golden_config.R
     inside, outside = (rat(1, 2),), (rat(3, 2),)
     with pytest.raises(ValueError, match="R ball"):
-        u_t_member(outside, 4, golden_config)
-    cache = _LayerCache(golden_config)
-    u_t_member(inside, 4, golden_config, cache)
+        cleared_lift(outside, R)
+    assert cleared_lift(inside, R).coords == (2, 1)
     with pytest.raises(ValueError, match="R ball"):
-        u_t_member(outside, 4, golden_config, cache)
-    with pytest.raises(ValueError, match="R ball"):
-        u_t_member(list(outside), 4, golden_config, cache)
-    # a sample's norm is taken once, however many T it is tested at
-    norms = []
+        cleared_lift(list(outside), R)
+    # the ball is closed
+    assert cleared_lift((R,), R).coords == (1, 1)
+
+
+def test_run_clears_each_lift_once(cubic_config, monkeypatch):
+    import badlab.experiment as experiment
+
+    cfg = dataclasses.replace(cubic_config, sample_count=3, X=200,
+                              T_range=(2, 6), cert_height=12)
+    cfg.certificate  # scanned before the counting starts
+    norms, lifts = Counter(), []
     monkeypatch.setattr(experiment, "sup_norm",
-                        lambda v: norms.append(v) or sup_norm(v))
-    sample = (rat(2, 5),)
-    for T in (4, 5, 9):
-        u_t_member(sample, T, golden_config, cache)
-    assert norms == [sample]
+                        lambda v: norms.update([tuple(v)]) or sup_norm(v))
+    monkeypatch.setattr(experiment, "ClearedLine",
+                        lambda a: lifts.append(a) or ClearedLine(a))
+    rep = run_theorem1(cfg)
+    ws = [s.w for s in rep.samples]
+    assert len(ws) == 3
+    # each sample's norm is taken once by sample_on_A and once by
+    # cleared_lift, and its lift is cleared once, however many T it meets
+    assert all(norms[w] == 2 for w in ws)
+    assert lifts == [(rat(1), *w) for w in ws]
 
 
 def _cmp_phi(x, cfg, T):
@@ -340,7 +357,7 @@ def test_u_t_member_matches_definition(shipped_small, data):
         w = [c + t * v for c, v in zip(w, direction)]
     if sup_norm(w) > cfg.R:
         return
-    member, got = u_t_member(w, T, cfg, cache)
+    member, got = _member(w, T, cfg, cache)
     expect, z = _member_by_definition(w, T, cfg, cache)
     assert member == expect
     # same first layer point, and a t at its distance lands in the slab
@@ -393,12 +410,13 @@ def test_u_t_member_refines_inside_enclosure(log_phi_config, monkeypatch):
     d = (lo + hi) / 2
     w = _w_at_distance(z, d)
     assert line_distance(z, (rat(1), w)) == d
-    member, _ = u_t_member((w,), T, log_phi_config, cache)
+    lifted = cleared_lift((w,), log_phi_config.R)
+    member, _ = u_t_member(lifted, T, cache)
     assert member == (_cmp_phi(d, log_phi_config, T) < 0)
     # a tie the cap cannot settle still raises instead of guessing
     monkeypatch.setenv("BADLAB_PRECISION_BITS", "64")
     with pytest.raises(UndecidableComparison):
-        u_t_member((w,), T, log_phi_config, cache)
+        u_t_member(lifted, T, cache)
 
 
 def test_chart_measure_golden(golden_config):
@@ -412,8 +430,11 @@ def test_chart_measure_cubic(cubic_config):
 
 
 def test_measure_estimate_layer_arithmetic(golden_config):
-    samples = sample_on_A(golden_config, 100)
-    est = measure_estimate(5, golden_config, samples)
+    cache = _LayerCache(golden_config)
+    hits = [_member(w, 5, golden_config, cache)[0]
+            for w in sample_on_A(golden_config, 100)]
+    est = measure_estimate(5, hits, cache)
+    assert est.hit_count == sum(hits)
     assert est.zeta == 11
     assert est.upper_lo == est.upper_hi == rat(22, 25)
     assert 0 <= est.fraction <= 1
@@ -423,7 +444,7 @@ def test_measure_estimate_layer_arithmetic(golden_config):
 
 def test_measure_estimate_needs_samples(golden_config):
     with pytest.raises(ValueError):
-        measure_estimate(5, golden_config, sample_on_A(golden_config, 10))
+        measure_estimate(5, [False] * 99, _LayerCache(golden_config))
 
 
 # -- pipeline --------------------------------------------------------------
@@ -435,7 +456,7 @@ def test_run_theorem1_refuses_divergent(golden_config, cubic_config):
         run_theorem1(golden_config)
     # a convergent pair passes with exponent_analysis's own report
     cfg = cubic_config
-    args = (cfg.psi, cfg.phi, cfg.a_dim, cfg.b_dim)
+    args = (cfg.psi, cfg.phi, cfg.A.dim, cfg.B.dim)
     assert require_convergent(*args) == exponent_analysis(*args)
 
 

@@ -9,6 +9,7 @@ from badlab.exactnum import (
     HPInterval,
     UndecidableComparison,
     rat,
+    rat_floor,
     rat_pow,
     refine_cmp,
 )
@@ -380,6 +381,68 @@ def test_peak_undecided_at_cap_raises(monkeypatch):
             PowerLaw(rat(1), rat(0)), PowerLaw(cr, rat(0)),
             A=rat(1, 2), D=rat(-1), S=3,
         )
+
+
+_T0S = st.sampled_from([rat(2), rat(5, 2), rat(3), rat(7)])
+
+
+@st.composite
+def _rates(draw):
+    c = draw(st.sampled_from([rat(1, 2), rat(1), rat(2), rat(3)]))
+    alpha = draw(st.sampled_from(
+        [rat(0), rat(1, 4), rat(1, 2), rat(1), rat(3, 2), rat(2)]))
+    if draw(st.booleans()):
+        return PowerLaw(c, alpha)
+    delta = draw(st.sampled_from([rat(0), rat(1, 2), rat(1), rat(2), rat(3)]))
+    return PowerLog(c, alpha, delta, draw(_T0S))
+
+
+@st.composite
+def _rate_pairs(draw):
+    """(psi, phi), half the time with phi/psi peaking inside the domain:
+    phi decays faster by a power of T and slower by a power of log T."""
+    psi, phi = draw(_rates()), draw(_rates())
+    if draw(st.booleans()):
+        psi = PowerLog(psi.c, psi.alpha,
+                       draw(st.sampled_from([rat(1), rat(2), rat(3)])),
+                       draw(_T0S))
+        phi = PowerLog(phi.c, psi.alpha + draw(st.sampled_from(
+            [rat(1, 8), rat(1, 4), rat(1, 2), rat(1)])),
+            psi.delta - draw(st.sampled_from([rat(1, 2), rat(1)])),
+            draw(_T0S))
+    return psi, phi
+
+
+def _probe_points(psi, phi):
+    """T from the effective start on: its first integers, its doublings
+    far past the peak, and, for an interior peak T* = exp(-D/A) of
+    phi/psi, the integers around T* and a rational within 2^-100 of it."""
+    S = effective_start(psi, phi)
+    Ts = {S + k for k in range(8)} | {S * 2**k for k in range(40)}
+    A, D = phi.alpha - psi.alpha, phi.delta - psi.delta
+    if A > 0 and D < 0:
+        peak = HPInterval.from_rat(-D / A, 128).exp()
+        low = rat_floor(peak.lo)
+        Ts |= {low - 1, low, low + 1, low + 2, (peak.lo + peak.hi) / 2}
+    return sorted(T for T in Ts if T >= S)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=_rate_pairs())
+def test_admissible_pair_matches_exact_checks(pair):
+    # the analysis alone decides: an admissible pair has phi <= psi at
+    # every probe, and an inadmissible one has phi > psi at some probe
+    # or at its witness, which must hold
+    psi, phi = pair
+    rep = admissible_pair(psi, phi)
+    probes = _probe_points(psi, phi)
+    if rep.ok:
+        assert all(cmp_rates_at(phi, psi, T) <= 0 for T in probes)
+        return
+    if rep.witness_T is not None:
+        assert cmp_rates_at(phi, psi, rep.witness_T) > 0
+        probes.append(rep.witness_T)
+    assert any(cmp_rates_at(phi, psi, T) > 0 for T in probes)
 
 
 def test_admissible_scaled_coefficient():

@@ -2,8 +2,9 @@
 
 A top-level function or class, or a method of a top-level class, counts
 as used when its name is referenced in live code of src/badlab outside
-its own body, or anywhere in perfbench/*.py (whose tracer names the
-functions it wraps as strings).  Code that only unused code references
+its own body, or in perfbench/*.py as an attribute name or a string
+(the tracer names the functions it wraps as strings; perfbench's own
+variable names do not count).  Code that only unused code references
 is unused too.  A member reached through `self` or `cls` inside its own
 class, through `Class.member`, or through a parameter annotated with
 the class is that class's member only.  Any other reference is matched
@@ -82,13 +83,12 @@ def _definitions():
 
 
 def _names_in(node):
-    """Bare names referenced under node: Name ids, attribute names and the
-    dotted parts of strings."""
+    """What perfbench code under node can reach in badlab: attribute names
+    and the dotted parts of strings.  Its own variable names are not
+    uses."""
     names = []
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            names.append(sub.id)
-        elif isinstance(sub, ast.Attribute):
+        if isinstance(sub, ast.Attribute):
             names.append(sub.attr)
         elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
             names.extend(sub.value.split("."))

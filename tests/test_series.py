@@ -75,7 +75,7 @@ def test_partial_sum_golden_exact():
     assert ps.exact and ps.final_width == 0
     # symbolic oracle: term_T = 1 - T^2/(T+1)^2
     oracle = sum((rat(1) - rat(T * T, (T + 1) * (T + 1)) for T in range(1, 11)), rat(0))
-    assert ps.last == oracle == rat(535069999, 153679680)
+    assert ps.sums[-1] == oracle == rat(535069999, 153679680)
     assert ps.sums[0] == rat(3, 4)
     for s1, s2 in zip(ps.sums, ps.sums[1:]):
         assert s1 < s2
@@ -83,7 +83,7 @@ def test_partial_sum_golden_exact():
 
 def test_partial_sum_single_term():
     ps = partial_sum(1, 1, UNIT, UNIT, 1, 0)
-    assert ps.last == mu_term(1, 1, UNIT, 1, 0) * lambda_term(1, 1, UNIT, 1)
+    assert ps.sums[-1] == mu_term(1, 1, UNIT, 1, 0) * lambda_term(1, 1, UNIT, 1)
 
 
 def test_partial_sum_interval_instance():
@@ -167,7 +167,7 @@ def test_packing_scan_zeta_cross_module():
     scan = packing_ratio_scan(
         FULL_PLANE, UNIT, UNIT, 1, 1, 0, T_values=range(1, 13)
     )
-    total = sum(zeta_layer(FULL_PLANE, UNIT, 1, T)[0] for T in range(1, 13))
+    total = sum(len(zeta_layer(FULL_PLANE, UNIT, 1, T)) for T in range(1, 13))
     assert scan.rows[-1].zeta_cum == total
 
 
