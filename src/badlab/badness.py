@@ -30,13 +30,11 @@ from .exactnum import (
     HPInterval,
     Rat,
     Value,
-    as_rat,
     format_rat,
     rat,
     rat_bounds,
     rat_ceil,
     rat_floor,
-    refine_cmp,
 )
 from .geometry import (
     LiftedSpan,
@@ -81,19 +79,6 @@ class BadnessCertificate:
     witness_norm: int
     gamma_lower: Rat
     gamma_exact: Optional[Rat]
-
-    def cmp_gamma(self, g) -> int:
-        """Ordering of g against the exact minimum ratio."""
-        return refine_cmp(g, lambda bits: _ratio(
-            self.witness_dist, self.witness_norm, self.rate, bits))
-
-    def covers(self, gamma, R, T: int) -> bool:
-        """True when the certificate proves slab triviality at scale T.
-
-        Needs height >= R*T (all slab points lie under the scan height)
-        and gamma strictly below the certified minimum ratio.
-        """
-        return as_rat(R) * T <= self.height and self.cmp_gamma(gamma) < 0
 
     def to_json_dict(self) -> dict:
         return {

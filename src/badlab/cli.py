@@ -25,8 +25,7 @@ checks every constraint once, so each subcommand refuses a bad config
 Exit codes: 0 completed, 1 invariant violation detected or sampling
 failed, 2 invalid config or usage, a refused divergent series, a refused
 size guard, or a comparison the exact arithmetic could not settle; one
-table (_FAILURES) maps each failure to its code.  BADLAB_PRECISION_BITS
-caps interval refinement.
+table (_FAILURES) maps each failure to its code.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ from .exactnum import (
     Rat,
     UndecidableComparison,
     format_rat,
-    max_precision_bits,
     parse_rat,
     rat,
     rat_bounds,
@@ -102,9 +100,26 @@ def _read_pairs(path: str) -> Dict[str, str]:
                 continue
             if "=" not in line:
                 raise ValueError(f"line {lineno}: expected key = value")
-            k, v = line.split("=", 1)
-            pairs[k.strip()] = v.strip()
+            k, v = (part.strip() for part in line.split("=", 1))
+            if k in pairs:
+                raise ValueError(f"line {lineno}: repeated key {k!r}")
+            pairs[k] = v
     return pairs
+
+
+# every key a config may set, besides A_dir_i and B_dir_i numbered from 0
+# without gaps
+_KEYS = frozenset({
+    "ambient", "A_point", "B_point", "psi", "phi", "R", "gamma", "seed",
+    "samples", "X", "T_min", "T_max", "cert_height",
+})
+
+
+def _directions(pairs: Dict[str, str], name: str) -> List[Tuple[Rat, ...]]:
+    dirs: List[Tuple[Rat, ...]] = []
+    while f"{name}_dir_{len(dirs)}" in pairs:
+        dirs.append(_parse_vector(pairs[f"{name}_dir_{len(dirs)}"]))
+    return dirs
 
 
 def parse_config(path: str) -> ExperimentConfig:
@@ -117,19 +132,16 @@ def parse_config(path: str) -> ExperimentConfig:
             raise ValueError(f"missing config key {key!r}")
         return pairs[key]
 
+    a_dirs, b_dirs = _directions(pairs, "A"), _directions(pairs, "B")
+    numbered = {f"{name}_dir_{i}" for name, dirs in (("A", a_dirs),
+                                                     ("B", b_dirs))
+                for i in range(len(dirs))}
+    for key in pairs:
+        if key not in _KEYS and key not in numbered:
+            raise ValueError(f"unknown config key {key!r}")
     ambient = int(need("ambient"))
     a_point = _parse_vector(need("A_point"))
-    a_dirs = []
-    i = 0
-    while f"A_dir_{i}" in pairs:
-        a_dirs.append(_parse_vector(pairs[f"A_dir_{i}"]))
-        i += 1
     b_point = _parse_vector(need("B_point"))
-    b_dirs = []
-    i = 0
-    while f"B_dir_{i}" in pairs:
-        b_dirs.append(_parse_vector(pairs[f"B_dir_{i}"]))
-        i += 1
     for v in (a_point, b_point, *a_dirs, *b_dirs):
         if len(v) != ambient:
             raise ValueError("coordinate arity does not match ambient")
@@ -151,8 +163,6 @@ def parse_config(path: str) -> ExperimentConfig:
         X=int(pairs.get("X", "100000")),
         T_range=(int(pairs.get("T_min", "2")), T_max),
         seed=int(pairs.get("seed", "0")),
-        thresholds=(_parse_vector(pairs["thresholds"])
-                    if "thresholds" in pairs else ()),
         gamma=_parse_scalar(pairs["gamma"]) if "gamma" in pairs else None,
     )
 
@@ -190,7 +200,6 @@ def config_from_echo(echo: dict) -> ExperimentConfig:
         X=int(echo["X"]),
         T_range=tuple(echo["T_range"]),
         seed=int(echo["seed"]),
-        thresholds=tuple(parse_rat(s) for s in echo["thresholds"]),
     )
 
 
@@ -249,9 +258,6 @@ class _Group(click.Group):
 @click.version_option(__version__, prog_name="badlab")
 def main() -> None:
     """Exact experiments around badly approximable subspaces."""
-    # a bad BADLAB_PRECISION_BITS fails every subcommand up front, not at
-    # the first comparison that happens to refine
-    max_precision_bits()
 
 
 @main.command()

@@ -23,7 +23,6 @@ on, and `refine_cmp` compares against it.
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Optional, Tuple, Union
 
 from mpmath.libmp import (
@@ -57,7 +56,9 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
 
 RatLike = Union[Rat, int]
 
-DEFAULT_MAX_BITS = 256
+# refinement cap of refine_cmp and of series lambda terms; read at call
+# time, so a test can lower it
+MAX_BITS = 256
 _START_BITS = 64
 
 
@@ -234,23 +235,6 @@ def rat_cmp_power(x: RatLike, y: RatLike, p: int, q: int) -> int:
     if lhs > rhs:
         return 1
     return 0
-
-
-def max_precision_bits() -> int:
-    """Refinement cap, overridable via BADLAB_PRECISION_BITS."""
-    raw = os.environ.get("BADLAB_PRECISION_BITS")
-    if raw is None:
-        return DEFAULT_MAX_BITS
-    try:
-        bits = int(raw)
-    except ValueError:
-        bits = 0
-    if bits < _START_BITS:
-        raise ValueError(
-            f"BADLAB_PRECISION_BITS must be an integer >= {_START_BITS}, "
-            f"not {raw!r}"
-        )
-    return bits
 
 
 def _to_rat(t) -> Rat:
@@ -523,13 +507,12 @@ def refine_cmp(x: RatLike, evaluator: Callable[[int], Value]) -> int:
     `evaluator(bits)` returns the quantity itself when it is rational, and
     then the comparison is a plain rational compare; otherwise it returns
     an HPInterval containing it at `bits`.  The interval route doubles
-    precision up to the cap, max_precision_bits(), and intersects refined
-    intervals with earlier ones (all contain the value, so this is sound
-    and keeps refinement monotone).  Equality is only reachable on the exact path; an interval
-    that never separates raises.
+    precision up to the cap, MAX_BITS, and intersects refined intervals
+    with earlier ones (all contain the value, so this is sound and keeps
+    refinement monotone).  Equality is only reachable on the exact path;
+    an interval that never separates raises.
     """
     x = as_rat(x)
-    cap = max_precision_bits()
     bits = _START_BITS
     acc = None
     while True:
@@ -541,10 +524,10 @@ def refine_cmp(x: RatLike, evaluator: Callable[[int], Value]) -> int:
         if c is not None:
             # acc orders the quantity vs x; flip to x vs quantity
             return -c
-        if bits >= cap:
+        if bits >= MAX_BITS:
             raise UndecidableComparison(
-                f"comparison of {format_rat(x)} undecided at {cap} bits "
+                f"comparison of {format_rat(x)} undecided at {MAX_BITS} bits "
                 f"(interval [{float(acc.lo)}, {float(acc.hi)}])"
             )
-        bits = min(bits * 2, cap)
+        bits = min(bits * 2, MAX_BITS)
 

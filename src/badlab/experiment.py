@@ -69,6 +69,10 @@ _WEYL_1 = 0xBB67AE8584CAA73B
 
 RNG_NAME = "philox4x64-10"
 
+# report.json's threshold_fractions: the share of samples whose gamma_phi
+# exceeds each of 1/4, 1/16, ..., 1/1024
+THRESHOLDS = tuple(rat(1, 4**k) for k in range(1, 6))
+
 
 def _philox_block(c0: int, c1: int, c2: int, c3: int, k0: int, k1: int):
     """One 10-round Philox4x64 permutation of the 256-bit counter."""
@@ -149,7 +153,6 @@ class ExperimentConfig:
     X: int
     T_range: Tuple[int, int]
     seed: int
-    thresholds: Tuple[Rat, ...] = ()
     gamma: Optional[Rat] = None  # slab scale of enumerate and verify
 
     def __post_init__(self):
@@ -200,12 +203,6 @@ class ExperimentConfig:
                 f"{format_rat(self.phi.domain_start)}")
         if not 0 <= self.seed < 1 << 64:
             raise ValueError("seed must fit in 64 bits")
-        if not self.thresholds:
-            object.__setattr__(
-                self,
-                "thresholds",
-                tuple(rat(1, 4**k) for k in range(1, 6)),
-            )
         object.__setattr__(self, "lifted_A", lifted_A)
         object.__setattr__(self, "lifted_B", lifted_B)
 
@@ -241,7 +238,7 @@ class ExperimentConfig:
             "T_range": list(self.T_range),
             "seed": self.seed,
             "rng": RNG_NAME,
-            "thresholds": [format_rat(t) for t in self.thresholds],
+            "thresholds": [format_rat(t) for t in THRESHOLDS],
         }
 
 
@@ -603,7 +600,7 @@ def run_theorem1(config: ExperimentConfig) -> TheoremReport:
     gammas = [r.gamma_phi for r in results]
     thr_fracs = []
     nsamp = len(results)
-    for t in config.thresholds:
+    for t in THRESHOLDS:
         exceeding = sum(1 for g in gammas if g > t)
         thr_fracs.append((t, rat(exceeding, max(nsamp, 1))))
     mid = (lo_T + hi_T) // 2

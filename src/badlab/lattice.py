@@ -127,7 +127,7 @@ class Thickness:
         lo, hi = self.bounds
         return (*num_den(lo), *num_den(hi))
 
-    def admits(self, dist_num: int, dist_den: int = 1) -> bool:
+    def admits(self, dist_num: int, dist_den: int) -> bool:
         """dist_num/dist_den <= thickness, for integers dist_num >= 0 and
         dist_den > 0, decided by the enclosure where it can be.
 
@@ -465,7 +465,8 @@ class HalfDilationReport:
     violations: Tuple[TranslateHit, ...] = ()
 
 
-def _random_translate(rng: random.Random, spec: SlabSpec, den: int = 64) -> Vec:
+def _random_translate(rng: random.Random, spec: SlabSpec) -> Vec:
+    den = 64  # translates lie on the 1/64 grid
     lo, hi = spec.z0_range
     b = spec.box_bound
     c0 = rat(rng.randint(lo * den, hi * den), den)

@@ -13,13 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
+from . import exactnum
 from .exactnum import (
     HPInterval,
     Rat,
     Value,
     as_interval,
     as_rat,
-    max_precision_bits,
     rat,
     rat_bounds,
     rat_ceil,
@@ -67,7 +67,7 @@ def _lambda_step(
         out = (left / T) ** a - (right / (T + 1)) ** a
         assert out > 0
         return out, right
-    cap = max_precision_bits()
+    cap = exactnum.MAX_BITS
     cur, li, ri = BITS, as_interval(left, BITS), as_interval(right, BITS)
     while True:
         out = (li / T) ** a - (ri / (T + 1)) ** a
@@ -191,23 +191,15 @@ def packing_ratio_scan(
     a: int,
     b: int,
     T_values: Sequence[int],
-    certificate=None,
-    gamma=None,
 ) -> PackingScan:
     """Per-T table of pi_count/mu and cumulative-zeta/mu.
 
     A growth trend (top-quartile median above twice the overall median of
-    the pi ratio) raises the red flag but is reported, not rejected.  When
-    a certificate and gamma are supplied they must cover R*max(T).
+    the pi ratio) raises the red flag but is reported, not rejected.
     """
     Ts = sorted(set(int(t) for t in T_values))
     if not Ts:
         raise ValueError("empty T range")
-    if certificate is not None:
-        if gamma is None:
-            raise ValueError("gamma required alongside a certificate")
-        if not certificate.covers(gamma, R, max(Ts)):
-            raise ValueError("certificate does not cover the scan range")
     rows: List[PackingRow] = []
     cum = 0
     for T in Ts:

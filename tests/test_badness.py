@@ -17,7 +17,7 @@ from badlab.badness import (
     sup_dist_to_lattice,
     vector_badness,
 )
-from badlab.exactnum import format_rat, rat, rat_ceil
+from badlab.exactnum import format_rat, rat, rat_ceil, refine_cmp
 from badlab.geometry import (
     AffineSubspace,
     LiftedSpan,
@@ -25,7 +25,13 @@ from badlab.geometry import (
     dual_functionals,
     lift,
 )
-from badlab.rates import PowerLaw, PowerLog, cmp_scaled_ratios, interval_eval
+from badlab.rates import (
+    PowerLaw,
+    PowerLog,
+    cmp_scaled_ratios,
+    interval_eval,
+    rate_value,
+)
 
 from conftest import preset_value
 
@@ -48,16 +54,18 @@ def test_golden_certificate_witness(golden_cert):
     assert golden_cert.gamma_lower <= golden_cert.gamma_exact
 
 
+def _cmp_min_ratio(cert, g) -> int:
+    """Ordering of g against the certificate's exact minimum ratio, the
+    witness's dist/psi(norm)."""
+    return refine_cmp(g, lambda bits: cert.witness_dist / rate_value(
+        cert.rate, cert.witness_norm, bits))
+
+
 def test_golden_certificate_covers(golden_cert):
-    assert golden_cert.covers(rat(23, 100), 1, 1000)
-    assert golden_cert.covers(rat(23, 100), 2, 500)
-    # height exhausted
-    assert not golden_cert.covers(rat(23, 100), 1, 1001)
-    # gamma above the minimum
-    assert not golden_cert.covers(rat(24, 100), 1, 10)
-    # equality is not coverage: the witness would sit on the boundary
-    assert not golden_cert.covers(golden_cert.gamma_exact, 1, 10)
-    assert golden_cert.cmp_gamma(golden_cert.gamma_exact) == 0
+    assert _cmp_min_ratio(golden_cert, rat(23, 100)) < 0
+    assert _cmp_min_ratio(golden_cert, rat(24, 100)) > 0
+    # the ratio is rational here, and gamma_exact is it
+    assert _cmp_min_ratio(golden_cert, golden_cert.gamma_exact) == 0
 
 
 def test_zero_hit_on_rational_point():
@@ -76,8 +84,8 @@ def test_cubic_certificate(cubic_cert, cubic_psi):
     # psi = T^(-1/2) at 5 is irrational: only the certified bound is exact
     assert cubic_cert.gamma_exact is None
     assert abs(float(cubic_cert.gamma_lower) - 0.21791) < 1e-4
-    assert cubic_cert.covers(rat(1, 5), 2, 256)
-    assert not cubic_cert.covers(rat(22, 100), 2, 256)
+    assert _cmp_min_ratio(cubic_cert, rat(1, 5)) < 0
+    assert _cmp_min_ratio(cubic_cert, rat(22, 100)) > 0
 
 
 def test_certificate_json_round_trip_fields(golden_cert):

@@ -231,13 +231,14 @@ def test_unlisted_failure_keeps_its_traceback(runner, monkeypatch):
     assert isinstance(res.exception, KeyError)
 
 
-def _cubic_with(tmp_path, **keys):
-    """configs/cubic.cfg with the given keys' values replaced."""
+def _cubic_with(tmp_path, extra="", **keys):
+    """configs/cubic.cfg with the given keys' values replaced and the
+    line `extra` appended."""
     text = open(CUBIC_CFG).read()
     for key, value in keys.items():
         text, n = re.subn(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
         assert n == 1, key
-    return _write(tmp_path, "domain.cfg", text)
+    return _write(tmp_path, "domain.cfg", text + extra + "\n")
 
 
 PSI_FROM_2 = "powerlog c=1 alpha=1/2 delta=1 T0=2"
@@ -301,7 +302,8 @@ def _forbid_certificate(monkeypatch):
 
 
 # configs every subcommand refuses at load, whatever its options (those
-# of BAD_DOMAIN): (keys of cubic.cfg to replace, the one stderr line)
+# of BAD_DOMAIN): (keys of cubic.cfg to replace, with `extra` a line to
+# append, the one stderr line)
 REFUSED_AT_LOAD = {
     "B-off-A": ({"B_point": "cbrt2, golden"},
                 "config error: B is not contained in A\n"),
@@ -311,6 +313,14 @@ REFUSED_AT_LOAD = {
     "cert_height=100": ({"cert_height": "100"},
                         "config error: certificate height does not cover "
                         "R*max(T)\n"),
+    "unknown-key": ({"extra": "sampels = 5"},
+                    "config error: unknown config key 'sampels'\n"),
+    "dropped-key": ({"extra": "thresholds = 1/4, 1/16"},
+                    "config error: unknown config key 'thresholds'\n"),
+    "repeated-key": ({"extra": "seed = 7"},
+                     "config error: line 17: repeated key 'seed'\n"),
+    "direction-gap": ({"extra": "A_dir_2 = 1, cbrt2"},
+                      "config error: unknown config key 'A_dir_2'\n"),
 }
 
 
@@ -431,21 +441,6 @@ def test_counts_below_phi_domain_exits_two(runner, tmp_path):
     )
     assert res.exit_code == 2
     assert res.stderr == "config error: empty T range\n"
-
-
-@pytest.mark.parametrize("cfg", ["configs/cubic.cfg", GOLDEN_CFG])
-@pytest.mark.parametrize("bits", ["abc", "16"])
-def test_bad_precision_bits_exits_two(runner, monkeypatch, cfg, bits):
-    # checked before any subcommand runs, whether or not the run would
-    # refine an interval (golden.cfg never does), and named in the message
-    monkeypatch.setenv("BADLAB_PRECISION_BITS", bits)
-    res = runner.invoke(main, ["series", "--config", cfg, "--N", "20"])
-    assert res.exit_code == 2
-    assert res.stdout == ""
-    assert res.stderr == (
-        "config error: BADLAB_PRECISION_BITS must be an integer >= 64, "
-        f"not {bits!r}\n"
-    )
 
 
 def test_enumerate_omega_needs_gamma(runner, tmp_path):

@@ -21,7 +21,6 @@ from badlab.exactnum import (
     kth_root_floor,
     format_rat,
     is_pow2,
-    max_precision_bits,
     parse_rat,
     rat,
     rat_ceil,
@@ -240,16 +239,6 @@ def test_refine_cmp_exact_path():
     # an evaluator that returns a rational settles the compare exactly
     assert refine_cmp(rat(1, 3), lambda b: rat(1, 3)) == 0
     assert refine_cmp(rat(1, 2), lambda b: rat(1, 3)) == 1
-
-
-def test_precision_env_override(monkeypatch):
-    monkeypatch.setenv("BADLAB_PRECISION_BITS", "512")
-    assert max_precision_bits() == 512
-    monkeypatch.setenv("BADLAB_PRECISION_BITS", "16")
-    with pytest.raises(ValueError):
-        max_precision_bits()
-    monkeypatch.delenv("BADLAB_PRECISION_BITS")
-    assert max_precision_bits() >= 256
 
 
 def _mul_reference(x, y):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from badlab import exactnum
 from badlab.cli import parse_config
 from badlab.exactnum import UndecidableComparison, rat, rat_floor, refine_cmp
 from badlab.experiment import (
@@ -14,6 +15,7 @@ from badlab.experiment import (
     ExperimentConfig,
     PhiloxStream,
     RejectionError,
+    THRESHOLDS,
     _LayerCache,
     _chart_poly,
     _parameter_box,
@@ -134,7 +136,10 @@ def test_config_validation_errors():
 
 
 def test_config_default_thresholds(golden_config):
-    assert golden_config.thresholds == tuple(rat(1, 4**k) for k in range(1, 6))
+    assert THRESHOLDS == tuple(rat(1, 4**k) for k in range(1, 6))
+    # echoed in report.json, so the config hash keeps the list
+    assert golden_config.describe()["thresholds"] == [
+        "1/4", "1/16", "1/64", "1/256", "1/1024"]
 
 
 def test_config_describe_echo(golden_config):
@@ -414,7 +419,7 @@ def test_u_t_member_refines_inside_enclosure(log_phi_config, monkeypatch):
     member, _ = u_t_member(lifted, T, cache)
     assert member == (_cmp_phi(d, log_phi_config, T) < 0)
     # a tie the cap cannot settle still raises instead of guessing
-    monkeypatch.setenv("BADLAB_PRECISION_BITS", "64")
+    monkeypatch.setattr(exactnum, "MAX_BITS", 64)
     with pytest.raises(UndecidableComparison):
         u_t_member(lifted, T, cache)
 
@@ -501,9 +506,9 @@ def test_small_run_tails_monotone(small_run):
 
 
 def test_small_run_threshold_fractions(small_run):
-    cfg, rep = small_run
+    _, rep = small_run
     fr = dict((t, f) for t, f in rep.threshold_fractions)
-    assert set(fr) == set(cfg.thresholds)
+    assert set(fr) == set(THRESHOLDS)
     # smaller threshold -> weakly larger exceedance fraction
     ordered = sorted(fr.items())
     for (_, f1), (_, f2) in zip(ordered, ordered[1:]):

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from badlab.exactlp import HPoly, enumerate_integer_points, integer_levels
-from badlab import lattice
+from badlab import exactnum, lattice
 from badlab.exactnum import (
     HPInterval,
     UndecidableComparison,
@@ -109,7 +109,7 @@ def test_thickness_admits_integer_pairs_at_the_edges(monkeypatch):
     assert t.admits(num(lo), den(lo)) and not t.admits(num(hi), den(hi))
     assert refined == [mid, lo, hi]
     # and a cap that cannot separate raises rather than guessing
-    monkeypatch.setenv("BADLAB_PRECISION_BITS", "64")
+    monkeypatch.setattr(exactnum, "MAX_BITS", 64)
     with pytest.raises(UndecidableComparison):
         t.admits(num(mid), den(mid))
 

@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from badlab import exactnum
 from badlab.exactnum import (
     HPInterval,
     UndecidableComparison,
@@ -373,7 +374,7 @@ def test_admissible_near_peak_keeps_neighbour_witness():
 
 def test_peak_undecided_at_cap_raises(monkeypatch):
     # peak value 2*cr/e exceeds 1 by about 2^-140, past a 64-bit cap
-    monkeypatch.setenv("BADLAB_PRECISION_BITS", "64")
+    monkeypatch.setattr(exactnum, "MAX_BITS", 64)
     with mp.workprec(400):
         cr = rat(int(mp.ceil(mp.e / 2 * mp.mpf(2) ** 140)), 2**140)
     with pytest.raises(UndecidableComparison):

@@ -210,3 +210,92 @@ def test_allow_list_is_current():
     # no longer needs the exemption
     stale = [q for q in ALLOWED if q not in dead_code(set(ALLOWED) - {q})]
     assert not stale, f"allow-list entries that are referenced or gone: {stale}"
+
+
+# parameter defaults no call in src/badlab overrides, each with the test
+# that passes another value
+DEFAULTS_SET_BY_TESTS = {
+    "badness.vector_badness.q_min":
+        "test_acceptance::test_02_golden_vector_badness",
+    "lattice.half_dilation_check.explicit_translates":
+        "test_acceptance::test_04_half_dilation_packing",
+    "series.mu_strictly_increasing.spot_checks":
+        "test_acceptance::test_07_lambda_positive_mu_increasing",
+    "experiment.MeasureEstimate.within_bound.sigmas":
+        "test_acceptance::test_09_pipeline_determinism_and_bounds",
+}
+
+
+def _defaulted_parameters():
+    """(qualified name, function name, position among the arguments a
+    call passes, or None for keyword-only) of every parameter with a
+    default in src/badlab."""
+    out = []
+    for qual, name, node, cls in DEFS:
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        # a call through an instance or the class passes self or cls
+        skip = 1 if cls and not any(
+            getattr(d, "id", None) == "staticmethod"
+            for d in node.decorator_list) else 0
+        first = len(positional) - len(args.defaults)
+        out.extend((f"{qual}.{a.arg}", name, i - skip)
+                   for i, a in enumerate(positional) if i >= first)
+        out.extend((f"{qual}.{a.arg}", name, None)
+                   for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                   if d is not None)
+    return out
+
+
+def _passed():
+    """(function name, parameter position or name) of every argument a
+    call in src/badlab passes; a starred argument may pass any later
+    position, and ** any keyword."""
+    out = set()
+    for path in glob.glob(os.path.join(SRC, "**", "*.py"), recursive=True):
+        tree = ast.parse(open(path, encoding="utf-8").read(), path)
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            for i, arg in enumerate(call.args):
+                if isinstance(arg, ast.Starred):
+                    out.add((name, ("*", i)))
+                    break
+                out.add((name, i))
+            for kw in call.keywords:
+                out.add((name, kw.arg or "**"))
+    return out
+
+
+def unset_defaults():
+    """Defaulted parameters that no call in src/badlab passes."""
+    passed = _passed()
+    starred = {(n, p[1]) for n, p in passed if isinstance(p, tuple)}
+
+    def is_passed(qual, name, pos):
+        param = qual.rsplit(".", 1)[1]
+        return ((name, param) in passed or (name, "**") in passed
+                or pos is not None and (
+                    (name, pos) in passed
+                    or any(n == name and i <= pos for n, i in starred)))
+
+    return sorted(q for q, name, pos in _defaulted_parameters()
+                  if not is_passed(q, name, pos))
+
+
+def test_every_default_is_overridden():
+    unset = [q for q in unset_defaults() if q not in DEFAULTS_SET_BY_TESTS]
+    assert not unset, (
+        f"parameters whose default no call in src/badlab overrides: {unset}; "
+        "make the value a constant, or allow-list it with the test that "
+        "sets it"
+    )
+
+
+def test_default_allow_list_is_current():
+    stale = sorted(set(DEFAULTS_SET_BY_TESTS) - set(unset_defaults()))
+    assert not stale, f"allow-list entries that are passed or gone: {stale}"

@@ -1,6 +1,7 @@
 import pytest
 from mpmath import mp
 
+from badlab import exactnum
 from badlab.exactnum import HPInterval, rat, rat_pow
 from badlab.geometry import LiftedSpan
 from badlab.lattice import zeta_layer
@@ -171,24 +172,6 @@ def test_packing_scan_zeta_cross_module():
     assert scan.rows[-1].zeta_cum == total
 
 
-def test_packing_scan_certificate_gate(golden_cert):
-    with pytest.raises(ValueError):
-        packing_ratio_scan(
-            FULL_PLANE, UNIT, UNIT, 1, 1, 0, T_values=[10],
-            certificate=golden_cert,
-        )
-    with pytest.raises(ValueError):
-        packing_ratio_scan(
-            FULL_PLANE, UNIT, UNIT, 1, 1, 0, T_values=[2000],
-            certificate=golden_cert, gamma=rat(23, 100),
-        )
-    scan = packing_ratio_scan(
-        FULL_PLANE, UNIT, UNIT, 1, 1, 0, T_values=range(10, 30),
-        certificate=golden_cert, gamma=rat(23, 100),
-    )
-    assert len(scan.rows) == 20
-
-
 def test_packing_scan_empty_range():
     with pytest.raises(ValueError):
         packing_ratio_scan(FULL_PLANE, UNIT, UNIT, 1, 1, 0, T_values=[])
@@ -211,7 +194,7 @@ def test_precision_cap_governs_series_refinement(monkeypatch):
     phi = PowerLog(rat(1), rat(1, 2), rat(2), rat(2))
     T = 2**100
     assert lambda_term(T, 2, phi, 1).sign_lo() > 0
-    monkeypatch.setenv("BADLAB_PRECISION_BITS", "64")
+    monkeypatch.setattr(exactnum, "MAX_BITS", 64)
     with pytest.raises(ArithmeticError, match="at 96 bits"):
         lambda_term(T, 2, phi, 1)
     # mu's order is an exact comparison, which no cap can stop
