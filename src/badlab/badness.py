@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
 from . import kernels
+from .exactlp import clear_vector
 from .exactnum import (
     HPInterval,
     Rat,
@@ -41,7 +42,6 @@ from .geometry import (
     Vec,
     as_vec,
     canon_sign,
-    clear_vector,
     nearest_int_dist,
     sup_norm,
 )

@@ -273,6 +273,10 @@ def main() -> None:
 def badness(config_path, height, vector_text, x_max, out_dir):
     """Certify the badness infimum of B, or scan a single vector."""
     started = time.time()
+    if vector_text is None and x_max is not None:
+        raise ValueError("--x-max applies only to a --vector scan")
+    if vector_text is not None and height is not None:
+        raise ValueError("--height applies only to the subspace certificate")
     cfg = parse_config(config_path)
     if vector_text is not None:
         res = vector_badness(_parse_vector(vector_text), cfg.psi,

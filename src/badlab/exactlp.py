@@ -14,8 +14,9 @@ rows are cleared to integers (integer_levels).  A ParamChain is the
 chain of a whole family of polyhedra that differ only in right-hand
 sides linear in some parameters: Fourier-Motzkin runs once, and each
 member's integer levels are then an integer evaluation, equal row for
-row to those of the member's own chain.  enumerate_integer_points walks
-either.
+row to those of the member's own chain, which integer_levels builds and
+the tests hold the family to.  enumerate_integer_points walks levels of
+either kind.
 """
 
 from __future__ import annotations
@@ -273,11 +274,11 @@ def projection_chain(poly: HPoly) -> List[HPoly]:
     return chain
 
 
-def _clear(values: Sequence) -> Tuple[List[int], int]:
-    """Integers V and L > 0 with values == V / L, L the lcm of the
-    denominators."""
+def clear_vector(values: Sequence) -> Tuple[int, List[int]]:
+    """L > 0, the lcm of the values' denominators, and L * values as
+    integers."""
     L = lcm(*(den(v) for v in values))
-    return [num(v) * (L // den(v)) for v in values], L
+    return L, [num(v) * (L // den(v)) for v in values]
 
 
 def _integer_level(level: HPoly, k: int):
@@ -292,7 +293,7 @@ def _integer_level(level: HPoly, k: int):
     for coeffs, rhs in level.rows:
         if coeffs[k] == 0:
             continue
-        a, L = _clear(coeffs)
+        L, a = clear_vector(coeffs)
         row = (tuple(a[:k]), a[k], num(rhs) * L // den(rhs))
         (uppers if a[k] > 0 else lowers).append(row)
     return uppers, lowers
@@ -363,8 +364,8 @@ def _form_level(level: HPoly, k: int):
             forms.setdefault(coeffs[: k + 1], []).append(coeffs[k + 1 :])
     uppers, lowers = [], []
     for a, gs in forms.items():
-        A, La = _clear(a)
-        flat, Lf = _clear([-g for g in itertools.chain(*gs)])
+        La, A = clear_vector(a)
+        Lf, flat = clear_vector([-g for g in itertools.chain(*gs)])
         r = len(gs[0])
         F = tuple(tuple(flat[i * r : (i + 1) * r]) for i in range(len(gs)))
         g = gcd(La, Lf)
@@ -415,7 +416,7 @@ class ParamChain:
             poly = _prune_forms(poly.eliminate(k), k, nonneg)
         self._levels = levels[::-1]
         # no variable is left: each row is a constant row 0 <= F . p
-        self._const = [tuple(_clear([-g for g in coeffs])[0])
+        self._const = [tuple(clear_vector([-g for g in coeffs])[1])
                        for coeffs, _ in poly.rows]
 
     def levels(self, params: Sequence, center: Optional[Sequence] = None):
@@ -430,11 +431,11 @@ class ParamChain:
         coordinate-wise, so it commutes with projection, and a row
         A . x <= B of the member becomes A . x <= B/2 + A . c.
         """
-        P, D = _clear(params)
+        D, P = clear_vector(params)
         if any(sum(map(mul, F, P)) < 0 for F in self._const):
             return None
         if center is not None:
-            C, cd = _clear(center)
+            cd, C = clear_vector(center)
         out = []
         for k, (uppers, lowers) in enumerate(self._levels):
             level = ([], [])
@@ -450,15 +451,15 @@ class ParamChain:
         return out
 
 
-def enumerate_integer_points(poly):
-    """Yield integer points of the polyhedron in lexicographic order.
+def enumerate_integer_points(levels):
+    """Yield the integer points of a polyhedron in lexicographic order.
 
-    `poly` is an HPoly or its integer levels (integer_levels,
-    ParamChain.levels), where None stands for an infeasible system.
-    Every variable must be bounded both ways (the chain supplies interval
-    bounds per level); unbounded directions raise UnboundedError.
+    `levels` are its integer levels (ParamChain.levels, or
+    integer_levels of an HPoly), where None stands for an infeasible
+    system.  Every variable must be bounded both ways (the chain supplies
+    interval bounds per level); unbounded directions raise
+    UnboundedError.
     """
-    levels = integer_levels(poly) if isinstance(poly, HPoly) else poly
     if levels is None:
         return
     n = len(levels)

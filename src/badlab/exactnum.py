@@ -23,6 +23,7 @@ on, and `refine_cmp` compares against it.
 
 from __future__ import annotations
 
+from functools import cmp_to_key
 from typing import Callable, Optional, Tuple, Union
 
 from mpmath.libmp import (
@@ -325,13 +326,13 @@ class HPInterval:
         return _iv(mpf_neg(self._hi), mpf_neg(self._lo), self.prec)
 
     def __mul__(self, other: "Value") -> "HPInterval":
-        """Product by the sign cases of [a, b] * [c, d] (Moore 1966).
+        """Product of [a, b] and [c, d]: the least and greatest of the
+        four endpoint products, rounded down and up.
 
-        Each case names the two endpoint products that are the exact
-        minimum and maximum; rounding them down and up gives the same
-        endpoints as rounding all four products and taking the extremes.
-        Only two intervals that both straddle zero compare two candidates
-        for each end.
+        With a >= 0 the extremes are known without comparing: a*c and b*d
+        when c >= 0, b*c and a*d when d <= 0 (Moore 1966), so those two
+        cases, the only ones the workloads meet, round two products.
+        Directed rounding is monotone, so they give the same endpoints.
         """
         if not isinstance(other, HPInterval):
             other = HPInterval.from_rat(other, self.prec)
@@ -339,27 +340,16 @@ class HPInterval:
         a, b, c, d = self._lo, self._hi, other._lo, other._hi
         if not a[0]:  # a >= 0
             if not c[0]:
-                lo, hi = (a, c), (b, d)
-            elif d[0] or d == fzero:
-                lo, hi = (b, c), (a, d)
-            else:
-                lo, hi = (b, c), (b, d)
-        elif b[0] or b == fzero:  # b <= 0
-            if not c[0]:
-                lo, hi = (a, d), (b, c)
-            elif d[0] or d == fzero:
-                lo, hi = (b, d), (a, c)
-            else:
-                lo, hi = (a, d), (a, c)
-        elif not c[0]:  # a < 0 < b
-            lo, hi = (a, d), (b, d)
-        elif d[0] or d == fzero:
-            lo, hi = (b, c), (a, c)
-        else:
-            return _mul_straddling(a, b, c, d, p)
+                return _iv(mpf_mul(a, c, p, round_floor),
+                           mpf_mul(b, d, p, round_ceiling), p)
+            if d[0] or d == fzero:
+                return _iv(mpf_mul(b, c, p, round_floor),
+                           mpf_mul(a, d, p, round_ceiling), p)
+        pairs = ((a, c), (a, d), (b, c), (b, d))
         return _iv(
-            mpf_mul(lo[0], lo[1], p, round_floor),
-            mpf_mul(hi[0], hi[1], p, round_ceiling),
+            min((mpf_mul(x, y, p, round_floor) for x, y in pairs), key=_ORDER),
+            max((mpf_mul(x, y, p, round_ceiling) for x, y in pairs),
+                key=_ORDER),
             p,
         )
 
@@ -460,6 +450,7 @@ class HPInterval:
 
 
 _new = object.__new__
+_ORDER = cmp_to_key(mpf_cmp)
 
 
 def _iv(lo_mpf, hi_mpf, prec: int) -> HPInterval:
@@ -487,18 +478,6 @@ def rat_bounds(v: Value) -> Tuple[Rat, Rat]:
     if isinstance(v, HPInterval):
         return v.lo, v.hi
     return v, v
-
-
-def _mul_straddling(a, b, c, d, p: int) -> HPInterval:
-    """[a, b] * [c, d] when both straddle zero: the least of a*d and b*c,
-    the greatest of a*c and b*d (the other products have the other sign)."""
-    lo1, lo2 = mpf_mul(a, d, p, round_floor), mpf_mul(b, c, p, round_floor)
-    hi1, hi2 = mpf_mul(a, c, p, round_ceiling), mpf_mul(b, d, p, round_ceiling)
-    return _iv(
-        lo1 if mpf_cmp(lo1, lo2) <= 0 else lo2,
-        hi1 if mpf_cmp(hi1, hi2) >= 0 else hi2,
-        p,
-    )
 
 
 def refine_cmp(x: RatLike, evaluator: Callable[[int], Value]) -> int:

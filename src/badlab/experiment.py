@@ -139,8 +139,9 @@ class ExperimentConfig:
 
     __post_init__ raises ValueError, naming the broken hypothesis where
     there is one, for every constraint any subcommand relies on, so a bad
-    config is refused before any work is done.  B's badness certificate
-    at cert_height is derived from the config on first use.
+    config is refused before any work is done; it keeps the lifts and
+    chart vertices its checks computed.  B's badness certificate at
+    cert_height and the chart's measure are derived on first use.
     """
 
     A: AffineSubspace
@@ -179,7 +180,7 @@ class ExperimentConfig:
         lifted_B = lift(self.B)
         if not lifted_B.is_subspace_of(lifted_A):
             raise ValueError("B is not contained in A")
-        vertices = _chart_poly(self).vertices()
+        vertices = tuple(_chart_poly(self).vertices())
         if not vertices:
             raise ValueError(
                 "the R ball misses A: no w on A has sup_norm(w) <= R")
@@ -205,6 +206,7 @@ class ExperimentConfig:
             raise ValueError("seed must fit in 64 bits")
         object.__setattr__(self, "lifted_A", lifted_A)
         object.__setattr__(self, "lifted_B", lifted_B)
+        object.__setattr__(self, "chart_vertices", vertices)
 
     @cached_property
     def certificate(self) -> BadnessCertificate:
@@ -217,6 +219,11 @@ class ExperimentConfig:
                 '(hypothesis "Let B be a psi-badly approximable affine subspace")'
             )
         return cert
+
+    @cached_property
+    def chart_measure(self) -> Rat:
+        """Exact parameter-space measure of {w on A : sup_norm(w) <= R}."""
+        return _chart_poly(self).volume()
 
     def describe(self) -> dict:
         return {
@@ -261,9 +268,9 @@ def _chart_poly(config: ExperimentConfig) -> HPoly:
     return poly
 
 
-def _parameter_box(config: ExperimentConfig) -> List[Tuple[Rat, Rat]]:
-    """Per-parameter bounds of the chart (_chart_poly), which
-    ExperimentConfig has checked has positive measure.
+def _parameter_box(vertices: Sequence[Vec]) -> List[Tuple[Rat, Rat]]:
+    """Per-parameter bounds of the chart with these vertices
+    (ExperimentConfig.chart_vertices).
 
     The chart is a polytope, so its projection onto parameter i is the
     span of its vertices' i-th coordinates.  The box is grown outward to a
@@ -271,7 +278,6 @@ def _parameter_box(config: ExperimentConfig) -> List[Tuple[Rat, Rat]]:
     round up to integers, so every grid point lo + k/2^64 is an exact
     64-fractional-bit dyadic.
     """
-    vertices = _chart_poly(config).vertices()
     box = []
     two64 = 1 << 64
     for coords in zip(*vertices):
@@ -292,9 +298,7 @@ def sample_on_A(config: ExperimentConfig, n: int) -> List[Vec]:
     inside that stream, so sample i never depends on how many attempts
     sample j needed.
     """
-    if n == 0:
-        return []
-    box = _parameter_box(config)
+    box = _parameter_box(config.chart_vertices)
     A = config.A
     out: List[Vec] = []
     two64 = 1 << 64
@@ -337,13 +341,14 @@ def cleared_lift(w: Sequence, R: Rat) -> ClearedLine:
 
 
 class _LayerCache:
-    """Z_T layers and the phi(RT) thickness of each T, shared across
-    samples, and the chart measure."""
+    """Z_T layers, the phi(RT) thickness and the upper bound of each T,
+    shared across samples."""
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
         self._layers: Dict[int, List[Tuple[int, ...]]] = {}
         self._thickness: Dict[int, Thickness] = {}
+        self._upper: Dict[int, Tuple[Rat, Rat]] = {}
 
     def layer(self, T: int) -> List[Tuple[int, ...]]:
         # perfbench/tracer.py wraps this method and counts a layer-cache
@@ -354,11 +359,6 @@ class _LayerCache:
             )
         return self._layers[T]
 
-    @cached_property
-    def chart_measure(self) -> Rat:
-        """chart_ball_measure of the config, the same at every T."""
-        return chart_ball_measure(self.config)
-
     def thickness(self, T: int) -> Thickness:
         """phi(RT) as a thickness, one per T, so its enclosure is taken
         once and serves every sample."""
@@ -367,6 +367,13 @@ class _LayerCache:
                 self.config.phi, self.config.R * T
             )
         return self._thickness[T]
+
+    def upper(self, T: int) -> Tuple[Rat, Rat]:
+        """_upper_bound at T, taken once: the estimate and the tail at T
+        both read it."""
+        if T not in self._upper:
+            self._upper[T] = _upper_bound(self.config, T, len(self.layer(T)))
+        return self._upper[T]
 
 
 def u_t_member(
@@ -421,19 +428,16 @@ class MeasureEstimate:
     def mc_value(self) -> Rat:
         return self.fraction * self.chart_measure
 
-    def half_width(self) -> float:
-        import math
-
-        f = float(self.fraction)
-        return math.sqrt(f * (1 - f) / self.n_samples) * float(self.chart_measure)
-
     def within_bound(self, sigmas: int = 3) -> bool:
-        return float(self.mc_value) <= float(self.upper_hi) + sigmas * self.half_width()
-
-
-def chart_ball_measure(config: ExperimentConfig) -> Rat:
-    """Exact parameter-space measure of {w on A : sup_norm(w) <= R}."""
-    return _chart_poly(config).volume()
+        """mc <= hi + sigmas * chart * sqrt(f (1 - f) / n), decided
+        exactly: past hi, squaring both sides leaves
+        (mc - hi)^2 n <= sigmas^2 f (1 - f) chart^2."""
+        excess = self.mc_value - self.upper_hi
+        if excess <= 0:
+            return True
+        f = self.fraction
+        return (excess**2 * self.n_samples
+                <= sigmas**2 * f * (1 - f) * self.chart_measure**2)
 
 
 def _upper_bound(config: ExperimentConfig, T: int, zeta: int) -> Tuple[Rat, Rat]:
@@ -448,16 +452,15 @@ def measure_estimate(
     """The estimate at T from the samples' membership at T, one per sample."""
     if len(hits) < 100:
         raise ValueError("measure estimates want n >= 100")
-    zeta = len(cache.layer(T))
-    lo, hi = _upper_bound(cache.config, T, zeta)
+    lo, hi = cache.upper(T)
     return MeasureEstimate(
         T=T,
-        zeta=zeta,
+        zeta=len(cache.layer(T)),
         upper_lo=lo,
         upper_hi=hi,
         hit_count=sum(hits),
         n_samples=len(hits),
-        chart_measure=cache.chart_measure,
+        chart_measure=cache.config.chart_measure,
     )
 
 
@@ -587,14 +590,10 @@ def run_theorem1(config: ExperimentConfig) -> TheoremReport:
             estimates.append(est)
             if not est.within_bound():
                 violations.append(T)
-    uppers = {e.T: e.upper_hi for e in estimates}
-    if not uppers:
-        for T in Ts:
-            uppers[T] = _upper_bound(config, T, len(cache.layer(T)))[1]
     tail = rat(0)
     tails_rev: List[Tuple[int, Rat]] = []
     for T in reversed(Ts):
-        tail += rat_min_one(uppers[T])
+        tail += min(cache.upper(T)[1], rat(1))
         tails_rev.append((T, tail))
     tails = list(reversed(tails_rev))
     gammas = [r.gamma_phi for r in results]
@@ -621,10 +620,6 @@ def run_theorem1(config: ExperimentConfig) -> TheoremReport:
         bound_violations=violations,
         infinite_looking=infinite_looking,
     )
-
-
-def rat_min_one(x: Rat) -> Rat:
-    return x if x < 1 else rat(1)
 
 
 # ---------------------------------------------------------------------

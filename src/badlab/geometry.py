@@ -16,12 +16,12 @@ functionals (the vertices of the orthogonal L1-ball section), which turn
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .exactlp import (
     HPoly,
+    clear_vector,
     in_row_span,
     matrix_rank,
     nullspace_basis,
@@ -170,13 +170,6 @@ def cheb_distance(z: Sequence, span: LiftedSpan) -> Rat:
     for _ in range(span.dim):
         poly = poly.eliminate(0)
     return poly.bounds()[0]
-
-
-def clear_vector(v: Sequence) -> Tuple[int, List[int]]:
-    """The lcm D of the coordinates' denominators, and D*v as integers."""
-    parts = [num_den(c) for c in v]
-    scale = math.lcm(*(q for _, q in parts))
-    return scale, [p * (scale // q) for p, q in parts]
 
 
 class ClearedLine:

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from math import lcm
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -45,6 +45,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from .exactlp import (
     HPoly,
     ParamChain,
+    clear_vector,
     enumerate_integer_points,
     vec_dot,
 )
@@ -65,7 +66,6 @@ from .geometry import (
     Vec,
     as_vec,
     cheb_distance,
-    clear_vector,
     distance_via_functionals,
     dual_functionals,
     sup_norm,
@@ -407,14 +407,8 @@ def zeta_layer(
     A_span: LiftedSpan, phi: RateFunction, R, T: int
 ) -> List[Tuple[int, ...]]:
     """The points of the layer z0 = T of the approach slab at scale T."""
-    R = as_rat(R)
-    return enumerate_slab(SlabSpec(
-        T=T,
-        R=R,
-        target=A_span,
-        thickness=Thickness.of_rate(phi, R * T),
-        z0_range=(T, T),
-    ))
+    return enumerate_slab(
+        replace(approach_slab(A_span, phi, R, T), z0_range=(T, T)))
 
 
 def pi_count(A_span: LiftedSpan, phi: RateFunction, R, T: int) -> int:

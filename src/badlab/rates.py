@@ -301,37 +301,25 @@ def admissible_pair(psi: RateFunction, phi: RateFunction) -> AdmissibleReport:
     A = phi.alpha - psi.alpha
     D = phi.delta - psi.delta
     S = effective_start(psi, phi)
-
-    def witness_search() -> int:
-        # ratio eventually exceeds 1: double T until a violation certifies
+    if A < 0 or A == 0 and D < 0:
+        # r eventually exceeds 1: double T until a violation certifies it
         T = S
         for _ in range(400):
             if not _cmp_phi_le_psi(psi, phi, T):
-                return T
+                return AdmissibleReport(False, witness_T=T)
             T *= 2
         raise UndecidableComparison("no violation found while doubling")
-
-    if A > 0:
-        # with D < 0, r has an interior max at log T = -D/A; a peak value
-        # <= 1 bounds r everywhere, so no neighbour of the peak can fail
-        if D < 0 and not _peak_value_le_one(psi, phi, A, D, S):
-            return AdmissibleReport(
-                False, witness_T=_peak_neighbour(psi, phi, A, D, S),
-                note="interior peak > 1",
-            )
-        if not _cmp_phi_le_psi(psi, phi, S):
-            return AdmissibleReport(False, witness_T=S)
-    elif A == 0:
-        if D > 0:
-            if not _cmp_phi_le_psi(psi, phi, S):
-                return AdmissibleReport(False, witness_T=S)
-        elif D == 0:
-            if phi.c > psi.c:
-                return AdmissibleReport(False, witness_T=S)
-        else:
-            return AdmissibleReport(False, witness_T=witness_search())
-    else:
-        return AdmissibleReport(False, witness_T=witness_search())
+    # with A > 0 and D < 0, r has an interior max at log T = -D/A; a peak
+    # value <= 1 bounds r everywhere, so no neighbour of the peak can fail
+    if A > 0 and D < 0 and not _peak_value_le_one(psi, phi, A, D, S):
+        return AdmissibleReport(
+            False, witness_T=_peak_neighbour(psi, phi, A, D, S),
+            note="interior peak > 1",
+        )
+    # otherwise the largest r on [S, oo) is r(S) or a peak already bounded
+    # by 1 (r is constant when A == D == 0), so one check at S decides
+    if not _cmp_phi_le_psi(psi, phi, S):
+        return AdmissibleReport(False, witness_T=S)
     return AdmissibleReport(True)
 
 

@@ -9,11 +9,7 @@ import badlab.cli
 import badlab.experiment
 from badlab.cli import config_from_echo, config_hash, main, parse_config
 from badlab.exactnum import UndecidableComparison, format_rat
-from badlab.experiment import (
-    DivergingSeriesError,
-    RejectionError,
-    chart_ball_measure,
-)
+from badlab.experiment import DivergingSeriesError, RejectionError
 from badlab.lattice import BoxTooLargeError
 from badlab.series import packing_ratio_scan
 
@@ -153,6 +149,26 @@ def test_badness_vector_rejects_floats(runner):
         main, ["badness", "--config", GOLDEN_CFG, "--vector", "0.5"]
     )
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--height", "5", "--x-max", "7"],
+     "--x-max applies only to a --vector scan"),
+    (["--vector", "golden", "--height", "3"],
+     "--height applies only to the subspace certificate"),
+], ids=["x-max without vector", "height with vector"])
+def test_badness_refuses_options_it_ignores(runner, monkeypatch, args,
+                                            message):
+    # refused in one line before the config is read or anything scanned
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked on a refused option combination")
+
+    for name in ("parse_config", "subspace_badness", "vector_badness"):
+        monkeypatch.setattr(badlab.cli, name, no_work)
+    res = runner.invoke(main, ["badness", "--config", GOLDEN_CFG, *args])
+    assert res.exit_code == 2, res.output
+    assert res.stderr == f"config error: {message}\n"
+    assert res.stdout == ""
 
 
 def test_enumerate_counts(runner, tmp_path):
@@ -628,7 +644,7 @@ def test_montecarlo_three_dimensional_chart(runner, tmp_path):
     assert res.exit_code == 0, res.output
     tails = (out / "tails.csv").read_text().splitlines()
     assert len(tails) == 3  # the header, T = 2 and T = 3
-    assert chart_ball_measure(parse_config(cfg)) == 8
+    assert parse_config(cfg).chart_measure == 8
 
 
 def test_montecarlo_small_run(runner, tmp_path):

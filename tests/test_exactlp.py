@@ -10,6 +10,7 @@ from badlab.exactlp import (
     UnboundedError,
     enumerate_integer_points,
     in_row_span,
+    integer_levels,
     matrix_rank,
     nullspace_basis,
     solve_square,
@@ -216,7 +217,7 @@ def test_enumerate_integer_points_matches_brute_force():
         for _ in range(2):
             row = [rat(rng.randint(-2, 2)) for _ in range(n)]
             poly.add(row, rat(rng.randint(-1, 8), rng.randint(1, 3)))
-        got = list(enumerate_integer_points(poly))
+        got = list(enumerate_integer_points(integer_levels(poly)))
         assert got == sorted(got)  # lexicographic contract
         assert [tuple(int(c) for c in p) for p in got] == _brute_integer_points(poly)
 
@@ -227,4 +228,4 @@ def test_enumerate_unbounded_raises():
     poly.add([rat(-1), rat(0)], rat(1))
     poly.add([rat(0), rat(1)], rat(1))  # y unbounded below
     with pytest.raises(UnboundedError):
-        list(enumerate_integer_points(poly))
+        list(enumerate_integer_points(integer_levels(poly)))

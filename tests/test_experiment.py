@@ -19,7 +19,6 @@ from badlab.experiment import (
     _LayerCache,
     _chart_poly,
     _parameter_box,
-    chart_ball_measure,
     cleared_lift,
     measure_estimate,
     require_convergent,
@@ -259,7 +258,8 @@ def test_parameter_box_matches_elimination(data):
     except ValueError:  # dependent directions
         assume(False)
     config = SimpleNamespace(A=A, R=R)
-    assert _parameter_box(config) == _box_by_elimination(_chart_poly(config))
+    chart = _chart_poly(config)
+    assert _parameter_box(chart.vertices()) == _box_by_elimination(chart)
 
 
 # -- membership and measure ----------------------------------------------
@@ -346,7 +346,7 @@ def shipped_small(request):
         cfg, T_range=(cfg.T_range[0], 16), cert_height=int(cfg.R * 16) + 1,
         sample_count=0,
     )
-    return cfg, _LayerCache(cfg), _parameter_box(cfg)
+    return cfg, _LayerCache(cfg), _parameter_box(cfg.chart_vertices)
 
 
 @settings(max_examples=100, deadline=None)
@@ -426,12 +426,12 @@ def test_u_t_member_refines_inside_enclosure(log_phi_config, monkeypatch):
 
 def test_chart_measure_golden(golden_config):
     # {w in R^1 : |w| <= 1} has length 2
-    assert chart_ball_measure(golden_config) == rat(2)
+    assert golden_config.chart_measure == rat(2)
 
 
 def test_chart_measure_cubic(cubic_config):
     # parameter interval of the R-ball on the cubic line, mapped measure
-    assert chart_ball_measure(cubic_config) > 0
+    assert cubic_config.chart_measure > 0
 
 
 def test_measure_estimate_layer_arithmetic(golden_config):
@@ -480,6 +480,30 @@ def small_run(cubic_config):
         seed=7,
     )
     return cfg, run_theorem1(cfg)
+
+
+def test_run_takes_each_upper_bound_once(cubic_config, monkeypatch,
+                                         tmp_path):
+    # the estimates (100 samples and more) and the tails share one bound
+    # per T, so tails.csv does not depend on the sample count
+    import badlab.experiment as experiment
+
+    calls = Counter()
+    real = experiment._upper_bound
+    monkeypatch.setattr(experiment, "_upper_bound", lambda config, T, zeta:
+                        calls.update([T]) or real(config, T, zeta))
+    tails = set()
+    for n in (0, 50, 100):
+        cfg = dataclasses.replace(cubic_config, sample_count=n, X=200,
+                                  T_range=(2, 8), cert_height=16)
+        calls.clear()
+        rep = run_theorem1(cfg)
+        assert calls == Counter(range(2, 9))
+        assert [e.T for e in rep.estimates] == ([] if n < 100
+                                                else list(range(2, 9)))
+        write_outputs(rep, str(tmp_path / str(n)))
+        tails.add((tmp_path / str(n) / "tails.csv").read_bytes())
+    assert len(tails) == 1
 
 
 def test_small_run_report_shape(small_run):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from badlab.exactlp import matrix_rank, vec_dot
+from badlab.exactlp import clear_vector, matrix_rank, vec_dot
 from badlab.exactnum import rat
 from badlab.geometry import (
     AffineSubspace,
@@ -12,7 +12,6 @@ from badlab.geometry import (
     LiftedSpan,
     canon_sign,
     cheb_distance,
-    clear_vector,
     distance_via_functionals,
     dual_functionals,
     lift,

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from badlab.exactlp import HPoly, enumerate_integer_points, integer_levels
 from badlab import exactnum, lattice
+from badlab.cli import parse_config
 from badlab.exactnum import (
     HPInterval,
     UndecidableComparison,
@@ -182,6 +183,15 @@ def test_approach_slab_scaled_R():
     assert p1 == 6 * 21
 
 
+@pytest.mark.parametrize("name", ["golden.cfg", "cubic.cfg"])
+def test_zeta_layer_is_the_approach_slab_at_z0_T(name):
+    cfg = parse_config("configs/" + name)
+    for T in range(1, 17):
+        slab = enumerate_slab(approach_slab(cfg.lifted_A, cfg.phi, cfg.R, T))
+        layer = zeta_layer(cfg.lifted_A, cfg.phi, cfg.R, T)
+        assert layer == [p for p in slab if p[0] == T]
+
+
 def _random_spec(rng) -> SlabSpec:
     d = rng.choice((1, 2, 3))
     T = rng.randint(1, 12 if d == 1 else (6 if d == 2 else 4))
@@ -303,7 +313,8 @@ def test_enumerate_slab_filter_keeps_and_drops(monkeypatch, wide):
                         lambda spec, eps, center=None:
                         real_levels(spec, loose, center))
     expected = naive_slab_scan(spec)
-    cands = list(enumerate_integer_points(build_slab_poly(spec, loose)))
+    cands = list(enumerate_integer_points(
+        integer_levels(build_slab_poly(spec, loose))))
     assert 0 < len(expected) < len(cands)
     calls = []
     real = Thickness.bounds.func
@@ -419,7 +430,8 @@ def test_half_dilation_translates_match_shifted_poly(case):
     sizes = []
     for c in centers:
         got = list(enumerate_integer_points(lattice._slab_levels(spec, eps, c)))
-        assert got == list(enumerate_integer_points(_shifted_poly(poly, c)))
+        assert got == list(enumerate_integer_points(
+            integer_levels(_shifted_poly(poly, c))))
         sizes.append(len(got))
     assert sizes[0] >= 1  # the origin's translate holds the origin
 

@@ -2,21 +2,21 @@
 
 A top-level function or class, or a method of a top-level class, counts
 as used when its name is referenced in live code of src/badlab outside
-its own body, or in perfbench/*.py as an attribute name or a string
-(the tracer names the functions it wraps as strings; perfbench's own
-variable names do not count).  Code that only unused code references
-is unused too.  A member reached through `self` or `cls` inside its own
-class, through `Class.member`, or through a parameter annotated with
-the class is that class's member only.  Any other reference is matched
-by name: `x.contains` keeps every method called `contains`.  Imports do
-not count as uses, so an imported but uncalled function is still
-reported.
+its own body.  Code that only unused code references is unused too.
+A member reached through `self` or `cls` inside its own class, through
+`Class.member`, or through a parameter annotated with the class is that
+class's member only.  Any other reference is matched by name:
+`x.contains` keeps every method called `contains`.  Imports do not
+count as uses, so an imported but uncalled function is still reported.
 
 Exempt are click commands (click calls them), dunder methods (Python
 calls them) and `_Group.invoke` (click's hook).  The allow-list holds the
 code that only tests call on purpose: reference routes a test compares
 the program against, acceptance APIs, and helpers the tests build their
-inputs with.  Each entry names a test that uses it.
+inputs with.  Each entry names a test that uses it.  KEPT_FOR_PERFBENCH
+holds the code that only the benchmark reaches: perfbench/*.py names it
+as an attribute or in a string (the tracer names the functions it wraps
+as strings), and nothing in src/badlab uses it.
 """
 
 import ast
@@ -44,6 +44,16 @@ ALLOWED = {
         "test_acceptance::test_07_lambda_positive_mu_increasing",
     "cli.config_from_echo": "report.json round trip: "
         "test_cli::test_config_echo_roundtrip",
+    "exactlp.integer_levels": "oracle: "
+        "test_lattice::test_slab_family_levels_match_projection_chain",
+}
+
+# definitions only perfbench reaches, each with what in perfbench names it
+KEPT_FOR_PERFBENCH = {
+    "kernels.backend_name": "setup_probe.py stamps each record with it",
+    "lattice.build_slab_poly": "tracer.py wraps it",
+    "lattice.pi_count": "tracer.py wraps it",
+    "series.lambda_term": "tracer.py wraps it",
 }
 
 
@@ -185,7 +195,7 @@ def dead_code(roots):
         new = set()
         for qual, name, node, cls in DEFS:
             if (qual in dead or cls in dead or qual in roots
-                    or _exempt(qual, name, node) or name in _BENCH):
+                    or _exempt(qual, name, node)):
                 continue
             own = names[qual]  # only its own body references it
             if live[name] == own[name] and live[qual] == own[qual]:
@@ -196,20 +206,31 @@ def dead_code(roots):
         dead |= new
 
 
+ROOTS = set(ALLOWED) | set(KEPT_FOR_PERFBENCH)
+
+
 def test_every_definition_is_referenced():
-    dead = dead_code(set(ALLOWED))
+    dead = dead_code(ROOTS)
     assert not dead, (
-        "defined in src/badlab but referenced nowhere live in src/badlab "
-        f"or perfbench: {dead}; delete it, or allow-list it with the test "
-        "that uses it"
+        "defined in src/badlab but referenced nowhere live in src/badlab: "
+        f"{dead}; delete it, or allow-list it with the test that uses it"
     )
 
 
 def test_allow_list_is_current():
     # an entry that the program itself uses, or that no longer exists,
     # no longer needs the exemption
-    stale = [q for q in ALLOWED if q not in dead_code(set(ALLOWED) - {q})]
+    stale = [q for q in ALLOWED if q not in dead_code(ROOTS - {q})]
     assert not stale, f"allow-list entries that are referenced or gone: {stale}"
+
+
+def test_perfbench_list_is_current():
+    # each entry is named by perfbench and used by nothing in src/badlab
+    unnamed = [q for q in KEPT_FOR_PERFBENCH
+               if q.rsplit(".", 1)[1] not in _BENCH]
+    assert not unnamed, f"entries perfbench/*.py does not name: {unnamed}"
+    used = [q for q in KEPT_FOR_PERFBENCH if q not in dead_code(ROOTS - {q})]
+    assert not used, f"entries that src/badlab uses, or that are gone: {used}"
 
 
 # parameter defaults no call in src/badlab overrides, each with the test
