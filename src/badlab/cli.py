@@ -72,6 +72,10 @@ from .rates import rate_from_text
 from .series import packing_ratio_scan, partial_sum
 
 
+class OptionError(ValueError):
+    """A command-line option the command refuses, whatever the config."""
+
+
 def _parse_scalar(text: str) -> Rat:
     text = text.strip()
     if text in PRESETS:
@@ -233,6 +237,7 @@ _FAILURES = (
     ((DivergingSeriesError,), "refused", 2),
     ((RejectionError,), "sampling failed", 1),
     ((BoxTooLargeError, UndecidableComparison, ArithmeticError), None, 2),
+    ((OptionError,), "option error", 2),
     ((ValueError, OSError), "config error", 2),
 )
 
@@ -274,13 +279,19 @@ def badness(config_path, height, vector_text, x_max, out_dir):
     """Certify the badness infimum of B, or scan a single vector."""
     started = time.time()
     if vector_text is None and x_max is not None:
-        raise ValueError("--x-max applies only to a --vector scan")
+        raise OptionError("--x-max applies only to a --vector scan")
     if vector_text is not None and height is not None:
-        raise ValueError("--height applies only to the subspace certificate")
+        raise OptionError("--height applies only to the subspace certificate")
+    if vector_text is not None:
+        try:
+            w = _parse_vector(vector_text)
+        except ValueError as err:
+            raise OptionError(f"--vector: {err}") from err
+        if not w:
+            raise OptionError("--vector: empty coordinate vector")
     cfg = parse_config(config_path)
     if vector_text is not None:
-        res = vector_badness(_parse_vector(vector_text), cfg.psi,
-                             x_max or cfg.X)
+        res = vector_badness(w, cfg.psi, x_max or cfg.X)
         payload = res.to_json_dict()
     else:
         out = subspace_badness(cfg.lifted_B, cfg.psi,

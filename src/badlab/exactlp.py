@@ -16,7 +16,10 @@ sides linear in some parameters: Fourier-Motzkin runs once, and each
 member's integer levels are then an integer evaluation, equal row for
 row to those of the member's own chain, which integer_levels builds and
 the tests hold the family to.  enumerate_integer_points walks levels of
-either kind.
+either kind.  Each level also carries its narrowest pair of parallel rows
+-bL <= A . x <= bU, if it has one: a prefix leaves that level empty unless
+a residue lands in a window, so the walk steps straight to the next value
+whose residue does (first_hit, the least x with (A*x + B) mod M <= W).
 """
 
 from __future__ import annotations
@@ -274,6 +277,38 @@ def projection_chain(poly: HPoly) -> List[HPoly]:
     return chain
 
 
+def first_hit(A: int, B: int, M: int, W: int) -> Optional[int]:
+    """The least x >= 0 with (A*x + B) mod M <= W, or None if there is none.
+
+    With B mod M above W the hits are the x with l <= A*x mod M <= r, for
+    l = M - B mod M and r = l + W < M.  The least is ceil(l/A) when a
+    multiple of A lies in [l, r].  Otherwise A*x - M*y lies in [l, r]
+    exactly when M*y mod A lies in [(-r) mod A, (-l) mod A], the same
+    problem for (M mod A, A), and its least y gives the least x,
+    ceil((l + M*y)/A).  This is Euclid's recursion, run as a loop over
+    O(log M) steps; no x hits when it reaches A = 0.
+    """
+    if W < 0:
+        return None
+    if W >= M - 1 or B % M <= W:
+        return 0
+    A %= M
+    l = M - B % M
+    r = l + W
+    outer = []
+    while True:
+        if A == 0:
+            return None
+        x = -(-l // A)
+        if x * A <= r:
+            break
+        outer.append((l, M, A))
+        l, r, M, A = -r % A, -l % A, A, M % A
+    for l, M, A in reversed(outer):
+        x = -(-(l + M * x) // A)
+    return x
+
+
 def clear_vector(values: Sequence) -> Tuple[int, List[int]]:
     """L > 0, the lcm of the values' denominators, and L * values as
     integers."""
@@ -299,16 +334,50 @@ def _integer_level(level: HPoly, k: int):
     return uppers, lowers
 
 
+def _parallel_pairs(uppers, lowers) -> List[Tuple[int, int]]:
+    """The (i, j) where lowers[j] is uppers[i] negated on the left: a pair
+    of rows -bL <= A . x <= bU that bounds x_k both ways."""
+    neg = {(tuple(-c for c in a), -ak): j
+           for j, (a, ak, *_) in enumerate(lowers)}
+    return [(i, neg[a, ak]) for i, (a, ak, *_) in enumerate(uppers)
+            if (a, ak) in neg]
+
+
+def _narrowest_pair(uppers, lowers, pairs):
+    """Of a level's parallel pairs, the one that admits the fewest
+    prefixes, as (A_prefix, A_k, bU, W) with W = bU + bL; None when every
+    pair admits all of them.
+
+    With the prefix fixed, such a pair holds an integer x_k exactly when a
+    multiple of A_k lies in [bU - s - W, bU - s], s = A_prefix . prefix,
+    that is when (bU - s) mod A_k <= W: a share (W + 1) / A_k of residues.
+    """
+    best = None
+    for i, j in pairs:
+        a, ak, bu = uppers[i]
+        w = bu + lowers[j][2]
+        if w + 1 < ak and (best is None
+                           or (w + 1) * best[1] < (best[3] + 1) * ak):
+            best = (a, ak, bu, w)
+    return best
+
+
 def integer_levels(poly: HPoly):
     """The walk's integer levels of `poly`: for each x_k, the rows of its
-    projection chain's level k+1 that bound x_k (_integer_level).  None
-    when a constant row of the chain is infeasible."""
+    projection chain's level k+1 that bound x_k (_integer_level) and their
+    narrowest parallel pair (_narrowest_pair).  None when a constant row
+    of the chain is infeasible."""
     if poly.infeasible_const:
         return None
     chain = projection_chain(poly)
     if chain[0].infeasible_const:
         return None
-    return [_integer_level(chain[k + 1], k) for k in range(poly.nvars)]
+    levels = []
+    for k in range(poly.nvars):
+        uppers, lowers = _integer_level(chain[k + 1], k)
+        pairs = _parallel_pairs(uppers, lowers)
+        levels.append((uppers, lowers, _narrowest_pair(uppers, lowers, pairs)))
+    return levels
 
 
 def _domain_param(g: Sequence) -> Optional[int]:
@@ -400,6 +469,9 @@ class ParamChain:
     as it drops constant rows that hold on the whole domain; the domain's
     own rows stay, so `levels` still reports a p outside it as empty.
     Without this the forms multiply from level to level.
+
+    Each level's parallel pairs of rows are found once, here; `levels`
+    evaluates them and keeps the narrowest (_narrowest_pair).
     """
 
     def __init__(self, poly: HPoly, nparams: int, walked: int):
@@ -415,6 +487,7 @@ class ParamChain:
                 levels.append(_form_level(poly, k))
             poly = _prune_forms(poly.eliminate(k), k, nonneg)
         self._levels = levels[::-1]
+        self._pairs = [_parallel_pairs(*level) for level in self._levels]
         # no variable is left: each row is a constant row 0 <= F . p
         self._const = [tuple(clear_vector([-g for g in coeffs])[1])
                        for coeffs, _ in poly.rows]
@@ -447,8 +520,27 @@ class ParamChain:
                         shift = sum(map(mul, a, C)) + ak * C[k]
                         b, d = b * cd + 2 * d * shift, 2 * d * cd
                     side.append((a, ak, b // d))
-            out.append(level)
+            out.append((*level, _narrowest_pair(*level, self._pairs[k])))
         return out
+
+
+def _admitted(pair, prefix: List[int], lo: int, hi: int):
+    """The v in [lo, hi] that the next level's parallel pair admits after
+    `prefix`: with the pair's row A . (prefix, v, z) <= bU and its width W,
+    those where (bU - A_prefix . prefix - A_v v) mod A_z <= W
+    (_narrowest_pair), each found by first_hit from the last."""
+    a, M, bu, W = pair
+    P = a[-1]
+    rest = bu - sum(map(mul, a, prefix))
+    A = -P % M
+    v = lo
+    while v <= hi:
+        x = first_hit(A, rest - P * v, M, W)
+        if x is None or v + x > hi:
+            return
+        v += x
+        yield v
+        v += 1
 
 
 def enumerate_integer_points(levels):
@@ -459,6 +551,12 @@ def enumerate_integer_points(levels):
     system.  Every variable must be bounded both ways (the chain supplies
     interval bounds per level); unbounded directions raise
     UnboundedError.
+
+    A value of x_k is walked only when the parallel pair of level k+1, if
+    it has one, admits an integer x_{k+1} after it (_admitted), so the
+    prefixes whose next level is empty on that pair alone are skipped, not
+    tried.  Each value walked is checked against all rows, so the points
+    and their order are those of a walk over every value.
     """
     if levels is None:
         return
@@ -466,13 +564,16 @@ def enumerate_integer_points(levels):
     prefix: List[int] = []
 
     def rec(k: int):
-        uppers, lowers = levels[k]
+        uppers, lowers, _ = levels[k]
         if not uppers or not lowers:
             raise UnboundedError(f"variable {k} unbounded in enumeration")
         hi = min((b - sum(map(mul, a, prefix))) // ak for a, ak, b in uppers)
         # ceil(r / ak) for ak < 0 is -(r // -ak)
         lo = max(-((b - sum(map(mul, a, prefix))) // -ak) for a, ak, b in lowers)
-        for v in range(lo, hi + 1):
+        pair = levels[k + 1][2] if k + 1 < n else None
+        values = (range(lo, hi + 1) if pair is None
+                  else _admitted(pair, prefix, lo, hi))
+        for v in values:
             prefix.append(v)
             if k == n - 1:
                 yield tuple(prefix)

@@ -1,12 +1,15 @@
 """The badness-scan kernel: exact integer residues, no floats.
 
-The scan carries denominator-cleared residues as Python integers, so the
-per-q sup distance it compares is exact.
+The scan steps between the q whose first coordinate can beat the running
+record, the returns of the rotation q -> q*s0 mod D to a window around 0,
+and checks every coordinate of each such q exactly as a Python integer.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
+
+from ..exactlp import first_hit
 
 
 def badness_scan(
@@ -23,11 +26,18 @@ def badness_scan(
     range is a record, so the caller's exact choice need only look at
     these (best simultaneous approximations counted from q_min).
 
-    Only coordinate 0 is carried from q to q.  Its folded residue
-    min(r0, D - r0) is at least the running minimum `best` exactly when
-    best <= r0 <= D - best, and then the sup over all coordinates is at
-    least `best` too, so q cannot be a record and is skipped.  The other
-    coordinates are computed, exactly, only for the q that pass.
+    Coordinate 0 filters.  Its folded residue min(r0, D - r0), with
+    r0 = q*s0 mod D, lies below the running minimum `best` exactly when
+    (r0 + best - 1) mod D <= W = 2*best - 2, and no other q can be a
+    record.  The q that pass are the returns of a rotation to a window, so
+    by the three-gap theorem (Slater, Proc. Cambridge Philos. Soc. 63,
+    1967) the next one after a passing q is the first of q + a, q + b and
+    q + a + b to land in the window: a is the least step that moves a
+    residue up by at most W, and b the least that moves it down by at most
+    W (none when W < gcd(s0, D), and then a returns every residue to
+    itself).  Both are taken once per record with first_hit, as is the
+    first pass after the record.  The other coordinates are checked,
+    exactly, only at the q that pass.
 
     Returns (records, None), or ([q], q) for the first q whose distance
     is exactly zero.
@@ -37,16 +47,11 @@ def badness_scan(
     D = denominator
     # with no coordinates every q is at distance zero
     s0, *rest = [n % D for n in nums] or [0]
-    r = (q_min - 1) * s0 % D
     records: List[int] = []
-    best = D  # above every folded residue, which is at most D // 2
-    top = 0  # D - best once a record exists; no r0 lies in [D, 0]
-    for q in range(q_min, X + 1):
-        r += s0
-        if r >= D:
-            r -= D
-        if best <= r <= top:
-            continue
+    best = D  # above every folded residue, which is at most D // 2,
+    q = q_min  # so q_min is a record
+    while q <= X:
+        r = q * s0 % D
         m = r if 2 * r <= D else D - r
         for s in rest:
             f = q * s % D
@@ -58,6 +63,23 @@ def badness_scan(
             if m == 0:
                 return [q], q
             best = m
-            top = D - m
             records.append(q)
+            W = 2 * m - 2
+            a = 1 + first_hit(s0, s0, D, W)
+            up = a * s0 % D
+            hit = first_hit(s0, s0 + W, D, W - 1)
+            if hit is None:  # W < gcd(s0, D): up = 0, so a always lands
+                b, down = 0, D
+            else:
+                b = hit + 1
+                down = D - b * s0 % D
+            q += 1 + first_hit(s0, (q + 1) * s0 + m - 1, D, W)
+            continue
+        x = (r + best - 1) % D
+        if x + up <= W:
+            q += a
+        elif x >= down:
+            q += b
+        else:
+            q += a + b
     return records, None

@@ -7,7 +7,13 @@ from click.testing import CliRunner
 
 import badlab.cli
 import badlab.experiment
-from badlab.cli import config_from_echo, config_hash, main, parse_config
+from badlab.cli import (
+    OptionError,
+    config_from_echo,
+    config_hash,
+    main,
+    parse_config,
+)
 from badlab.exactnum import UndecidableComparison, format_rat
 from badlab.experiment import DivergingSeriesError, RejectionError
 from badlab.lattice import BoxTooLargeError
@@ -156,7 +162,11 @@ def test_badness_vector_rejects_floats(runner):
      "--x-max applies only to a --vector scan"),
     (["--vector", "golden", "--height", "3"],
      "--height applies only to the subspace certificate"),
-], ids=["x-max without vector", "height with vector"])
+    (["--vector", "0.5"], "--vector: float literal '0.5' not accepted; "
+     "use p/q or a preset name"),
+    (["--vector", ","], "--vector: empty coordinate vector"),
+], ids=["x-max without vector", "height with vector", "float vector",
+        "empty vector"])
 def test_badness_refuses_options_it_ignores(runner, monkeypatch, args,
                                             message):
     # refused in one line before the config is read or anything scanned
@@ -167,7 +177,7 @@ def test_badness_refuses_options_it_ignores(runner, monkeypatch, args,
         monkeypatch.setattr(badlab.cli, name, no_work)
     res = runner.invoke(main, ["badness", "--config", GOLDEN_CFG, *args])
     assert res.exit_code == 2, res.output
-    assert res.stderr == f"config error: {message}\n"
+    assert res.stderr == f"option error: {message}\n"
     assert res.stdout == ""
 
 
@@ -223,6 +233,7 @@ def test_unsettled_arithmetic_exits_two(runner, monkeypatch, exc):
     (RejectionError, 1, "sampling failed"),
     (BoxTooLargeError, 2, "BoxTooLargeError"),
     (ZeroDivisionError, 2, "ZeroDivisionError"),
+    (OptionError, 2, "option error"),
     (ValueError, 2, "config error"),
     (FileNotFoundError, 2, "config error"),
 ])

@@ -1,14 +1,18 @@
 import itertools
 import random
+from math import gcd
+from operator import mul
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from badlab import exactlp
 from badlab.exactlp import (
     HPoly,
     UnboundedError,
     enumerate_integer_points,
+    first_hit,
     in_row_span,
     integer_levels,
     matrix_rank,
@@ -229,3 +233,143 @@ def test_enumerate_unbounded_raises():
     poly.add([rat(0), rat(1)], rat(1))  # y unbounded below
     with pytest.raises(UnboundedError):
         list(enumerate_integer_points(integer_levels(poly)))
+
+
+# -- first_hit and the walk that skips empty prefixes ------------------
+
+
+def _first_hit_brute(A, B, M, W):
+    # the residues repeat with period M, so one period decides
+    return next((x for x in range(M) if (A * x + B) % M <= W), None)
+
+
+@example(0, 5, 7, 3)  # A = 0: x = 0 or nothing
+@example(0, 3, 7, 2)
+@example(14, 3, 7, 2)  # A = 0 mod M
+@example(5, 9, 1, 0)  # M = 1: every residue is 0
+@example(3, 5, 7, 6)  # W = M - 1: every residue hits
+@example(3, 5, 7, 40)
+@example(5, 9, 12, -1)  # an empty window
+@settings(max_examples=500, deadline=None)
+@given(st.integers(-300, 300), st.integers(-300, 300),
+       st.integers(1, 120), st.integers(-2, 125))
+def test_first_hit_matches_brute_force(A, B, M, W):
+    assert first_hit(A, B, M, W) == _first_hit_brute(A, B, M, W)
+
+
+def _fibonacci(n):
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a, b
+
+
+@example(*_fibonacci(390), 2, 3, 0)  # ~390 Euclid steps on a 270-bit M
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**270), st.integers(1, 2**270),
+       st.integers(0, 2000), st.integers(0, 270), st.integers(0, 2**270))
+def test_first_hit_on_large_moduli(A, M, x0, wbits, seed):
+    # windows of every width, A*x mod M in [-B, W - B] wrapping past M or
+    # not: B is set so that x0 hits, which bounds the least hit by x0, and
+    # a brute force below it decides it
+    W = seed % (1 << wbits) % M
+    B = (seed % (W + 1) - A * x0) % M
+    x = first_hit(A, B, M, W)
+    assert x == next(y for y in range(x0 + 1) if (A * y + B) % M <= W)
+    # some x hits exactly when a residue of B modulo gcd(A, M) is <= W
+    B += 1 + W
+    hit = first_hit(A, B, M, W)
+    if hit is None:
+        assert B % gcd(A, M) > W
+    else:
+        assert (A * hit + B) % M <= W
+        assert all((A * y + B) % M > W for y in range(min(hit, 2000)))
+
+
+def _walk_every_value(levels):
+    """The walk that tries every value of each level's range: the oracle
+    for the walk that skips the prefixes whose next level is empty."""
+    if levels is None:
+        return
+    n = len(levels)
+    prefix = []
+
+    def rec(k):
+        uppers, lowers = levels[k][:2]
+        if not uppers or not lowers:
+            raise UnboundedError(f"variable {k} unbounded in enumeration")
+        hi = min((b - sum(map(mul, a, prefix))) // ak for a, ak, b in uppers)
+        lo = max(-((b - sum(map(mul, a, prefix))) // -ak)
+                 for a, ak, b in lowers)
+        for v in range(lo, hi + 1):
+            prefix.append(v)
+            if k == n - 1:
+                yield tuple(prefix)
+            else:
+                yield from rec(k + 1)
+            prefix.pop()
+
+    yield from rec(0)
+
+
+def _walked(walk, levels):
+    """The points a walk yields, and whether it then raised unbounded."""
+    out = []
+    try:
+        out.extend(walk(levels))
+    except UnboundedError:
+        return out, True
+    return out, False
+
+
+_SMALL = st.builds(rat, st.integers(-40, 40), st.integers(1, 6))
+
+
+@st.composite
+def _polytopes(draw):
+    """Random polyhedra over 1-3 variables: a box, missing one side of one
+    variable now and then, random rows, and thin slabs -l <= c . x <= u,
+    whose two rows are a parallel pair of every level c reaches."""
+    n = draw(st.integers(1, 3))
+    poly = HPoly(n)
+    open_side = draw(st.integers(0, 4 * n))
+    for j in range(n):
+        e = [rat(int(i == j)) for i in range(n)]
+        if open_side != 2 * j:
+            poly.add(e, draw(st.integers(0, 30)))
+        if open_side != 2 * j + 1:
+            poly.add([-v for v in e], draw(st.integers(0, 30)))
+    for _ in range(draw(st.integers(0, 2))):
+        poly.add([draw(_SMALL) for _ in range(n)], draw(_SMALL))
+    for _ in range(draw(st.integers(0, 2))):
+        c = [rat(draw(st.integers(-12, 12))) for _ in range(n)]
+        lo = draw(_SMALL)
+        poly.add(c, lo + abs(draw(_SMALL)) / 4)
+        poly.add([-v for v in c], -lo)
+    return poly
+
+
+@settings(max_examples=300, deadline=None)
+@given(_polytopes())
+def test_walk_matches_the_walk_of_every_value(poly):
+    levels = integer_levels(poly)
+    assert _walked(enumerate_integer_points, levels) == \
+        _walked(_walk_every_value, levels)
+
+
+def test_walk_skips_on_a_thin_slab():
+    # 0 <= x <= 300 and 0 <= 7x - 50y <= 1: one y for each x with 7x mod
+    # 50 in {0, 1}, the x = 0 or 43 mod 50; the pair on y admits only
+    # those x, so the walk tries no other
+    poly = HPoly(2)
+    poly.add([rat(1), rat(0)], 300)
+    poly.add([rat(-1), rat(0)], 0)
+    poly.add([rat(7), rat(-50)], 1)
+    poly.add([rat(-7), rat(50)], 0)
+    levels = integer_levels(poly)
+    assert levels[1][2] == ((-7,), 50, 0, 1)
+    xs = [x for x in range(301) if x % 50 in (0, 43)]
+    assert list(exactlp._admitted(levels[1][2], [], 0, 300)) == xs
+    points = list(enumerate_integer_points(levels))
+    assert points == [(x, 7 * x // 50) for x in xs]
+    assert points == _walked(_walk_every_value, levels)[0]

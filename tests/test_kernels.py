@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from badlab import kernels
@@ -50,16 +50,23 @@ def test_badness_scan_first_coordinate_zero_is_not_a_zero():
 
 @st.composite
 def _scan_input(draw):
-    if draw(st.booleans()):
-        D = 1 << draw(st.integers(0, 270))
-    else:
-        D = draw(st.integers(1, 10**6))
+    D = draw(st.one_of(st.integers(0, 270).map(lambda k: 1 << k),
+                       st.integers(1, 10**6), st.integers(1, 60)))
     nums = draw(st.lists(st.integers(-3 * D, 3 * D), min_size=1, max_size=3))
-    X = draw(st.integers(1, 400))
-    q_min = draw(st.integers(1, X))
+    # now and then an exact zero residue: in coordinate 0 every q passes
+    # its filter, and in another it never raises the sup
+    nums = [D * draw(st.integers(-2, 2)) if draw(st.integers(0, 4)) == 0
+            else n for n in nums]
+    X = draw(st.integers(1, draw(st.sampled_from((400, 5000)))))
+    q_min = draw(st.one_of(st.integers(1, X), st.just(X)))
     return nums, D, X, q_min
 
 
+@example(([5], 1, 5000, 5000))  # D = 1: every q is at distance zero
+@example(([0, 3], 7, 5000, 1))  # coordinate 0 at residue 0 for every q
+@example(([10, 0], 2**40, 5000, 2))  # another coordinate always at zero
+@example(([3 * 2**38 + 1], 2**40, 5000, 4999))
+@example(([30977, 33790], 2**14, 1551, 397))  # a pass at the window's edge
 @settings(max_examples=300, deadline=None)
 @given(_scan_input())
 def test_badness_scan_matches_all_coordinates_scan(case):
