@@ -45,9 +45,9 @@ from .exactnum import (
     Rat,
     UndecidableComparison,
     format_rat,
+    format_upper,
     parse_rat,
     rat,
-    rat_bounds,
 )
 from .experiment import (
     RNG_NAME,
@@ -69,7 +69,7 @@ from .lattice import (
 )
 from .presets import PRESETS
 from .rates import rate_from_text
-from .series import packing_ratio_scan, partial_sum
+from .series import packing_ratio_scan, partial_sum, series_start
 
 
 class OptionError(ValueError):
@@ -367,18 +367,18 @@ def series(config_path, N, counts_to, out_dir):
     started = time.time()
     cfg = parse_config(config_path)
     a, b = cfg.A.dim, cfg.B.dim
+    # the counts start where the series does, inside both rate domains;
+    # counts_to below that leaves an empty T range, refused before work
+    start = series_start(cfg.R, cfg.psi, cfg.phi)
+    if 0 < counts_to < start:
+        raise ValueError(f"empty T range: --counts-to {counts_to} lies "
+                         f"below the series' start T={start}")
     ps = partial_sum(N, cfg.R, cfg.psi, cfg.phi, a, b)
     scan = None
-    if counts_to:
-        # the counts start where the series does, inside both rate
-        # domains; counts_to below that leaves an empty T range
-        T_values = range(ps.terms[0].T, counts_to + 1)
-        if not T_values:
-            raise ValueError("empty T range")
-        if out_dir:  # only series.csv and the manifest read the scan
-            scan = packing_ratio_scan(cfg.lifted_A, cfg.psi, cfg.phi, cfg.R,
-                                      a, b, T_values=T_values)
-    click.echo(f"S_{N} = {_upper(ps.sums[-1])}")
+    if counts_to and out_dir:  # only series.csv and the manifest read it
+        scan = packing_ratio_scan(cfg.lifted_A, cfg.psi, cfg.phi, cfg.R,
+                                  a, b, T_values=range(start, counts_to + 1))
+    click.echo(f"S_{N} = {format_upper(ps.sums[-1])}")
     if out_dir:
         import os
 
@@ -401,24 +401,18 @@ def series(config_path, N, counts_to, out_dir):
     sys.exit(0)
 
 
-def _upper(v) -> str:
-    """An exact value, or an interval's upper end."""
-    return format_rat(rat_bounds(v)[1])
-
-
 def _series_rows(ps, scan) -> List[list]:
     by_T = {}
     if scan is not None:
         by_T = {r.T: r for r in scan.rows}
     rows = []
     for term, s in zip(ps.terms, ps.sums):
-        mu, lam = term.mu, term.lam
         extra = ["", "", "", ""]
         r = by_T.get(term.T)
         if r is not None:
             extra = [r.zeta, r.pi, format_rat(r.ratio_pi), format_rat(r.ratio_cum)]
-        rows.append([term.T, _upper(mu), _upper(lam), _upper(mu * lam),
-                     _upper(s)] + extra)
+        rows.append([term.T, format_upper(term.mu), format_upper(term.lam),
+                     format_upper(term.term), format_upper(s)] + extra)
     return rows
 
 

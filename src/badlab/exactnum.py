@@ -23,7 +23,7 @@ on, and `refine_cmp` compares against it.
 
 from __future__ import annotations
 
-from functools import cmp_to_key
+from functools import cmp_to_key, lru_cache
 from typing import Callable, Optional, Tuple, Union
 
 from mpmath.libmp import (
@@ -61,6 +61,9 @@ RatLike = Union[Rat, int]
 # time, so a test can lower it
 MAX_BITS = 256
 _START_BITS = 64
+# integer enclosures kept per (n, prec): a series walk encloses T + 1 for
+# one term's lambda and T for the next term's mu, at one precision
+INT_MEMO = 256
 
 
 class UndecidableComparison(Exception):
@@ -152,12 +155,16 @@ def parse_rat(text: str) -> Rat:
 def format_rat(x: RatLike) -> str:
     """Lossless text form: "p", "p/q", or "p/2^k" for wide dyadics."""
     x = as_rat(x)
-    d = den(x)
+    return _format_lowest(num(x), den(x))
+
+
+def _format_lowest(p: int, d: int) -> str:
+    """format_rat of p/d, given in lowest terms with d > 0."""
     if d == 1:
-        return str(num(x))
+        return str(p)
     if is_pow2(d) and d >= (1 << 16):
-        return f"{num(x)}/2^{d.bit_length() - 1}"
-    return f"{num(x)}/{d}"
+        return f"{p}/2^{d.bit_length() - 1}"
+    return f"{p}/{d}"
 
 
 def kth_root_floor(n: int, k: int) -> int:
@@ -270,6 +277,8 @@ class HPInterval:
 
     @staticmethod
     def from_rat(x: RatLike, prec: int) -> "HPInterval":
+        if isinstance(x, int):
+            return _int_enclosure(x, prec)
         x = as_rat(x)
         p, q = num(x), den(x)
         return _iv(
@@ -394,6 +403,8 @@ class HPInterval:
 
     def __pow__(self, e: int) -> "HPInterval":
         p = self.prec
+        if e == 1 and self._lo[3] <= p and self._hi[3] <= p:
+            return self  # rounding endpoints that fit p changes nothing
         if e == 0:
             one = from_int(1)
             return _iv(one, one, p)
@@ -462,6 +473,15 @@ def _iv(lo_mpf, hi_mpf, prec: int) -> HPInterval:
     return out
 
 
+@lru_cache(maxsize=INT_MEMO)
+def _int_enclosure(n: int, prec: int) -> HPInterval:
+    return _iv(
+        from_rational(n, 1, prec, round_floor),
+        from_rational(n, 1, prec, round_ceiling),
+        prec,
+    )
+
+
 Value = Union[Rat, HPInterval]
 
 
@@ -478,6 +498,21 @@ def rat_bounds(v: Value) -> Tuple[Rat, Rat]:
     if isinstance(v, HPInterval):
         return v.lo, v.hi
     return v, v
+
+
+def format_upper(v: Value) -> str:
+    """format_rat(rat_bounds(v)[1]), read straight off an interval's upper
+    end (sign, man, exp): mpmath keeps man odd, so man/2^-exp is already
+    in lowest terms."""
+    if not isinstance(v, HPInterval):
+        return format_rat(v)
+    sign, man, exp, _ = v._hi
+    if man == 0 and exp != 0:
+        raise OverflowError("nonfinite endpoint")
+    man = -int(man) if sign else int(man)
+    if exp >= 0:
+        return str(man << exp)
+    return _format_lowest(man, 1 << -exp)
 
 
 def refine_cmp(x: RatLike, evaluator: Callable[[int], Value]) -> int:

@@ -3,17 +3,22 @@
 The closed family keeps every comparison decidable: values are evaluated
 exactly when they land in Q (pure powers with perfect roots), otherwise as
 certified intervals via exactnum.HPInterval.  `rate_value` makes that
-choice for every caller in the package.  Admissibility of a pair
-(psi, phi), meaning phi(T) <= psi(T) from the start of the common domain,
-is decided analytically from the exponents with interval arithmetic only
-at finitely many critical points.
+choice for every caller in the package.  An irrational value multiplies
+c and the log factor into (log T, T^(-alpha)), which one bounded memo
+keeps per (alpha, T, precision): rates with a common alpha share it, so a
+series walk that asks for psi and phi at one argument takes one log and
+one exp there.  Every endpoint is the one a cold evaluation gives.
+
+Admissibility of a pair (psi, phi), meaning phi(T) <= psi(T) from the
+start of the common domain, is decided analytically from the exponents
+with interval arithmetic only at finitely many critical points.
 """
 
 from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 from .exactnum import (
     HPInterval,
@@ -128,19 +133,36 @@ def rate_value(f: RateFunction, T: RatLike, bits: int) -> Value:
     exact = eval_exact(f, T)
     if exact is not None:
         return exact
-    ti = HPInterval.from_rat(T, bits)
-    e = -f.alpha
-    # one log T serves the power T^e = exp(e log T) and the log factor;
-    # the operations are those of ti.pow_rat(e) and ti.log().pow_rat(...)
-    lt = ti.log() if den(e) != 1 or f.delta != 0 else None
-    if den(e) == 1:
-        power = ti ** num(e)
-    else:
-        power = (lt * _enclosed_constant(e, bits)).exp()
+    lt, power = _power_part(num(f.alpha), den(f.alpha), num(T), den(T), bits)
     out = _enclosed_constant(f.c, bits) * power
     if f.delta != 0:
         out = out * lt.pow_rat(-f.delta)
     return out
+
+
+# entries of the (log T, T^-alpha) memo; a series walk needs two live ones
+POWER_MEMO = 64
+
+
+@lru_cache(maxsize=POWER_MEMO)
+def _power_part(
+    alpha_num: int, alpha_den: int, T_num: int, T_den: int, bits: int,
+) -> Tuple[HPInterval, HPInterval]:
+    """(log T, T^-alpha) at `bits` for an irrational rate value.
+
+    It depends on alpha, T and the precision, not on c or delta, so rates
+    that share alpha share it: a series walk asks for phi(R(T+1)) in one
+    term and psi at the same argument in the next, and takes the log and
+    exp once.  f(T) is irrational only with a log factor or a fractional
+    alpha, so log T is always needed.  The operations are those of
+    ti.log() and ti.pow_rat(-alpha), with the one log serving both.
+    """
+    ti = HPInterval.from_rat(rat(T_num, T_den), bits)
+    lt = ti.log()
+    if alpha_den == 1:
+        return lt, ti ** -alpha_num
+    e = _enclosed_constant(rat(-alpha_num, alpha_den), bits)
+    return lt, (lt * e).exp()
 
 
 @lru_cache(maxsize=64)

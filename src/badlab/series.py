@@ -11,7 +11,7 @@ converges iff p < -1, or p = -1 and q < -1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import exactnum
 from .exactnum import (
@@ -52,40 +52,55 @@ def lambda_term(T: int, R, phi: RateFunction, a: int) -> Value:
 
 def _lambda_step(
     T: int, R: Rat, phi: RateFunction, a: int, left: Value,
-) -> Tuple[Value, Value]:
-    """lambda_T and phi(R(T+1)) at BITS, given left = phi(RT) at BITS.
+    left_scaled: Optional[Value] = None,
+) -> Tuple[Value, Value, Value]:
+    """lambda_T, phi(R(T+1)) and (phi(R(T+1))/(T+1))^a at BITS, given
+    left = phi(RT) at BITS and, when a walk carries it, left_scaled =
+    (left/T)^a as the term before computed it.
 
-    A walk over consecutive T passes the second value on as the next
-    term's left end, so each phi(RT) is evaluated once.  A term that has
-    to raise its precision recomputes both ends at the higher precision;
-    only base-precision values are passed on.
+    A walk over consecutive T passes the last two values on as the next
+    term's left and left_scaled, so each phi(RT), and each scaled end, is
+    computed once.  The scaled ends of a term are exact when both of its
+    ends are, else intervals of the ends enclosed at BITS.  Along a walk
+    that kind never changes: phi(RT) is exact for all T (a pure power with
+    integer alpha), for none (a log factor), or, with alpha = p/q, only
+    where RT is a q-th power, which R*T and R*(T+1) never both are.  A
+    term that has to raise its precision recomputes both ends at the
+    higher precision; only base-precision values are passed on.
     """
     if a < 1:
         raise ValueError("need a >= 1")
     right = rate_value(phi, R * (T + 1), BITS)
-    if not isinstance(left, HPInterval) and not isinstance(right, HPInterval):
-        out = (left / T) ** a - (right / (T + 1)) ** a
+    li, ri = left, right
+    if isinstance(li, HPInterval) or isinstance(ri, HPInterval):
+        li, ri = as_interval(li, BITS), as_interval(ri, BITS)
+    if left_scaled is None:
+        left_scaled = (li / T) ** a
+    right_scaled = (ri / (T + 1)) ** a
+    out = left_scaled - right_scaled
+    if not isinstance(out, HPInterval):
         assert out > 0
-        return out, right
-    cap = exactnum.MAX_BITS
-    cur, li, ri = BITS, as_interval(left, BITS), as_interval(right, BITS)
-    while True:
-        out = (li / T) ** a - (ri / (T + 1)) ** a
-        if out.sign_lo() > 0:
-            return out, right
+        return out, right, right_scaled
+    cur, cap = BITS, exactnum.MAX_BITS
+    while out.sign_lo() <= 0:
         if cur >= cap:
             raise ArithmeticError(
                 f"could not separate lambda from zero at {cur} bits")
         cur = min(cur * 2, cap)
         li = interval_eval(phi, R * T, cur)
         ri = interval_eval(phi, R * (T + 1), cur)
+        out = (li / T) ** a - (ri / (T + 1)) ** a
+    return out, right, right_scaled
 
 
 @dataclass(frozen=True)
 class SeriesTerm:
+    """One term: mu, lambda and their product mu * lam."""
+
     T: int
     mu: Value
     lam: Value
+    term: Value
 
 
 @dataclass(frozen=True)
@@ -98,32 +113,43 @@ class PartialSums:
     final_width: Rat
 
 
+def series_start(R, psi: RateFunction, phi: RateFunction) -> int:
+    """The first T with R*T inside both rate domains, where sums start."""
+    ds = max(psi.domain_start, phi.domain_start)
+    return max(1, rat_ceil(ds / as_rat(R)))
+
+
 def partial_sum(
     N: int, R, psi: RateFunction, phi: RateFunction, a: int, b: int,
 ) -> PartialSums:
-    """Sums start at the first T with R*T inside both rate domains."""
+    """Sums start at series_start.  Once a term is an interval the sum is
+    one too, and each increment is the term enclosed at BITS: the term
+    itself when it already is that product."""
     if N < 1:
         raise ValueError("N must be >= 1")
     R_r = as_rat(R)
-    ds = max(psi.domain_start, phi.domain_start)
-    start = max(1, rat_ceil(ds / R_r))
+    start = series_start(R_r, psi, phi)
     if start > N:
         raise ValueError(f"N={N} lies below the rates' domain start {start}")
     terms: List[SeriesTerm] = []
     sums: List[Value] = []
     acc: Value = rat(0)
     exact = True
-    left = rate_value(phi, R_r * start, BITS)
+    left, scaled = rate_value(phi, R_r * start, BITS), None
     for T in range(start, N + 1):
-        m = mu_term(T, R, psi, a, b)
-        l, left = _lambda_step(T, R_r, phi, a, left)
-        if isinstance(m, HPInterval) or isinstance(l, HPInterval) or not exact:
+        m = mu_term(T, R_r, psi, a, b)
+        l, left, scaled = _lambda_step(T, R_r, phi, a, left, scaled)
+        term = m * l
+        if isinstance(term, HPInterval) or not exact:
             exact = False
-            inc = as_interval(m, BITS) * as_interval(l, BITS)
+            if isinstance(term, HPInterval) and term.prec == BITS:
+                inc = term  # any rational factor was enclosed at BITS too
+            else:
+                inc = as_interval(m, BITS) * as_interval(l, BITS)
             acc = as_interval(acc, BITS) + inc
         else:
-            acc = acc + m * l
-        terms.append(SeriesTerm(T=T, mu=m, lam=l))
+            acc = acc + term
+        terms.append(SeriesTerm(T=T, mu=m, lam=l, term=term))
         sums.append(acc)
     width = rat(0) if exact else acc.width()
     return PartialSums(terms=terms, sums=sums, exact=exact, final_width=width)

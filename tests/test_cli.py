@@ -380,6 +380,34 @@ def test_montecarlo_refuses_before_the_certificate(
     assert res.stderr == f"config error: {message}\n"
 
 
+@pytest.mark.parametrize("counts_to, refused", [(3, True), (5, False)])
+def test_series_counts_below_the_start_refused_before_summing(
+        runner, tmp_path, monkeypatch, counts_to, refused):
+    # phi starts at 10 and R = 2, so the series starts at T = 5: counts to
+    # 3 are refused before the N terms are summed, counts to 5 are not
+    summed = []
+    real = badlab.cli.partial_sum
+
+    def recorded(*args, **kwargs):
+        summed.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(badlab.cli, "partial_sum", recorded)
+    cfg = _cubic_with(tmp_path, phi="powerlog c=1 alpha=1/2 delta=2 T0=10",
+                      T_min="5")
+    res = runner.invoke(main, ["series", "--config", cfg, "--N", "6",
+                               "--counts-to", str(counts_to),
+                               "--out", str(tmp_path / "ser")])
+    if refused:
+        assert res.exit_code == 2, res.output
+        assert res.stderr == ("config error: empty T range: --counts-to 3 "
+                              "lies below the series' start T=5\n")
+        assert res.stdout == "" and summed == []
+    else:
+        assert res.exit_code == 0, res.output
+        assert summed == [6]
+
+
 def test_series_counts_start_where_the_series_starts(runner, tmp_path):
     # psi starts at 4 and phi at 2 (R = 1): both the sums and the counts
     # start at T = 4
@@ -467,7 +495,8 @@ def test_counts_below_phi_domain_exits_two(runner, tmp_path):
         main, ["series", "--config", cfg, "--N", "20", "--counts-to", "3"]
     )
     assert res.exit_code == 2
-    assert res.stderr == "config error: empty T range\n"
+    assert res.stderr == ("config error: empty T range: --counts-to 3 lies "
+                          "below the series' start T=8\n")
 
 
 def test_enumerate_omega_needs_gamma(runner, tmp_path):

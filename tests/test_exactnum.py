@@ -5,11 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 from mpmath.libmp import (
+    finf,
     from_man_exp,
+    from_rational,
     fzero,
     mpf_cmp,
     mpf_mul,
     mpf_neg,
+    mpf_pow_int,
     round_ceiling,
     round_floor,
 )
@@ -20,9 +23,11 @@ from badlab.exactnum import (
     exact_kth_root,
     kth_root_floor,
     format_rat,
+    format_upper,
     is_pow2,
     parse_rat,
     rat,
+    rat_bounds,
     rat_ceil,
     rat_cmp_power,
     rat_floor,
@@ -331,3 +336,79 @@ def test_reflected_product_goes_through_mul(monkeypatch):
     rat(2, 5) * iv
     7 * iv
     assert len(seen) == 2
+
+
+@settings(max_examples=400, deadline=None)
+@given(_intervals())
+def test_pow_one_matches_rounded_power(x):
+    # x ** 1 skips mpf_pow_int only where rounding the endpoints at x.prec
+    # changes nothing; the drawn mantissas reach 150 bits, above most
+    # precisions, so the rounding route is met too
+    if x.sign_lo() >= 0:
+        want = (mpf_pow_int(x._lo, 1, x.prec, round_floor),
+                mpf_pow_int(x._hi, 1, x.prec, round_ceiling), x.prec)
+    else:  # a base with a negative end was returned as it is
+        want = (x._lo, x._hi, x.prec)
+    assert _raw(x ** 1) == want
+    product = x * x  # endpoints rounded at its precision: x ** 1 is it
+    assert product ** 1 is product
+
+
+def _raw(v):
+    return v._lo, v._hi, v.prec
+
+
+@settings(max_examples=300, deadline=None)
+@given(_intervals(), st.integers(-(2**100), 2**100)
+       | st.integers(-3, 3) | st.sampled_from([2**96, 2**96 + 1]),
+       st.sampled_from((53, 64, 96, 128, 256)))
+def test_integer_enclosures_match_rational_route(iv, n, prec):
+    # the memoized enclosure of an int, and iv / n through it, give the
+    # endpoints of the rational route, on the first call and on a memo hit
+    rational = HPInterval.from_rat(rat(n), prec)
+    assert _raw(rational) == (from_rational(n, 1, prec, round_floor),
+                              from_rational(n, 1, prec, round_ceiling), prec)
+    for _ in range(2):
+        assert _raw(HPInterval.from_rat(n, prec)) == _raw(rational)
+        if n == 0:
+            with pytest.raises(ZeroDivisionError):
+                iv / n
+        else:
+            want = iv * HPInterval.from_rat(rat(n), iv.prec).inverse()
+            assert _raw(iv / n) == _raw(want)
+
+
+_ENDPOINTS = st.builds(
+    from_man_exp, st.integers(-(2**150), 2**150), st.integers(-200, 200)
+) | st.builds(  # dyadics around the "/2^k" switch at k = 16
+    from_man_exp, st.integers(-(2**20), 2**20), st.integers(-20, 4)
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_ENDPOINTS, st.sampled_from((64, 96, 256)))
+def test_format_upper_matches_format_rat(hi, prec):
+    v = HPInterval(hi, hi, prec)
+    assert format_upper(v) == format_rat(rat_bounds(v)[1])
+
+
+@pytest.mark.parametrize("hi, text", [
+    (fzero, "0"),
+    (from_man_exp(7, 3), "56"),
+    (from_man_exp(-3, 0), "-3"),
+    (from_man_exp(3, -15), "3/32768"),
+    (from_man_exp(-3, -16), "-3/2^16"),
+    (from_man_exp(12, -5), "3/8"),
+])
+def test_format_upper_cases(hi, text):
+    v = HPInterval(fzero if mpf_cmp(hi, fzero) >= 0 else hi, hi, 96)
+    assert format_upper(v) == text == format_rat(rat_bounds(v)[1])
+    assert format_upper(rat(3, 8)) == "3/8"
+
+
+def test_format_upper_refuses_nonfinite():
+    v = HPInterval(fzero, finf, 96)
+    with pytest.raises(OverflowError):
+        format_rat(rat_bounds(v)[1])
+    with pytest.raises(OverflowError):
+        format_upper(v)

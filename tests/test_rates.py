@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from badlab import exactnum
+from badlab import exactnum, rates
 from badlab.exactnum import (
     HPInterval,
     UndecidableComparison,
@@ -104,6 +104,45 @@ def test_interval_eval_bit_identical_to_separate_logs(alpha, delta, c, T, bits):
         ref = ref * ti.log().pow_rat(-delta)
     out = interval_eval(f, T, bits)
     assert (out._lo, out._hi, out.prec) == (ref._lo, ref._hi, ref.prec)
+
+
+_ALPHAS = [rat(0), rat(1), rat(1, 2), rat(1, 3), rat(3, 2)]
+_ARGS = st.integers(2, 10**6) | st.builds(
+    lambda p, q: 2 + rat(p, q), st.integers(0, 10**6), st.integers(1, 7))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_power_memo_matches_cold_evaluation(data):
+    # rates that do and do not share alpha and c, at int and rational T
+    # and four precisions, in a drawn order with repeats: each value has
+    # the raw endpoints of an evaluation with the memo cleared before it
+    alpha = data.draw(st.sampled_from(_ALPHAS))
+    other = data.draw(st.sampled_from(_ALPHAS))
+    c = data.draw(st.sampled_from([rat(1), rat(3, 5)]))
+    c2 = data.draw(st.sampled_from([c, rat(2)]))
+    delta = data.draw(st.sampled_from([rat(1, 2), rat(2)]))
+    fs = [PowerLaw(c, alpha), PowerLog(c2, alpha, delta, rat(2)),
+          PowerLaw(c2, other), PowerLog(c, other, rat(1), rat(2))]
+    # n and n/d share a numerator, so a key without T's denominator fails
+    n = data.draw(st.integers(14, 10**6))
+    Ts = [n, rat(n, data.draw(st.integers(2, 7)))]
+    Ts += data.draw(st.lists(_ARGS, max_size=2))
+    calls = [(f, T, bits) for f in fs for T in Ts
+             for bits in (64, 96, 128, 256)]
+    calls += data.draw(st.lists(st.sampled_from(calls), max_size=8))
+    calls = data.draw(st.permutations(calls))
+
+    def raw(v):
+        return (v._lo, v._hi, v.prec) if isinstance(v, HPInterval) else v
+
+    warm = [raw(rate_value(*call)) for call in calls]
+    cold = []
+    for call in calls:
+        rates._power_part.cache_clear()
+        cold.append(raw(rate_value(*call)))
+    assert warm == cold
+
 
 def test_cmp_refine():
     # x against f(T) through rate_value: refined when f(T) is irrational,

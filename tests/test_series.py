@@ -2,7 +2,7 @@ import pytest
 from mpmath import mp
 
 from badlab import exactnum
-from badlab.exactnum import HPInterval, rat, rat_pow
+from badlab.exactnum import HPInterval, as_interval, rat, rat_pow
 from badlab.geometry import LiftedSpan
 from badlab.lattice import zeta_layer
 from badlab.rates import PowerLaw, PowerLog, rate_value
@@ -210,6 +210,15 @@ def _raw(v):
     return (v._lo, v._hi, v.prec) if isinstance(v, HPInterval) else v
 
 
+def _scaled_right(phi, R, T, a):
+    """(phi(R(T+1))/(T+1))^a as term T computes it at 96 bits: exact when
+    both of its ends are, else from the end enclosed at 96 bits."""
+    left, right = rate_value(phi, R * T, 96), rate_value(phi, R * (T + 1), 96)
+    if isinstance(left, HPInterval) or isinstance(right, HPInterval):
+        right = as_interval(right, 96)
+    return (right / (T + 1)) ** a
+
+
 @pytest.mark.parametrize("phi, R", [
     (UNIT, 1),  # every phi(RT) exact
     (SQRT, 2),  # exact at the squares 2T, intervals between
@@ -218,12 +227,13 @@ def _raw(v):
 def test_carried_phi_matches_term_by_term(monkeypatch, phi, R):
     import badlab.series as series
 
-    seen = []
+    seen, passed = [], []
     step = series._lambda_step
 
     def recorded(T, *args):
         out = step(T, *args)
-        seen.append((T, args[2], _raw(out[0]), _raw(out[1])))
+        seen.append((T, args[2], _raw(out[0]), _raw(out[1]), _raw(out[2])))
+        passed.append((args[4] if len(args) > 4 else None, out[2]))
         return out
 
     monkeypatch.setattr(series, "_lambda_step", recorded)
@@ -238,31 +248,64 @@ def test_carried_phi_matches_term_by_term(monkeypatch, phi, R):
     # only base-precision values are carried, even after a raised term
     assert seen == [
         (T, a, _raw(lambda_term(T, R, phi, a)),
-         _raw(rate_value(phi, R * (T + 1), 96)))
+         _raw(rate_value(phi, R * (T + 1), 96)),
+         _raw(_scaled_right(phi, R, T, a)))
         for T, a in [(t.T, 1) for t in ps.terms] + [(2**100, 2)]
     ]
+    assert all(s.prec == 96 for _, s in passed if isinstance(s, HPInterval))
+    # each scaled end is the next term's left one, not recomputed
+    walk = passed[:len(ps.terms)]
+    assert walk[0][0] is None
+    assert all(nxt[0] is cur[1] for cur, nxt in zip(walk, walk[1:]))
+
+
+def test_partial_sum_adds_the_base_precision_product():
+    # phi starts at 3^64, where every lambda raises its precision and
+    # mu(3^64) = 3^96 is exact but wider than 96 bits: the table's term is
+    # mu * lam at the raised precision, while the sum adds mu and lam
+    # enclosed at 96 bits
+    T0 = 3**64
+    ps = partial_sum(T0 + 2, 1, SQRT, PowerLog(rat(1), rat(1, 2), rat(2),
+                                              rat(T0)), 1, 0)
+    assert [t.T for t in ps.terms] == [T0, T0 + 1, T0 + 2]
+    assert ps.terms[0].mu == 3**96 and ps.terms[0].lam.prec > 96
+    acc = rat(0)
+    for t, s in zip(ps.terms, ps.sums):
+        assert _raw(t.term) == _raw(t.mu * t.lam)
+        acc = as_interval(acc, 96) + as_interval(t.mu, 96) * t.lam
+        assert _raw(s) == _raw(acc)
 
 
 def test_partial_sum_evaluates_each_rate_value_once(monkeypatch):
     # one psi(RT) for mu and one carried phi(R(T+1)) per term, plus the
-    # first phi(RT): eval_exact is not repeated inside interval evaluation
+    # first phi(RT): eval_exact is not repeated inside interval evaluation;
+    # psi and phi share alpha, so each argument's log T is taken once
     import sys
 
     import badlab.rates as rates
     from badlab.cli import parse_config
 
     cfg = parse_config("configs/cubic.cfg")
-    calls = []
-    real = rates.eval_exact
+    calls, logs = [], []
+    real, real_log = rates.eval_exact, exactnum.mpf_log
 
     def counted(f, T):
         calls.append(T)
         return real(f, T)
 
+    def counted_log(*args):
+        logs.append(args[0])
+        return real_log(*args)
+
     # every module that binds the name, as `from .rates import` would
     for name, module in list(sys.modules.items()):
         if name.startswith("badlab") and vars(module).get("eval_exact") is real:
             monkeypatch.setattr(module, "eval_exact", counted)
+    monkeypatch.setattr(exactnum, "mpf_log", counted_log)
+    rates._power_part.cache_clear()  # count from a cold memo
     ps = partial_sum(800, cfg.R, cfg.psi, cfg.phi, cfg.A.dim, cfg.B.dim)
     assert len(ps.terms) == 800
     assert len(calls) <= 2 * 800 + 2
+    # an interval log T is two directed mpf_log calls, one per endpoint:
+    # at most N + 2 logs
+    assert len(logs) <= 2 * (800 + 2)
