@@ -265,10 +265,9 @@ def vector_badness(
         )
     best_q = None
     best_m = None
-    for q in records:
-        # the sup distance times D, from the integer residues as the scan
-        # found it; D cancels from both sides of the comparison
-        m = max(min(q * n % D, D - q * n % D) for n in nums)
+    for q, m in records:
+        # m is the sup distance times D, as the scan found it; D cancels
+        # from both sides of the comparison
         if best_q is None or cmp_scaled_ratios(m, q, best_m, best_q, psi) < 0:
             best_q, best_m = q, m
     assert best_q is not None

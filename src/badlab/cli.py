@@ -30,11 +30,12 @@ table (_FAILURES) maps each failure to its code.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
+import os
 import sys
 import time
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 import click
@@ -55,6 +56,8 @@ from .experiment import (
     ExperimentConfig,
     RejectionError,
     run_theorem1,
+    write_csv,
+    write_json,
     write_outputs,
 )
 from .geometry import AffineSubspace
@@ -207,14 +210,22 @@ def config_from_echo(echo: dict) -> ExperimentConfig:
     )
 
 
-def _write_manifest(
-    out_dir: str, command: str, params: dict, started: float,
-    cfg_hash: Optional[str] = None, seed: Optional[int] = None, **extra,
+def _write_out(
+    out_dir: Optional[str], command: str, params: dict, started: float,
+    seed: int, files: Optional[dict] = None, cfg_hash: Optional[str] = None,
+    **extra,
 ) -> None:
-    import os
-
+    """Write a command's files to out_dir, then its manifest.json; nothing
+    without --out.  `files` maps each file name to its content: a JSON
+    payload for a .json name, else CSV rows, the header first.  `extra`
+    adds keys to the manifest."""
+    if not out_dir:
+        return
     os.makedirs(out_dir, exist_ok=True)
-    manifest = {
+    for name, content in (files or {}).items():
+        write = write_json if name.endswith(".json") else write_csv
+        write(out_dir, name, content)
+    write_json(out_dir, "manifest.json", {
         "tool_version": __version__,
         "command": command,
         "config_hash": cfg_hash,
@@ -223,10 +234,7 @@ def _write_manifest(
         "finished_at": time.time(),
         "params": params,
         **extra,
-    }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 # Every failure a run reports, first match wins: (types, stderr prefix,
@@ -244,6 +252,13 @@ _FAILURES = (
 
 # scales, counts and heights; click rejects anything below 1 with exit 2
 _POSITIVE = click.IntRange(min=1)
+
+# the options every command declares alike; --out is the directory a
+# command writes its files and manifest to
+_CONFIG = click.option("--config", "config_path", required=True,
+                       type=click.Path(exists=True, dir_okay=False))
+_out = partial(click.option, "--out", "out_dir",
+               type=click.Path(file_okay=False))
 
 
 class _Group(click.Group):
@@ -266,15 +281,14 @@ def main() -> None:
 
 
 @main.command()
-@click.option("--config", "config_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
+@_CONFIG
 @click.option("--height", type=_POSITIVE, default=None,
               help="scan height for the subspace certificate")
 @click.option("--vector", "vector_text", default=None,
               help="comma-separated rationals; switch to the vector scan")
 @click.option("--x-max", "x_max", type=_POSITIVE, default=None,
               help="q range top for the vector scan")
-@click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None)
+@_out()
 def badness(config_path, height, vector_text, x_max, out_dir):
     """Certify the badness infimum of B, or scan a single vector."""
     started = time.time()
@@ -290,6 +304,9 @@ def badness(config_path, height, vector_text, x_max, out_dir):
         if not w:
             raise OptionError("--vector: empty coordinate vector")
     cfg = parse_config(config_path)
+    if x_max is not None and x_max < cfg.psi.domain_start:
+        raise OptionError(f"--x-max {x_max} lies below psi's domain start "
+                          f"{format_rat(cfg.psi.domain_start)}")
     if vector_text is not None:
         res = vector_badness(w, cfg.psi, x_max or cfg.X)
         payload = res.to_json_dict()
@@ -302,27 +319,19 @@ def badness(config_path, height, vector_text, x_max, out_dir):
         else:
             payload = out.to_json_dict()
     click.echo(json.dumps(payload, indent=2, sort_keys=True))
-    if out_dir:
-        import os
-
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "badness.json"), "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        _write_manifest(out_dir, "badness",
-                        {"config": config_path, "height": height,
-                         "vector": vector_text, "x_max": x_max},
-                        started, seed=cfg.seed)
+    _write_out(out_dir, "badness",
+               {"config": config_path, "height": height,
+                "vector": vector_text, "x_max": x_max},
+               started, cfg.seed, files={"badness.json": payload})
     sys.exit(1 if payload.get("kind") == "zero_hit" else 0)
 
 
 @main.command("enumerate")
-@click.option("--config", "config_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
+@_CONFIG
 @click.option("--T", "T", required=True, type=_POSITIVE)
 @click.option("--set", "which", type=click.Choice(["omega", "pi", "zeta"]),
               default="omega", show_default=True)
-@click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None)
+@_out()
 def enumerate_cmd(config_path, T, which, out_dir):
     """List integer points of a slab or layer at scale T."""
     started = time.time()
@@ -338,33 +347,26 @@ def enumerate_cmd(config_path, T, which, out_dir):
     else:
         pts = zeta_layer(cfg.lifted_A, cfg.phi, cfg.R, T)
     click.echo(f"{which} T={T}: {len(pts)} points")
-    if out_dir:
-        import os
-
-        os.makedirs(out_dir, exist_ok=True)
-        path = os.path.join(out_dir, "points.csv")
-        with open(path, "w", newline="\n") as fh:
-            wr = csv.writer(fh, lineterminator="\n")
-            wr.writerow([f"z{i}" for i in range(cfg.A.ambient + 1)])
-            for p in pts:
-                wr.writerow(list(p))
-        _write_manifest(out_dir, "enumerate",
-                        {"config": config_path, "T": T, "set": which},
-                        started, seed=cfg.seed)
+    header = [f"z{i}" for i in range(cfg.A.ambient + 1)]
+    _write_out(out_dir, "enumerate",
+               {"config": config_path, "T": T, "set": which},
+               started, cfg.seed, files={"points.csv": [header, *pts]})
     sys.exit(0)
 
 
 @main.command()
-@click.option("--config", "config_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
+@_CONFIG
 @click.option("--N", "N", required=True, type=_POSITIVE)
 @click.option("--counts-to", "counts_to", type=click.IntRange(min=0),
               default=0,
               help="fill zeta/pi/ratio columns for T up to this bound")
-@click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None)
+@_out()
 def series(config_path, N, counts_to, out_dir):
     """Emit the comparison series table up to N."""
     started = time.time()
+    if counts_to and not out_dir:
+        raise OptionError("--counts-to applies only to series.csv, "
+                          "written with --out")
     cfg = parse_config(config_path)
     a, b = cfg.A.dim, cfg.B.dim
     # the counts start where the series does, inside both rate domains;
@@ -374,38 +376,29 @@ def series(config_path, N, counts_to, out_dir):
         raise ValueError(f"empty T range: --counts-to {counts_to} lies "
                          f"below the series' start T={start}")
     ps = partial_sum(N, cfg.R, cfg.psi, cfg.phi, a, b)
-    scan = None
-    if counts_to and out_dir:  # only series.csv and the manifest read it
+    by_T, extra = {}, {}
+    if counts_to:  # only series.csv and the manifest read it
         scan = packing_ratio_scan(cfg.lifted_A, cfg.psi, cfg.phi, cfg.R,
                                   a, b, T_values=range(start, counts_to + 1))
+        by_T = {r.T: r for r in scan.rows}
+        extra["packing"] = {
+            "overall_median": format_rat(scan.overall_median),
+            "top_quartile_median": format_rat(scan.top_quartile_median),
+            "red_flag": scan.red_flag,
+        }
     click.echo(f"S_{N} = {format_upper(ps.sums[-1])}")
-    if out_dir:
-        import os
-
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "series.csv"), "w", newline="\n") as fh:
-            wr = csv.writer(fh, lineterminator="\n")
-            wr.writerow(["T", "mu", "lambda", "term", "partial_sum",
-                         "zeta", "pi_count", "ratio_int", "ratio_cumzeta"])
-            wr.writerows(_series_rows(ps, scan))
-        extra = {}
-        if scan is not None:
-            extra["packing"] = {
-                "overall_median": format_rat(scan.overall_median),
-                "top_quartile_median": format_rat(scan.top_quartile_median),
-                "red_flag": scan.red_flag,
-            }
-        _write_manifest(out_dir, "series",
-                        {"config": config_path, "N": N, "counts_to": counts_to},
-                        started, seed=cfg.seed, **extra)
+    _write_out(out_dir, "series",
+               {"config": config_path, "N": N, "counts_to": counts_to},
+               started, cfg.seed,
+               files={"series.csv": _series_rows(ps, by_T)}, **extra)
     sys.exit(0)
 
 
-def _series_rows(ps, scan) -> List[list]:
-    by_T = {}
-    if scan is not None:
-        by_T = {r.T: r for r in scan.rows}
-    rows = []
+def _series_rows(ps, by_T) -> List[list]:
+    """series.csv's rows, the header first; by_T maps each T the packing
+    scan counted to its row."""
+    rows = [["T", "mu", "lambda", "term", "partial_sum",
+             "zeta", "pi_count", "ratio_int", "ratio_cumzeta"]]
     for term, s in zip(ps.terms, ps.sums):
         extra = ["", "", "", ""]
         r = by_T.get(term.T)
@@ -417,10 +410,8 @@ def _series_rows(ps, scan) -> List[list]:
 
 
 @main.command()
-@click.option("--config", "config_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", "out_dir", required=True,
-              type=click.Path(file_okay=False))
+@_CONFIG
+@_out(required=True)
 def montecarlo(config_path, out_dir):
     """Sample A and test the almost-every conclusion quantitatively."""
     started = time.time()
@@ -428,9 +419,9 @@ def montecarlo(config_path, out_dir):
     report = run_theorem1(cfg)
     elapsed = time.time() - started
     write_outputs(report, out_dir)
-    _write_manifest(out_dir, "montecarlo", {"config": config_path},
-                    started, cfg_hash=config_hash(cfg.describe()),
-                    seed=cfg.seed, timing_seconds=elapsed, rng=RNG_NAME)
+    _write_out(out_dir, "montecarlo", {"config": config_path}, started,
+               cfg.seed, cfg_hash=config_hash(cfg.describe()),
+               timing_seconds=elapsed, rng=RNG_NAME)
     ok = not report.bound_violations
     click.echo(
         f"samples={len(report.samples)} zero_hits={report.zero_count} "
@@ -440,11 +431,10 @@ def montecarlo(config_path, out_dir):
 
 
 @main.command()
-@click.option("--config", "config_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
+@_CONFIG
 @click.option("--T", "T", required=True, type=_POSITIVE)
 @click.option("--translates", type=_POSITIVE, default=20, show_default=True)
-@click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None)
+@_out()
 def verify(config_path, T, translates, out_dir):
     """Check slab triviality for every scale up to T, then the packing step."""
     started = time.time()
@@ -469,11 +459,9 @@ def verify(config_path, T, translates, out_dir):
         f"trivial for all T <= {T}; {half.translates_checked} half-slab "
         f"translates hold <= {half.max_points} point each"
     )
-    if out_dir:
-        _write_manifest(out_dir, "verify",
-                        {"config": config_path, "T": T,
-                         "translates": translates},
-                        started, seed=cfg.seed)
+    _write_out(out_dir, "verify",
+               {"config": config_path, "T": T, "translates": translates},
+               started, cfg.seed)
     sys.exit(0)
 
 

@@ -61,9 +61,10 @@ RatLike = Union[Rat, int]
 # time, so a test can lower it
 MAX_BITS = 256
 _START_BITS = 64
-# integer enclosures kept per (n, prec): a series walk encloses T + 1 for
-# one term's lambda and T for the next term's mu, at one precision
-INT_MEMO = 256
+# entries of each enclosure memo (`enclosure` here, log T and T^-alpha in
+# rates): a series walk needs a few live ones per precision, and a badness
+# scan's log T of its running best stays in
+MEMO_SIZE = 64
 
 
 class UndecidableComparison(Exception):
@@ -277,15 +278,11 @@ class HPInterval:
 
     @staticmethod
     def from_rat(x: RatLike, prec: int) -> "HPInterval":
+        # ints recur (a series walk encloses T + 1 for one term's lambda
+        # and T for the next term's mu), so only they go through the memo
         if isinstance(x, int):
-            return _int_enclosure(x, prec)
-        x = as_rat(x)
-        p, q = num(x), den(x)
-        return _iv(
-            from_rational(p, q, prec, round_floor),
-            from_rational(p, q, prec, round_ceiling),
-            prec,
-        )
+            return enclosure(x, prec)
+        return enclosure.__wrapped__(x, prec)
 
     @property
     def lo(self) -> Rat:
@@ -473,11 +470,15 @@ def _iv(lo_mpf, hi_mpf, prec: int) -> HPInterval:
     return out
 
 
-@lru_cache(maxsize=INT_MEMO)
-def _int_enclosure(n: int, prec: int) -> HPInterval:
+@lru_cache(maxsize=MEMO_SIZE)
+def enclosure(x: RatLike, prec: int) -> HPInterval:
+    """The rational x enclosed at `prec`, memoized per (x, prec) for the
+    values that recur: integer arguments and a rate's constants.
+    HPInterval.from_rat is this function, memoized for ints only."""
+    p, q = num_den(x)
     return _iv(
-        from_rational(n, 1, prec, round_floor),
-        from_rational(n, 1, prec, round_ceiling),
+        from_rational(p, q, prec, round_floor),
+        from_rational(p, q, prec, round_ceiling),
         prec,
     )
 

@@ -15,8 +15,8 @@ admitting layer point.
 
 The config is checked once, when ExperimentConfig is built, and B's
 badness certificate is derived from it on first use.  The series verdict
-in report.json is series.exponent_analysis's exact exponent test, run by
-require_convergent before the certificate is built.
+in report.json is series.exponent_analysis's exact exponent test, run
+before the certificate is built.
 
 Everything written to samples.csv, tails.csv, and report.json is a pure
 function of the config; wall-clock timing goes to the command's
@@ -26,10 +26,12 @@ runs.
 
 from __future__ import annotations
 
+import csv
 import json
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .badness import (
     BadnessCertificate,
@@ -59,7 +61,7 @@ from .geometry import (
 )
 from .lattice import Thickness, zeta_layer
 from .rates import RateFunction, admissible_pair, rate_value
-from .series import ExponentReport, exponent_analysis
+from .series import exponent_analysis
 
 _MASK64 = (1 << 64) - 1
 _PHILOX_M0 = 0xD2E7470EE14C6C93
@@ -538,23 +540,16 @@ def _quantiles(vals: List[Rat]) -> Dict[str, Rat]:
     }
 
 
-def require_convergent(
-    psi: RateFunction, phi: RateFunction, a: int, b: int,
-) -> ExponentReport:
-    """The series' exact exponent test; DivergingSeriesError if it diverges."""
-    exp = exponent_analysis(psi, phi, a, b)
+def run_theorem1(config: ExperimentConfig) -> TheoremReport:
+    """The full pipeline: the series test, then the certificate, then the
+    samples, so a divergent series is refused before the scan."""
+    exp = exponent_analysis(config.psi, config.phi, config.A.dim,
+                            config.B.dim)
     if exp.verdict != "converging":
         raise DivergingSeriesError(
             "comparison series diverges (p=%s, q=%s); the almost-every "
             "statement needs a convergent series" % (exp.p, exp.q)
         )
-    return exp
-
-
-def run_theorem1(config: ExperimentConfig) -> TheoremReport:
-    """The full pipeline: the series test, then the certificate, then the
-    samples, so a divergent series is refused before the scan."""
-    exp = require_convergent(config.psi, config.phi, config.A.dim, config.B.dim)
     config.certificate  # built here: a B through an integer point raises
     samples = sample_on_A(config, config.sample_count)
     cache = _LayerCache(config)
@@ -626,32 +621,35 @@ def run_theorem1(config: ExperimentConfig) -> TheoremReport:
 # serialization
 
 
+def write_json(out_dir: str, name: str, payload) -> None:
+    """payload as JSON: indent 2, sorted keys and a final newline.  Every
+    JSON file a command writes goes through here."""
+    with open(os.path.join(out_dir, name), "w", newline="\n") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_csv(out_dir: str, name: str, rows: Iterable[Sequence]) -> None:
+    """rows, the header first, as CSV lines each ending in \\n.  Every CSV
+    file a command writes goes through here."""
+    with open(os.path.join(out_dir, name), "w", newline="\n") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
 def write_outputs(report: TheoremReport, out_dir: str) -> None:
     """samples.csv, tails.csv and report.json, all deterministic."""
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
-    import csv
-
-    with open(os.path.join(out_dir, "samples.csv"), "w", newline="\n") as fh:
-        wr = csv.writer(fh, lineterminator="\n")
-        wr.writerow(["index", "w", "gamma_phi", "argmin_q", "min_dist", "hits"])
-        for r in report.samples:
-            wr.writerow(
-                [
-                    r.index,
-                    " ".join(format_rat(c) for c in r.w),
-                    format_rat(r.gamma_phi),
-                    r.argmin_q,
-                    format_rat(r.min_dist),
-                    ";".join(str(t) for t in r.u_t_hits),
-                ]
-            )
-    with open(os.path.join(out_dir, "tails.csv"), "w", newline="\n") as fh:
-        wr = csv.writer(fh, lineterminator="\n")
-        wr.writerow(["T0", "tail_bound"])
-        for T0, bound in report.tails:
-            wr.writerow([T0, format_rat(bound)])
-    with open(os.path.join(out_dir, "report.json"), "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_csv(out_dir, "samples.csv", [
+        ["index", "w", "gamma_phi", "argmin_q", "min_dist", "hits"],
+        *([r.index,
+           " ".join(format_rat(c) for c in r.w),
+           format_rat(r.gamma_phi),
+           r.argmin_q,
+           format_rat(r.min_dist),
+           ";".join(str(t) for t in r.u_t_hits)] for r in report.samples),
+    ])
+    write_csv(out_dir, "tails.csv", [
+        ["T0", "tail_bound"],
+        *([T0, format_rat(bound)] for T0, bound in report.tails),
+    ])
+    write_json(out_dir, "report.json", report.to_json_dict())

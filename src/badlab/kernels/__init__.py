@@ -21,5 +21,5 @@ def backend_name() -> str:
 
 def badness_scan(
     nums: Sequence[int], denominator: int, X: int, q_min: int
-) -> Tuple[List[int], Optional[int]]:
+) -> Tuple[List[Tuple[int, int]], Optional[int]]:
     return _pykernels.badness_scan(nums, denominator, X, q_min)

@@ -17,14 +17,16 @@ def badness_scan(
     denominator: int,
     X: int,
     q_min: int,
-) -> Tuple[List[int], Optional[int]]:
+) -> Tuple[List[Tuple[int, int]], Optional[int]]:
     """Strict records of q -> dist(q * w, Z^d) over q_min <= q <= X.
 
     w_j = nums[j] / denominator.  A q is a record when its sup distance
     is strictly below that of every q' in [q_min, q).  For a
     non-increasing rate psi the smallest minimizer of dist/psi over the
     range is a record, so the caller's exact choice need only look at
-    these (best simultaneous approximations counted from q_min).
+    these (best simultaneous approximations counted from q_min).  Each
+    record comes as (q, m), m = D * dist(q * w, Z^d) being the folded
+    residue the scan computed for it.
 
     Coordinate 0 filters.  Its folded residue min(r0, D - r0), with
     r0 = q*s0 mod D, lies below the running minimum `best` exactly when
@@ -39,15 +41,15 @@ def badness_scan(
     first pass after the record.  The other coordinates are checked,
     exactly, only at the q that pass.
 
-    Returns (records, None), or ([q], q) for the first q whose distance
-    is exactly zero.
+    Returns (records, None), or ([(q, 0)], q) for the first q whose
+    distance is exactly zero.
     """
     if q_min < 1 or q_min > X:
         raise ValueError("empty q range")
     D = denominator
     # with no coordinates every q is at distance zero
     s0, *rest = [n % D for n in nums] or [0]
-    records: List[int] = []
+    records: List[Tuple[int, int]] = []
     best = D  # above every folded residue, which is at most D // 2,
     q = q_min  # so q_min is a record
     while q <= X:
@@ -61,9 +63,9 @@ def badness_scan(
                 m = f
         if m < best:
             if m == 0:
-                return [q], q
+                return [(q, 0)], q
             best = m
-            records.append(q)
+            records.append((q, m))
             W = 2 * m - 2
             a = 1 + first_hit(s0, s0, D, W)
             up = a * s0 % D

@@ -19,8 +19,13 @@ projects the constraint system exactly (Fourier-Motzkin over the span
 coefficients, then a chain of projections over coordinates) and walks the
 integer points of the projections.  naive_slab_scan walks the full
 coordinate box and tests each point against the span's dual functionals.
-They share no geometry code beyond the rational carrier, which makes one
-an oracle for the other.
+Their walks share no geometry code beyond the rational carrier, which
+makes one an oracle for the other.  Their distance tests share one routine
+in one case: with an irrational thickness, enumerate_slab filters through
+span_distance, which for a span of dimension >= 2 in ambient dimension
+<= 4 also reads geometry.dual_functionals.
+test_span_distance_matches_cheb_distance holds that route to
+geometry.cheb_distance, the distance by Fourier-Motzkin.
 
 Slabs around one target differ only in their parameters (z0 window, box
 bound, thickness), which enter the constraint system as right-hand sides

@@ -3,11 +3,13 @@
 The closed family keeps every comparison decidable: values are evaluated
 exactly when they land in Q (pure powers with perfect roots), otherwise as
 certified intervals via exactnum.HPInterval.  `rate_value` makes that
-choice for every caller in the package.  An irrational value multiplies
-c and the log factor into (log T, T^(-alpha)), which one bounded memo
-keeps per (alpha, T, precision): rates with a common alpha share it, so a
-series walk that asks for psi and phi at one argument takes one log and
-one exp there.  Every endpoint is the one a cold evaluation gives.
+choice for every caller in the package.  An irrational value is the
+product of three memoized enclosures: c (exactnum.enclosure), T^(-alpha)
+per (alpha, T, precision), and the log factor, raised from the one memo
+of log T per (T, precision), which cmp_scaled_ratios reads too.  Rates
+with a common alpha share the power, so a series walk that asks for psi
+and phi at one argument takes one log and one exp there.  Every endpoint
+is the one a cold evaluation gives.
 
 Admissibility of a pair (psi, phi), meaning phi(T) <= psi(T) from the
 start of the common domain, is decided analytically from the exponents
@@ -18,9 +20,10 @@ from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
-from typing import Optional, Tuple, Union
+from typing import ClassVar, Optional, Union
 
 from .exactnum import (
+    MEMO_SIZE,
     HPInterval,
     Rat,
     RatLike,
@@ -29,6 +32,7 @@ from .exactnum import (
     as_interval,
     as_rat,
     den,
+    enclosure,
     format_rat,
     num,
     num_den,
@@ -48,6 +52,9 @@ class PowerLaw:
 
     c: Rat
     alpha: Rat
+    # constants of the kind, not fields: no config sets them
+    delta: ClassVar[Rat] = rat(0)
+    domain_start: ClassVar[Rat] = rat(1)
 
     def __post_init__(self):
         object.__setattr__(self, "c", as_rat(self.c))
@@ -56,14 +63,6 @@ class PowerLaw:
             raise ValueError("coefficient must be positive")
         if self.alpha < 0:
             raise ValueError("decay exponent must be >= 0")
-
-    @property
-    def delta(self) -> Rat:
-        return rat(0)
-
-    @property
-    def domain_start(self) -> Rat:
-        return rat(1)
 
     def describe(self) -> str:
         return f"powerlaw c={format_rat(self.c)} alpha={format_rat(self.alpha)}"
@@ -133,43 +132,38 @@ def rate_value(f: RateFunction, T: RatLike, bits: int) -> Value:
     exact = eval_exact(f, T)
     if exact is not None:
         return exact
-    lt, power = _power_part(num(f.alpha), den(f.alpha), num(T), den(T), bits)
-    out = _enclosed_constant(f.c, bits) * power
+    tn, td = num(T), den(T)
+    power = _power_enclosure(num(f.alpha), den(f.alpha), tn, td, bits)
+    out = enclosure(f.c, bits) * power
     if f.delta != 0:
-        out = out * lt.pow_rat(-f.delta)
+        out = out * _log_enclosure(tn, td, bits).pow_rat(-f.delta)
     return out
 
 
-# entries of the (log T, T^-alpha) memo; a series walk needs two live ones
-POWER_MEMO = 64
+@lru_cache(maxsize=MEMO_SIZE)
+def _log_enclosure(T_num: int, T_den: int, bits: int) -> HPInterval:
+    """log T at `bits`.  A series walk asks for psi and phi at one
+    argument, and a badness scan compares its running best against record
+    after record, so each log is taken once, not per call."""
+    return HPInterval.from_rat(rat(T_num, T_den), bits).log()
 
 
-@lru_cache(maxsize=POWER_MEMO)
-def _power_part(
+@lru_cache(maxsize=MEMO_SIZE)
+def _power_enclosure(
     alpha_num: int, alpha_den: int, T_num: int, T_den: int, bits: int,
-) -> Tuple[HPInterval, HPInterval]:
-    """(log T, T^-alpha) at `bits` for an irrational rate value.
+) -> HPInterval:
+    """T^-alpha at `bits` for an irrational rate value.
 
     It depends on alpha, T and the precision, not on c or delta, so rates
     that share alpha share it: a series walk asks for phi(R(T+1)) in one
-    term and psi at the same argument in the next, and takes the log and
-    exp once.  f(T) is irrational only with a log factor or a fractional
-    alpha, so log T is always needed.  The operations are those of
-    ti.log() and ti.pow_rat(-alpha), with the one log serving both.
+    term and psi at the same argument in the next, and takes the exp
+    once.  The operations are those of ti.pow_rat(-alpha), with log T
+    taken from _log_enclosure, the one memo of it.
     """
-    ti = HPInterval.from_rat(rat(T_num, T_den), bits)
-    lt = ti.log()
     if alpha_den == 1:
-        return lt, ti ** -alpha_num
-    e = _enclosed_constant(rat(-alpha_num, alpha_den), bits)
-    return lt, (lt * e).exp()
-
-
-@lru_cache(maxsize=64)
-def _enclosed_constant(x: Rat, bits: int) -> HPInterval:
-    """A rate's c or -alpha at `bits`: it depends on the rate and the
-    precision only, so it is enclosed once, not per argument T."""
-    return HPInterval.from_rat(x, bits)
+        return HPInterval.from_rat(rat(T_num, T_den), bits) ** -alpha_num
+    e = enclosure(rat(-alpha_num, alpha_den), bits)
+    return (_log_enclosure(T_num, T_den, bits) * e).exp()
 
 
 def interval_eval(f: RateFunction, T: RatLike, bits: int) -> HPInterval:
@@ -244,18 +238,11 @@ def cmp_scaled_ratios(
             return rat_cmp_power(ratio, logs, num(k), den(k))
 
     def evaluator(bits: int) -> HPInterval:
-        ratio_of_logs = _log_enclosure(s2, bits) / _log_enclosure(s1, bits)
+        ratio_of_logs = (_log_enclosure(sn2, sd2, bits)
+                         / _log_enclosure(sn1, sd1, bits))
         return ratio_of_logs.pow_rat(k)
 
     return refine_cmp(ratio, evaluator)
-
-
-@lru_cache(maxsize=64)
-def _log_enclosure(s: RatLike, bits: int) -> HPInterval:
-    """log s at `bits`.  A badness scan compares its running best against
-    record after record, so the best's log is taken once, not per
-    comparison."""
-    return HPInterval.from_rat(s, bits).log()
 
 
 def _log_ratio(s1: int, s2: int) -> Optional[Rat]:
@@ -292,10 +279,6 @@ class AdmissibleReport:
     note: str = ""
 
 
-def _has_log(f: RateFunction) -> bool:
-    return f.delta > 0
-
-
 def effective_start(psi: RateFunction, phi: RateFunction) -> int:
     """First integer T where the pair comparison is asserted.
 
@@ -304,13 +287,9 @@ def effective_start(psi: RateFunction, phi: RateFunction) -> int:
     domain starts.
     """
     s = max(psi.domain_start, phi.domain_start)
-    if _has_log(psi) or _has_log(phi):
+    if psi.delta > 0 or phi.delta > 0:
         s = max(s, rat(3))
     return rat_ceil(s)
-
-
-def _cmp_phi_le_psi(psi: RateFunction, phi: RateFunction, T: RatLike) -> bool:
-    return cmp_rates_at(phi, psi, T) <= 0
 
 
 def admissible_pair(psi: RateFunction, phi: RateFunction) -> AdmissibleReport:
@@ -327,7 +306,7 @@ def admissible_pair(psi: RateFunction, phi: RateFunction) -> AdmissibleReport:
         # r eventually exceeds 1: double T until a violation certifies it
         T = S
         for _ in range(400):
-            if not _cmp_phi_le_psi(psi, phi, T):
+            if cmp_rates_at(phi, psi, T) > 0:
                 return AdmissibleReport(False, witness_T=T)
             T *= 2
         raise UndecidableComparison("no violation found while doubling")
@@ -340,7 +319,7 @@ def admissible_pair(psi: RateFunction, phi: RateFunction) -> AdmissibleReport:
         )
     # otherwise the largest r on [S, oo) is r(S) or a peak already bounded
     # by 1 (r is constant when A == D == 0), so one check at S decides
-    if not _cmp_phi_le_psi(psi, phi, S):
+    if cmp_rates_at(phi, psi, S) > 0:
         return AdmissibleReport(False, witness_T=S)
     return AdmissibleReport(True)
 
@@ -358,7 +337,7 @@ def _peak_value_le_one(psi, phi, A: Rat, D: Rat, S: int) -> bool:
     # peak at or before the start point is covered by the check at S;
     # log S is irrational for integer S >= 2 so this always separates
     if S >= 2 and refine_cmp(
-        ratio_log, lambda bits: HPInterval.from_rat(S, bits).log()
+        ratio_log, lambda bits: _log_enclosure(S, 1, bits)
     ) <= 0:
         return True
     cr = phi.c / psi.c
@@ -384,7 +363,7 @@ def _peak_neighbour(psi, phi, A: Rat, D: Rat, S: int) -> Optional[int]:
     if low != rat_floor(iv.hi):
         return None
     for Tc in (low, low + 1):
-        if not _cmp_phi_le_psi(psi, phi, Tc):
+        if cmp_rates_at(phi, psi, Tc) > 0:
             return Tc
     return None
 

@@ -218,7 +218,9 @@ def test_vector_badness_integer_residues_match_rational_distances():
             [int(c * D) for c in w], D, X, rat_ceil(psi.domain_start))
         assert zero_q is None
         best_q = best_d = None
-        for q in records:
+        for q, m in records:
+            assert m == max(min(q * n % D, D - q * n % D)
+                            for n in (int(c * D) for c in w))
             d = sup_dist_to_lattice(w, q)
             if best_q is None or cmp_scaled_ratios(d, q, best_d, best_q,
                                                    psi) < 0:
@@ -237,7 +239,7 @@ def test_vector_badness_exact_log_tie_goes_to_smaller_q():
     # w = 1/5, psi = 1/log T: the records from q = 2 are 2 (dist 2/5) and
     # 4 (dist 1/5), and (2/5) log 2 == (1/5) log 4 exactly
     psi = PowerLog(rat(1), rat(0), rat(1))
-    assert kernels.badness_scan([1], 5, 4, 2) == ([2, 4], None)
+    assert kernels.badness_scan([1], 5, 4, 2) == ([(2, 2), (4, 1)], None)
     res = vector_badness((rat(1, 5),), psi, 4)
     assert (res.argmin_q, res.min_dist) == (2, rat(2, 5))
     lo, hi = res.gamma_bounds
@@ -269,10 +271,15 @@ def test_golden_records_are_convergents():
         fib.append(fib[-1] + fib[-2])
     assert fib[-1] == 6765
     assert _convergent_denominators(GOLDEN, 10**4) == fib
-    assert kernels.badness_scan([num], den, 10**4, 1) == (fib, None)
+    def residue(q):  # the folded residue each record carries
+        return min(q * num % den, den - q * num % den)
+
+    assert kernels.badness_scan([num], den, 10**4, 1) == (
+        [(q, residue(q)) for q in fib], None)
     # counted from q_min = 100, the records before 144 are not convergents
     assert kernels.badness_scan([num], den, 10**4, 100) == (
-        [100, 102, 110] + [f for f in fib if f >= 144], None
+        [(q, residue(q)) for q in [100, 102, 110] + [f for f in fib
+                                                     if f >= 144]], None
     )
 
 

@@ -181,6 +181,45 @@ def test_badness_refuses_options_it_ignores(runner, monkeypatch, args,
     assert res.stdout == ""
 
 
+def test_badness_x_max_below_psi_domain_is_an_option_error(
+        runner, tmp_path, monkeypatch):
+    # the config is fine, but psi starts at 5, so --x-max 3 leaves the
+    # vector scan no q: refused after the config is read, before the scan
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scanned an empty q range")
+
+    cfg = _cubic_with(tmp_path, psi="powerlog c=1 alpha=1/2 delta=2 T0=5",
+                      phi="powerlog c=1 alpha=1/2 delta=3 T0=5", T_min="3")
+    args = ["badness", "--config", cfg, "--vector", "cbrt2,cbrt4", "--x-max"]
+    with monkeypatch.context() as m:
+        m.setattr(badlab.cli, "vector_badness", no_scan)
+        res = runner.invoke(main, [*args, "3"])
+    assert res.exit_code == 2, res.output
+    assert res.stderr == (
+        "option error: --x-max 3 lies below psi's domain start 5\n")
+    assert res.stdout == ""
+    # from psi's start on, the scan runs
+    res = runner.invoke(main, [*args, "5"])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.stdout)["q_max"] == 5
+
+
+def test_series_counts_to_needs_out(runner, monkeypatch):
+    # the counts fill series.csv only, so without --out they are refused
+    # before the config is read, not silently skipped
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked on a refused option combination")
+
+    for name in ("parse_config", "partial_sum", "packing_ratio_scan"):
+        monkeypatch.setattr(badlab.cli, name, no_work)
+    res = runner.invoke(main, ["series", "--config", CUBIC_CFG, "--N", "100",
+                               "--counts-to", "10"])
+    assert res.exit_code == 2, res.output
+    assert res.stderr == ("option error: --counts-to applies only to "
+                          "series.csv, written with --out\n")
+    assert res.stdout == ""
+
+
 def test_enumerate_counts(runner, tmp_path):
     out = tmp_path / "pts"
     res = runner.invoke(
@@ -492,7 +531,8 @@ def test_counts_below_phi_domain_exits_two(runner, tmp_path):
     # phi starts at T = 8 and R = 1, so --counts-to 3 leaves no scale
     cfg = _write(tmp_path, "late.cfg", LATE_PHI_CFG)
     res = runner.invoke(
-        main, ["series", "--config", cfg, "--N", "20", "--counts-to", "3"]
+        main, ["series", "--config", cfg, "--N", "20", "--counts-to", "3",
+               "--out", str(tmp_path / "ser")]
     )
     assert res.exit_code == 2
     assert res.stderr == ("config error: empty T range: --counts-to 3 lies "
@@ -706,6 +746,44 @@ def test_montecarlo_small_run(runner, tmp_path):
     assert manifest["rng"] == "philox4x64-10"
     assert {p.name for p in out1.iterdir()} == {
         "report.json", "samples.csv", "tails.csv", "manifest.json"}
+
+
+def test_every_out_file_has_the_one_format(runner, tmp_path):
+    # every file a command writes under --out: JSON at indent 2 with
+    # sorted keys and a final newline, CSV lines ending in \n alone, and a
+    # manifest that names the run; badness.json is what badness prints
+    small = _write(tmp_path, "small.cfg", SMALL_MC_CFG)
+    runs = [
+        (["badness", "--config", CUBIC_CFG, "--height", "30"], 42,
+         {"badness.json"}),
+        (["verify", "--config", GOLDEN_CFG, "--T", "5"], 42, set()),
+        (["enumerate", "--config", CUBIC_CFG, "--T", "4", "--set", "pi"], 42,
+         {"points.csv"}),
+        (["series", "--config", CUBIC_CFG, "--N", "20", "--counts-to", "4"],
+         42, {"series.csv"}),
+        (["montecarlo", "--config", small], 7,
+         {"report.json", "samples.csv", "tails.csv"}),
+    ]
+    for args, seed, files in runs:
+        out = tmp_path / args[0]
+        res = runner.invoke(main, [*args, "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        assert {p.name for p in out.iterdir()} == files | {"manifest.json"}
+        for path in out.iterdir():
+            data = path.read_bytes()
+            if path.suffix == ".json":
+                text = data.decode()
+                assert text == json.dumps(json.loads(text), indent=2,
+                                          sort_keys=True) + "\n", path
+            else:
+                assert data.endswith(b"\n") and b"\r" not in data, path
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert {"tool_version", "command", "params", "seed"} <= set(manifest)
+        assert manifest["command"] == args[0]
+        assert manifest["seed"] == seed
+        assert manifest["params"]["config"] == args[2]
+        if args[0] == "badness":
+            assert (out / "badness.json").read_text() == res.stdout
 
 
 def test_config_echo_roundtrip(tmp_path):

@@ -21,7 +21,6 @@ from badlab.experiment import (
     _parameter_box,
     cleared_lift,
     measure_estimate,
-    require_convergent,
     run_theorem1,
     sample_on_A,
     u_t_member,
@@ -455,14 +454,17 @@ def test_measure_estimate_needs_samples(golden_config):
 # -- pipeline --------------------------------------------------------------
 
 
-def test_run_theorem1_refuses_divergent(golden_config, cubic_config):
+def test_run_theorem1_refuses_divergent(golden_config, small_run):
     # psi = phi = 1/T on a=1,b=0 gives p = -1, q = 0: divergent series
     with pytest.raises(DivergingSeriesError, match="p=-1, q=0"):
         run_theorem1(golden_config)
-    # a convergent pair passes with exponent_analysis's own report
-    cfg = cubic_config
-    args = (cfg.psi, cfg.phi, cfg.A.dim, cfg.B.dim)
-    assert require_convergent(*args) == exponent_analysis(*args)
+    # a convergent pair runs, and its report carries exponent_analysis's
+    # own p, q and verdict
+    cfg, rep = small_run
+    exp = exponent_analysis(cfg.psi, cfg.phi, cfg.A.dim, cfg.B.dim)
+    assert exp.verdict == "converging"
+    assert (rep.exponent_p, rep.exponent_q, rep.diagnostic_verdict) == (
+        exp.p, exp.q, exp.verdict)
 
 
 @pytest.fixture(scope="module")

@@ -14,8 +14,10 @@ def test_backend_dispatch_reports():
 
 def test_badness_scan_zero_detection_both():
     # w = 3/8: distance hits zero first at q = 8, after the records 1, 2, 3
-    assert kernels.badness_scan([3], 8, 50, 1) == ([8], 8)
-    assert kernels.badness_scan([3], 8, 7, 1) == ([1, 2, 3], None)
+    # at folded residues 3, 2, 1 (distances 3/8, 2/8, 1/8)
+    assert kernels.badness_scan([3], 8, 50, 1) == ([(8, 0)], 8)
+    assert kernels.badness_scan([3], 8, 7, 1) == (
+        [(1, 3), (2, 2), (3, 1)], None)
 
 
 def test_badness_scan_rejects_empty_range():
@@ -24,25 +26,27 @@ def test_badness_scan_rejects_empty_range():
 
 
 def _all_coordinates_scan(nums, D, X, q_min):
-    """Strict records of the folded sup residue, every coordinate every q."""
+    """Strict records (q, m) of the folded sup residue m, every coordinate
+    every q."""
     records = []
     best = None
     for q in range(q_min, X + 1):
         m = max((min(q * n % D, D - q * n % D) for n in nums), default=0)
         if m == 0:
-            return [q], q
+            return [(q, 0)], q
         if best is None or m < best:
             best = m
-            records.append(q)
+            records.append((q, m))
     return records, None
 
 
 def test_badness_scan_first_coordinate_zero_is_not_a_zero():
     # w = (1/2, 1/3): coordinate 0 is at residue 0 for every even q, but
     # the sup distance is zero only at q = 6
-    assert kernels.badness_scan([3, 2], 6, 5, 1) == ([1, 2], None)
-    assert kernels.badness_scan([3, 2], 6, 20, 1) == ([6], 6)
-    assert kernels.badness_scan([3, 2], 6, 11, 7) == ([7, 8], None)
+    assert kernels.badness_scan([3, 2], 6, 5, 1) == ([(1, 3), (2, 2)], None)
+    assert kernels.badness_scan([3, 2], 6, 20, 1) == ([(6, 0)], 6)
+    assert kernels.badness_scan([3, 2], 6, 11, 7) == (
+        [(7, 3), (8, 2)], None)
     for X, q_min in ((5, 1), (20, 1), (20, 3), (11, 7)):
         assert kernels.badness_scan([3, 2], 6, X, q_min) == \
             _all_coordinates_scan([3, 2], 6, X, q_min)

@@ -302,7 +302,10 @@ def test_partial_sum_evaluates_each_rate_value_once(monkeypatch):
         if name.startswith("badlab") and vars(module).get("eval_exact") is real:
             monkeypatch.setattr(module, "eval_exact", counted)
     monkeypatch.setattr(exactnum, "mpf_log", counted_log)
-    rates._power_part.cache_clear()  # count from a cold memo
+    # count from cold memos
+    rates._log_enclosure.cache_clear()
+    rates._power_enclosure.cache_clear()
+    exactnum.enclosure.cache_clear()
     ps = partial_sum(800, cfg.R, cfg.psi, cfg.phi, cfg.A.dim, cfg.B.dim)
     assert len(ps.terms) == 800
     assert len(calls) <= 2 * 800 + 2
