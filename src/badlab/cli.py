@@ -94,7 +94,13 @@ def _parse_scalar(text: str) -> Rat:
 
 
 def _parse_vector(text: str) -> Tuple[Rat, ...]:
-    items = [p for p in (s.strip() for s in text.split(",")) if p]
+    """Comma-separated scalars; no item at all is the empty vector, and an
+    empty item among others (",1", "1,,2", "1,") is refused."""
+    items = [s.strip() for s in text.split(",")]
+    if not any(items):
+        return ()
+    if not all(items):
+        raise ValueError(f"empty item in coordinate list {text!r}")
     return tuple(_parse_scalar(p) for p in items)
 
 
@@ -304,11 +310,15 @@ def badness(config_path, height, vector_text, x_max, out_dir):
         if not w:
             raise OptionError("--vector: empty coordinate vector")
     cfg = parse_config(config_path)
-    if x_max is not None and x_max < cfg.psi.domain_start:
-        raise OptionError(f"--x-max {x_max} lies below psi's domain start "
-                          f"{format_rat(cfg.psi.domain_start)}")
     if vector_text is not None:
-        res = vector_badness(w, cfg.psi, x_max or cfg.X)
+        # the scan's q range ends at X; below psi's start it holds no q
+        X, named, error = ((cfg.X, f"the config's X = {cfg.X}", ValueError)
+                           if x_max is None else
+                           (x_max, f"--x-max {x_max}", OptionError))
+        if X < cfg.psi.domain_start:
+            raise error(f"{named} lies below psi's domain start "
+                        f"{format_rat(cfg.psi.domain_start)}")
+        res = vector_badness(w, cfg.psi, X)
         payload = res.to_json_dict()
     else:
         out = subspace_badness(cfg.lifted_B, cfg.psi,
@@ -367,6 +377,8 @@ def series(config_path, N, counts_to, out_dir):
     if counts_to and not out_dir:
         raise OptionError("--counts-to applies only to series.csv, "
                           "written with --out")
+    if counts_to > N:  # series.csv has no row past T = N to hold them
+        raise OptionError(f"--counts-to {counts_to} exceeds --N {N}")
     cfg = parse_config(config_path)
     a, b = cfg.A.dim, cfg.B.dim
     # the counts start where the series does, inside both rate domains;

@@ -19,14 +19,52 @@ on either side, enclosing it at the interval's own precision, and ** takes
 an int.  So an expression over Values is written once, and it stays exact
 until an interval enters it.  `as_interval` and `rat_bounds` carry a Value
 on, and `refine_cmp` compares against it.
+
+Set-up.  Every CLI process pays for its imports: `import badlab.cli` loads
+click, badlab's own modules and mpmath's `libmp`, and nothing else of
+mpmath.  `libmp` is loaded on its own, as `badlab._libmp`, because
+`import mpmath.libmp` first runs `mpmath/__init__.py`, which builds the
+mp, fp and iv contexts and their function tables; badlab uses none of
+them.  On a shared 2-vCPU VM (Python 3.11, no bytecode written) that cut
+`import badlab.cli` by about 0.02 s (0.163 to 0.142 s and 0.178 to
+0.158 s, medians of two sets of 21 alternating spawns) and the peak RSS
+of a bench-size Monte Carlo process from 26.35 MB to 23.25 MB
+(`BENCH_27.json`).  A process that imports
+mpmath as well, as the tests do, still computes with the private copy;
+both copies are the same pure functions of (sign, man, exp, bc) tuples.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import os
+import sys
 from functools import cmp_to_key, lru_cache
 from typing import Callable, Optional, Tuple, Union
 
-from mpmath.libmp import (
+
+def _load_libmp():
+    """Register and run mpmath's `libmp` subpackage as `badlab._libmp`,
+    without `mpmath/__init__.py` (see Set-up above).  libmp imports only
+    its own modules and the standard library, so the same files run, from
+    the same cached bytecode, with the same gmpy backend check."""
+    found = importlib.util.find_spec("mpmath")
+    if found is None or not found.submodule_search_locations:
+        raise ImportError("badlab needs mpmath, which is not installed")
+    where = os.path.join(found.submodule_search_locations[0], "libmp")
+    init = os.path.join(where, "__init__.py")
+    if not os.path.isfile(init):
+        raise ImportError(f"mpmath's libmp is not at {where}")
+    spec = importlib.util.spec_from_file_location(
+        "badlab._libmp", init, submodule_search_locations=[where])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+
+
+_load_libmp()
+
+from badlab._libmp import (  # noqa: E402  (registered by _load_libmp)
     from_int,
     from_rational,
     fzero,

@@ -165,8 +165,12 @@ def test_badness_vector_rejects_floats(runner):
     (["--vector", "0.5"], "--vector: float literal '0.5' not accepted; "
      "use p/q or a preset name"),
     (["--vector", ","], "--vector: empty coordinate vector"),
+    (["--vector", "cbrt2,,cbrt4,"],
+     "--vector: empty item in coordinate list 'cbrt2,,cbrt4,'"),
+    (["--vector", ", cbrt2"],
+     "--vector: empty item in coordinate list ', cbrt2'"),
 ], ids=["x-max without vector", "height with vector", "float vector",
-        "empty vector"])
+        "empty vector", "empty inner and last item", "empty first item"])
 def test_badness_refuses_options_it_ignores(runner, monkeypatch, args,
                                             message):
     # refused in one line before the config is read or anything scanned
@@ -204,6 +208,25 @@ def test_badness_x_max_below_psi_domain_is_an_option_error(
     assert json.loads(res.stdout)["q_max"] == 5
 
 
+def test_badness_config_X_below_psi_domain_is_a_config_error(
+        runner, tmp_path, monkeypatch):
+    # without --x-max the scan ends at the config's X, here below psi's
+    # start: refused in one line naming X, where it came from and the
+    # start, before the scan
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scanned an empty q range")
+
+    monkeypatch.setattr(badlab.cli, "vector_badness", no_scan)
+    cfg = _cubic_with(tmp_path, psi="powerlog c=1 alpha=1/2 delta=1 "
+                                    "T0=200000")
+    res = runner.invoke(main, ["badness", "--config", cfg,
+                               "--vector", "cbrt2,cbrt4"])
+    assert res.exit_code == 2, res.output
+    assert res.stderr == ("config error: the config's X = 100000 lies "
+                          "below psi's domain start 200000\n")
+    assert res.stdout == ""
+
+
 def test_series_counts_to_needs_out(runner, monkeypatch):
     # the counts fill series.csv only, so without --out they are refused
     # before the config is read, not silently skipped
@@ -218,6 +241,24 @@ def test_series_counts_to_needs_out(runner, monkeypatch):
     assert res.stderr == ("option error: --counts-to applies only to "
                           "series.csv, written with --out\n")
     assert res.stdout == ""
+
+
+def test_series_counts_to_above_N_refused_before_the_config(
+        runner, tmp_path, monkeypatch):
+    # series.csv has rows up to T = N only, so counts past N would fill no
+    # row: refused before the config is read
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked on a refused option combination")
+
+    for name in ("parse_config", "partial_sum", "packing_ratio_scan"):
+        monkeypatch.setattr(badlab.cli, name, no_work)
+    res = runner.invoke(main, ["series", "--config", CUBIC_CFG, "--N", "5",
+                               "--counts-to", "12",
+                               "--out", str(tmp_path / "ser")])
+    assert res.exit_code == 2, res.output
+    assert res.stderr == "option error: --counts-to 12 exceeds --N 5\n"
+    assert res.stdout == ""
+    assert not (tmp_path / "ser").exists()
 
 
 def test_enumerate_counts(runner, tmp_path):
@@ -387,6 +428,9 @@ REFUSED_AT_LOAD = {
                      "config error: line 17: repeated key 'seed'\n"),
     "direction-gap": ({"extra": "A_dir_2 = 1, cbrt2"},
                       "config error: unknown config key 'A_dir_2'\n"),
+    "empty-item": ({"A_point": "cbrt2,, cbrt4"},
+                   "config error: empty item in coordinate list "
+                   "'cbrt2,, cbrt4'\n"),
 }
 
 

@@ -1,5 +1,12 @@
+import importlib.machinery
+import importlib.util
+import json
+import os
 import random
+import subprocess
+import sys
 
+import mpmath.libmp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +24,7 @@ from mpmath.libmp import (
     round_floor,
 )
 
+from badlab import exactnum
 from badlab.exactnum import (
     HPInterval,
     UndecidableComparison,
@@ -412,3 +420,86 @@ def test_format_upper_refuses_nonfinite():
         format_rat(rat_bounds(v)[1])
     with pytest.raises(OverflowError):
         format_upper(v)
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# exactnum's bindings of mpmath's libmp, constants and functions
+_LIBMP_NAMES = ("from_int", "from_rational", "fzero", "mpf_add", "mpf_cmp",
+                "mpf_div", "mpf_exp", "mpf_log", "mpf_mul", "mpf_neg",
+                "mpf_pow_int", "mpf_sub", "round_ceiling", "round_floor")
+
+
+def test_cli_import_loads_libmp_without_mpmath():
+    # a fresh interpreter, as every CLI process starts: mpmath's __init__
+    # (its contexts and function tables) never runs, and each bound
+    # function comes from the installed mpmath's libmp/ files
+    code = ("import json, sys, badlab.cli\n"
+            "from badlab import exactnum\n"
+            f"names = {_LIBMP_NAMES!r}\n"
+            "fns = [getattr(exactnum, n) for n in names]\n"
+            "print(json.dumps(['mpmath' in sys.modules, [\n"
+            "    sys.modules[f.__module__].__file__\n"
+            "    for f in fns if callable(f)]]))\n")
+    env = dict(os.environ)
+    paths = [os.path.join(ROOT, "src"), env.get("PYTHONPATH", "")]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    res = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    mpmath_loaded, files = json.loads(res.stdout)
+    assert mpmath_loaded is False
+    where = os.path.join(
+        importlib.util.find_spec("mpmath").submodule_search_locations[0],
+        "libmp")
+    assert len(files) == 11  # all but fzero and the two rounding modes
+    assert {os.path.dirname(os.path.realpath(f)) for f in files} == {
+        os.path.realpath(where)}
+
+
+def test_bindings_are_the_private_copy():
+    # with mpmath imported too, as here, exactnum keeps its own libmp,
+    # whose constants equal mpmath's
+    for name in _LIBMP_NAMES:
+        ours, theirs = getattr(exactnum, name), getattr(mpmath.libmp, name)
+        if callable(ours):
+            assert ours is not theirs
+            assert ours.__module__.startswith("badlab._libmp.")
+        else:
+            assert ours == theirs
+
+
+def test_libmp_not_found_is_an_import_error(monkeypatch, tmp_path):
+    # one load path: no mpmath, or no libmp where its spec points, raises
+    # an ImportError naming mpmath, with no fallback
+    moved = importlib.machinery.ModuleSpec("mpmath", None, is_package=True)
+    moved.submodule_search_locations = [str(tmp_path)]
+    for spec in (None, moved):
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec)
+        with pytest.raises(ImportError, match="mpmath"):
+            exactnum._load_libmp()
+
+
+_NONZERO = st.integers(-(2**80), 2**80).filter(bool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_NONZERO, st.integers(1, 2**80), _NONZERO, st.integers(1, 2**40),
+       st.integers(64, 256), st.integers(-8, 8),
+       st.sampled_from((exactnum.round_floor, exactnum.round_ceiling)))
+def test_bound_primitives_match_mpmath(p, q, r, s, prec, n, rnd):
+    # the private copy is the same code on the same (sign, man, exp, bc)
+    # tuples: every directed result equals mpmath.libmp's own
+    lib = mpmath.libmp
+    x = exactnum.from_rational(p, q, prec, rnd)
+    y = exactnum.from_rational(r, s, prec, rnd)
+    assert x == lib.from_rational(p, q, prec, rnd)
+    assert y == lib.from_rational(r, s, prec, rnd)
+    ax = lib.mpf_abs(x)
+    # an exponent of at most 2048 in size
+    small = exactnum.from_rational(r % 4096 - 2048, s, prec, rnd)
+    for ours, theirs, args in (
+            (exactnum.mpf_log, lib.mpf_log, (ax, prec, rnd)),
+            (exactnum.mpf_exp, lib.mpf_exp, (small, prec, rnd)),
+            (exactnum.mpf_div, lib.mpf_div, (x, y, prec, rnd)),
+            (exactnum.mpf_pow_int, lib.mpf_pow_int, (x, n, prec, rnd))):
+        assert ours(*args) == theirs(*args)
