@@ -5,12 +5,13 @@ independent rational directions.  Its lift is the linear span in R^(d+1)
 generated by (1, point) and (0, direction_i); approximation properties of
 the affine object become lattice statements about this span.
 
-Distances are always in the sup norm.  The general case is an exact
-Fourier-Motzkin projection; spans of a single vector take a closed-form
-pair formula on integers, with the direction cleared once (ClearedLine),
-and repeated membership tests against one span go through its dual
-functionals (the vertices of the orthogonal L1-ball section), which turn
-"distance <= eps" into finitely many exact half-space tests.
+Distances are always in the sup norm.  Spans of a single vector take a
+closed-form pair formula on integers, with the direction cleared once
+(ClearedLine); every other span goes through its dual functionals (the
+vertices of the orthogonal L1-ball section, read off the complement's
+elementary vectors), which turn "distance <= eps" into finitely many
+exact half-space tests.  cheb_distance, an exact Fourier-Motzkin
+projection, is the reference both are tested against.
 """
 
 from __future__ import annotations
@@ -260,39 +261,32 @@ def line_witness(z: Sequence, a: Sequence, d) -> Rat:
 
 
 def dual_functionals(span: LiftedSpan) -> List[Vec]:
-    """Vertices u of {u orthogonal to span, ||u||_1 <= 1}.
+    """Vertices u of {u orthogonal to span, ||u||_1 <= 1}, sorted.
 
     By duality the sup-norm distance to the span is max_u |u . z| over
     these finitely many rational functionals, so membership in a slab is
-    a batch of exact inequalities.  Intended for small ambient dimension
-    (the vertex enumeration is exponential in it).
+    a batch of exact inequalities.  The vertices are the elementary
+    vectors of the orthogonal complement, those of minimal support,
+    scaled to unit L1 norm (Rockafellar, "The elementary vectors of a
+    subspace of R^N", 1969), one per sign pair.  A support S carries one
+    exactly when the complement's vectors that vanish off S form a line
+    whose vector is nonzero on all of S; then |S| <= dim + 1.  So each
+    support of that size costs one small null space, and the zero span
+    gets the unit vectors e_i, whose distance is the sup norm.
     """
     n = span.ambient
-    if span.dim == 0:
-        null = [[rat(1) if j == i else rat(0) for j in range(n)] for i in range(n)]
-    else:
-        null = nullspace_basis([list(b) for b in span.basis])
-    m = len(null)
-    if m == 0:
-        return []
-    # u = N s; the L1 ball |u|_1 <= 1 becomes sign-pattern rows over s
-    poly = HPoly(m)
-    for signs in itertools.product((1, -1), repeat=n):
-        row = [
-            sum(as_rat(signs[i]) * null[k][i] for i in range(n)) for k in range(m)
-        ]
-        poly.add(row, 1)
-    poly.dedupe()
     out = []
-    seen = set()
-    for s in poly.vertices():
-        u = tuple(
-            sum(s[k] * null[k][i] for k in range(m)) for i in range(n)
-        )
-        cu = canon_sign(u)
-        if any(c != 0 for c in cu) and cu not in seen:
-            seen.add(cu)
-            out.append(cu)
+    for size in range(1, span.dim + 2):
+        for support in itertools.combinations(range(n), size):
+            # a zero row keeps the system nonempty for the zero span
+            rows = [[b[i] for i in support] for b in span.basis]
+            null = nullspace_basis(rows + [[rat(0)] * size])
+            if len(null) != 1 or not all(null[0]):
+                continue
+            u = [rat(0)] * n
+            for i, c in zip(support, null[0]):
+                u[i] = c
+            out.append(canon_sign(vec_scale(u, 1 / sum(map(rat_abs, u)))))
     return sorted(out)
 
 

@@ -20,11 +20,14 @@ coefficients, then a chain of projections over coordinates) and walks the
 integer points of the projections.  naive_slab_scan walks the full
 coordinate box and tests each point against the span's dual functionals.
 Their walks share no geometry code beyond the rational carrier, which
-makes one an oracle for the other.  Their distance tests share one routine
-in one case: with an irrational thickness, enumerate_slab filters through
-span_distance, which for a span of dimension >= 2 in ambient dimension
-<= 4 also reads geometry.dual_functionals.
-test_span_distance_matches_cheb_distance holds that route to
+makes one an oracle for the other.  Their distance tests share one
+routine.  span_distance has two routes: a line takes the integer pair
+formula (geometry.ClearedLine), and every other span, the zero span
+included, takes geometry.dual_functionals, which the oracle reads for
+every span.  So for every span but a line, enumerate_slab's filter (with
+an irrational thickness) and the oracle share dual_functionals; the
+Fourier-Motzkin tests test_cheb_distance_matches_dual_functionals and
+test_span_distance_matches_cheb_distance hold that routine to
 geometry.cheb_distance, the distance by Fourier-Motzkin.
 
 Slabs around one target differ only in their parameters (z0 window, box
@@ -70,10 +73,8 @@ from .geometry import (
     LiftedSpan,
     Vec,
     as_vec,
-    cheb_distance,
     distance_via_functionals,
     dual_functionals,
-    sup_norm,
     vec_scale,
     vec_sub,
 )
@@ -266,12 +267,10 @@ def _slab_levels(spec: SlabSpec, eps: Rat, center: Optional[Vec] = None):
 def span_distance(target: LiftedSpan) -> Callable[[Sequence], Tuple[int, int]]:
     """The sup distance from a point z to `target`, as integers (num, den).
 
-    One route per target, with what it reuses across points built here
-    once: the sup norm for the zero span, the line's ClearedLine for a
-    line (z is cleared per call), the dual functionals for a span of
-    dimension >= 2 in ambient dimension <= 4, and cheb_distance beyond."""
-    if target.dim == 0:
-        return lambda z: num_den(sup_norm(z))
+    Two routes, with what each reuses across points built here once: a
+    line takes its ClearedLine, the integer pair formula (z is cleared
+    per call), and every other span, the zero span included, takes its
+    dual functionals, max |u . z| over geometry.dual_functionals."""
     if target.dim == 1:
         line = ClearedLine(target.basis[0])
 
@@ -281,10 +280,8 @@ def span_distance(target: LiftedSpan) -> Callable[[Sequence], Tuple[int, int]]:
             return p, q * scale
 
         return distance
-    if target.ambient <= 4:
-        funcs = dual_functionals(target)
-        return lambda z: num_den(distance_via_functionals(z, funcs))
-    return lambda z: num_den(cheb_distance(z, target))
+    funcs = dual_functionals(target)
+    return lambda z: num_den(distance_via_functionals(z, funcs))
 
 
 def member_exact(spec: SlabSpec, z: Sequence) -> bool:
@@ -335,11 +332,11 @@ def enumerate_slab(
 def naive_slab_scan(spec: SlabSpec) -> List[Tuple[int, ...]]:
     """Oracle enumeration: full box walk with dual-functional membership.
 
-    Independent of the projection route.  Ambient dimension is capped at
-    4 because the functional set is produced by vertex enumeration.
+    Independent of the projection route.  Every span, a line included,
+    is tested against its geometry.dual_functionals, so for any span but
+    a line this shares its distance with span_distance; the box guard
+    alone bounds the walk.
     """
-    if spec.ambient > 4:
-        raise ValueError("oracle scan supports ambient dimension <= 4")
     if spec.box_candidates() > BOX_GUARD:
         raise BoxTooLargeError("candidate box too large for the oracle scan")
     funcs = dual_functionals(spec.target)

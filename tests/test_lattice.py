@@ -299,6 +299,32 @@ def test_enumerate_slab_matches_naive_powerlog(spec):
     assert enumerate_slab(spec) == naive_slab_scan(spec)
 
 
+@pytest.mark.parametrize("thickness", [
+    Thickness.exact(rat(1, 3)),
+    Thickness.of_rate(PowerLog(rat(1), rat(1, 2), rat(1), rat(2)), rat(2),
+                      scale=rat(3, 4)),
+], ids=["rational", "irrational"])
+def test_enumerate_slab_matches_naive_ambient_5(thickness):
+    # lifted points of R^4, lines in R^5: the oracle walks the whole box
+    # (3 * 5^4 = 1875 points at T = 2), with no cap on the ambient
+    # dimension
+    rng = random.Random(3)
+    points = [(CBRT2, CBRT4, GOLDEN, preset_value("sqrt2"))] + [
+        tuple(rat(rng.randint(-3, 3), rng.randint(1, 5)) for _ in range(4))
+        for _ in range(3)
+    ]
+    found = 0
+    for point in points:
+        target = lift(AffineSubspace(point=point, directions=()))
+        for T in (1, 2):
+            spec = SlabSpec(T=T, R=rat(1), target=target,
+                            thickness=thickness, z0_range=(0, T))
+            expected = naive_slab_scan(spec)
+            assert enumerate_slab(spec) == expected
+            found += len(expected) - 1  # the origin is always there
+    assert found > 0
+
+
 @pytest.mark.parametrize("wide", [False, True])
 def test_enumerate_slab_filter_keeps_and_drops(monkeypatch, wide):
     # candidates come from a bound 1/4 above the true thickness, so the

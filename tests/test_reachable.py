@@ -34,6 +34,8 @@ ALLOWED = {
         "test_vector_badness_integer_residues_match_rational_distances",
     "geometry.line_witness":
         "oracle: test_geometry::test_integer_line_distance_matches_lp",
+    "geometry.cheb_distance":
+        "oracle: test_lattice::test_span_distance_matches_cheb_distance",
     "badness.sandwich_audit":
         "acceptance API: test_acceptance::test_08_distance_sandwich",
     "badness.VectorBadnessResult.gamma_float":
