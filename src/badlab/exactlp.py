@@ -12,8 +12,9 @@ extent) is what is left after the others are eliminated (HPoly.bounds).
 Integer points are walked level by level off a projection chain whose
 rows are cleared to integers (integer_levels).  A ParamChain is the
 chain of a whole family of polyhedra that differ only in right-hand
-sides linear in some parameters: Fourier-Motzkin runs once, and each
-member's integer levels are then an integer evaluation, equal row for
+sides linear in some parameters: Fourier-Motzkin runs once over the
+variables, all of which the walk visits, and each member's integer
+levels are then an integer evaluation, equal row for
 row to those of the member's own chain, which integer_levels builds and
 the tests hold the family to.  enumerate_integer_points walks levels of
 either kind.  Each level also carries its narrowest pair of parallel rows
@@ -450,15 +451,14 @@ class ParamChain:
     that are never eliminated; each row reads a . x - f . p <= 0, so
     fixing p gives the member {x : a . x <= f . p}.  Fourier-Motzkin
     (HPoly.eliminate) removes x_{n-1}..x_0 once, for every member at
-    once, and the chain keeps the levels of the first `walked` variables
-    (the others are only projected out).  FM combines rows with positive
-    multipliers that depend only on their coefficients, so every level's
-    row keeps its right-hand side as a form in p, and a coefficient vector
-    keeps the distinct forms it meets.  At one p the least form of a
-    vector is the combination of the least forms of its parents, which is
-    the row HPoly.dedupe keeps in the member's own chain, and a constant
-    row 0 <= f . p fails for some parents exactly when it fails for the
-    least.  So `levels(p)` equals integer_levels of the member, row for
+    once, and the chain keeps the level of every variable.  FM combines
+    rows with positive multipliers that depend only on their
+    coefficients, so every level's row keeps its right-hand side as a
+    form in p, and a coefficient vector keeps the distinct forms it
+    meets.  At one p the least form of a vector is the combination of
+    the least forms of its parents, which is the row HPoly.dedupe keeps
+    in the member's own chain, and a constant row 0 <= f . p fails for
+    some parents exactly when it fails for the least.  So `levels(p)` equals integer_levels of the member, row for
     row, without running FM again.
 
     A constant row 0 <= p_i of `poly` makes p_i nonnegative in every
@@ -474,7 +474,7 @@ class ParamChain:
     evaluates them and keeps the narrowest (_narrowest_pair).
     """
 
-    def __init__(self, poly: HPoly, nparams: int, walked: int):
+    def __init__(self, poly: HPoly, nparams: int):
         n = poly.nvars - nparams
         nonneg = frozenset(
             _domain_param(coeffs[n:]) for coeffs, _ in poly.rows
@@ -483,8 +483,7 @@ class ParamChain:
         poly = _prune_forms(poly, n, nonneg)
         levels = []
         for k in range(n - 1, -1, -1):
-            if k < walked:
-                levels.append(_form_level(poly, k))
+            levels.append(_form_level(poly, k))
             poly = _prune_forms(poly.eliminate(k), k, nonneg)
         self._levels = levels[::-1]
         self._pairs = [_parallel_pairs(*level) for level in self._levels]

@@ -158,7 +158,9 @@ def cheb_distance(z: Sequence, span: LiftedSpan) -> Rat:
     The least r with |z_i - (t . basis)_i| <= r for some span
     coefficients t: Fourier-Motzkin eliminates t from these rows over
     (t, r), and the distance is the lower bound left on r.  For the zero
-    span nothing is eliminated and the distance is sup_norm(z).
+    span nothing is eliminated and the distance is sup_norm(z).  It is
+    the reference the tests hold dual_functionals to; no slab route
+    calls it.
     """
     zv = as_vec(z)
     if len(zv) != span.ambient:

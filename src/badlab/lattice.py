@@ -14,31 +14,34 @@ cross-multiplication; a line target is cleared to integers once per
 target (geometry.ClearedLine), not once per candidate.  Membership is
 decided by the true thickness, never by a rounded one.
 
-Two independent enumeration routes exist on purpose.  enumerate_slab
-projects the constraint system exactly (Fourier-Motzkin over the span
-coefficients, then a chain of projections over coordinates) and walks the
-integer points of the projections.  naive_slab_scan walks the full
-coordinate box and tests each point against the span's dual functionals.
-Their walks share no geometry code beyond the rational carrier, which
-makes one an oracle for the other.  Their distance tests share one
-routine.  span_distance has two routes: a line takes the integer pair
-formula (geometry.ClearedLine), and every other span, the zero span
-included, takes geometry.dual_functionals, which the oracle reads for
-every span.  So for every span but a line, enumerate_slab's filter (with
-an irrational thickness) and the oracle share dual_functionals; the
-Fourier-Motzkin tests test_cheb_distance_matches_dual_functionals and
-test_span_distance_matches_cheb_distance hold that routine to
-geometry.cheb_distance, the distance by Fourier-Motzkin.
+A slab's rows are written over z alone (_slab_rows): the window, the box
+and |u . z| <= eps for each of the target's dual functionals u
+(geometry.dual_functionals), since the sup distance to a span is
+max |u . z| over them.  No span coefficient is a variable, so nothing is
+eliminated to reach z.  Two enumeration routes exist on purpose, and they
+differ in the walk.  enumerate_slab projects those rows over the
+coordinates and walks the integer points of the projections;
+naive_slab_scan walks the full coordinate box and tests each point
+against the same functionals.  With an irrational thickness,
+enumerate_slab filters its candidates by span_distance, which has two
+routes: a line takes the integer pair formula (geometry.ClearedLine),
+and every other span, the zero span included, takes the functionals.
+What holds the shared rows to the geometry is geometry.cheb_distance,
+the distance by Fourier-Motzkin over the span coefficients:
+test_cheb_distance_matches_dual_functionals,
+test_span_distance_matches_cheb_distance, and a box walk that tests
+cheb_distance itself (test_enumerate_slab_center_matches_box_walk).
 
 Slabs around one target differ only in their parameters (z0 window, box
-bound, thickness), which enter the constraint system as right-hand sides
-alone.  slab_family therefore projects once per target, with the
-parameters as variables that are never eliminated (exactlp.ParamChain),
-and keeps the chain in a bounded cache; span_distance keeps the target's
-one distance the same way.  Each slab, certificate shell, Monte Carlo
-layer and half-dilation translate is an integer evaluation of that chain,
-enumerated by enumerate_slab; build_slab_poly, the chain of one slab built
-directly, is the reference the tests hold the family to.
+bound, thickness), which enter the rows as right-hand sides alone.
+slab_family therefore projects once per target, with the parameters as
+variables that are never eliminated (exactlp.ParamChain), and keeps the
+chain in a bounded cache; span_distance keeps the target's one distance
+the same way.  Each slab, certificate shell, Monte Carlo layer and
+half-dilation translate is an integer evaluation of that chain,
+enumerated by enumerate_slab; build_slab_poly, the same rows at one
+slab's parameters, is the reference whose own chain the tests hold the
+family to.
 """
 
 from __future__ import annotations
@@ -188,74 +191,65 @@ class SlabSpec:
 
 
 def _slab_rows(target: LiftedSpan) -> List[Tuple[Tuple[Rat, ...], Tuple[int, ...]]]:
-    """The slab's rows over (z, t) with their right-hand sides as forms
-    over the slab parameters (z0_lo, z0_hi, box, eps): z0 in the window,
-    |z_j| <= box for j >= 1 and |z_i - (t.B)_i| <= eps."""
-    n, m = target.ambient, target.dim
+    """The slab's rows over z with their right-hand sides as forms over
+    the slab parameters (z0_lo, z0_hi, box, eps): z0 in the window,
+    |z_j| <= box for j >= 1, |u . z| <= eps for each of the target's
+    dual functionals u, and the constant rows 0 <= box and 0 <= eps.
+
+    The sup distance to the target is max |u . z| over its functionals,
+    so these rows hold exactly the slab's points.  The constant rows hold
+    in every slab that is not empty; a whole-space target has no
+    functionals, and nothing else bounds its eps."""
+    n = target.ambient
     rows = []
 
     def pair(coeffs, upper, lower):
-        # coeffs . (z, t) <= upper . p and -coeffs . (z, t) <= lower . p
+        # coeffs . z <= upper . p and -coeffs . z <= lower . p
         rows.append((tuple(coeffs), upper))
         rows.append((tuple(-v for v in coeffs), lower))
 
     for i in range(n):
-        row = [rat(0)] * (n + m)
+        row = [rat(0)] * n
         row[i] = rat(1)
         if i == 0:
             pair(row, (0, 1, 0, 0), (-1, 0, 0, 0))
         else:
             pair(row, (0, 0, 1, 0), (0, 0, 1, 0))
-        for k in range(m):
-            row[n + k] = -target.basis[k][i]
-        pair(row, (0, 0, 0, 1), (0, 0, 0, 1))
+    for u in dual_functionals(target):
+        pair(u, (0, 0, 0, 1), (0, 0, 0, 1))
+    zero = (rat(0),) * n
+    rows += [(zero, (0, 0, 1, 0)), (zero, (0, 0, 0, 1))]
     return rows
 
 
 def build_slab_poly(spec: SlabSpec, eps: Rat) -> HPoly:
-    """Exact H-description over z of the slab with rational thickness eps.
-
-    Span coefficients are eliminated by Fourier-Motzkin, which preserves
-    the set exactly: the result is {z : exists t, |z - t.B| <= eps} cut
-    with the box and the z0 window.
-    """
-    n, m = spec.ambient, spec.target.dim
+    """Exact H-description over z of the slab with rational thickness eps:
+    the rows of _slab_rows at the slab's parameters."""
     lo, hi = spec.z0_range
     params = (rat(lo), rat(hi), spec.box_bound, as_rat(eps))
-    poly = HPoly(n + m)
+    poly = HPoly(spec.ambient)
     for coeffs, form in _slab_rows(spec.target):
         poly.add(coeffs, vec_dot(form, params))
     poly.dedupe()
-    for k in range(m - 1, -1, -1):
-        poly = poly.eliminate(n + k)
     return poly
 
 
 @lru_cache(maxsize=32)
 def slab_family(target: LiftedSpan) -> ParamChain:
     """The target's slab family, built once per target: the rows of
-    _slab_rows with their forms moved to the left, over (z, t, p), and a
-    ParamChain that projects out t and walks z.
-
-    The family also holds eps >= 0 and, with a box row, box >= 0, the
-    domain on which the chain prunes its forms.  Every slab implies both
-    (|z_i - (t.B)_i| <= eps and |z_1| <= box), so a slab outside the
-    domain is empty either way."""
-    n, m = target.ambient, target.dim
-    poly = HPoly(n + m + 4)
+    _slab_rows with their forms moved to the left, over (z, p), and a
+    ParamChain that walks z.  Its constant rows 0 <= box and 0 <= eps are
+    the domain on which the chain prunes its forms."""
+    poly = HPoly(target.ambient + 4)
     for coeffs, form in _slab_rows(target):
         poly.add(coeffs + tuple(-rat(f) for f in form), 0)
-    for i in (2, 3) if n > 1 else (3,):  # p_2 = box, p_3 = eps
-        domain = [rat(0)] * (n + m + 4)
-        domain[n + m + i] = rat(-1)
-        poly.add(domain, 0)
     poly.dedupe()
-    return ParamChain(poly, 4, n)
+    return ParamChain(poly, 4)
 
 
 def _slab_levels(spec: SlabSpec, eps: Rat, center: Optional[Vec] = None):
     """integer_levels(build_slab_poly(spec, eps)), read off the target's
-    family without Fourier-Motzkin; with a center c, the levels of
+    family without projecting again; with a center c, the levels of
     {x : 2(x - c) in that slab} (ParamChain.levels)."""
     lo, hi = spec.z0_range
     return slab_family(spec.target).levels(
@@ -332,10 +326,11 @@ def enumerate_slab(
 def naive_slab_scan(spec: SlabSpec) -> List[Tuple[int, ...]]:
     """Oracle enumeration: full box walk with dual-functional membership.
 
-    Independent of the projection route.  Every span, a line included,
-    is tested against its geometry.dual_functionals, so for any span but
-    a line this shares its distance with span_distance; the box guard
-    alone bounds the walk.
+    Independent of the projection walk, not of the rows: every span, a
+    line included, is tested against its geometry.dual_functionals, the
+    rows enumerate_slab projects, and for any span but a line this also
+    shares its distance with span_distance.  The tests hold those rows
+    to geometry.cheb_distance.  The box guard alone bounds the walk.
     """
     if spec.box_candidates() > BOX_GUARD:
         raise BoxTooLargeError("candidate box too large for the oracle scan")

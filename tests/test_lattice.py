@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 from functools import cached_property
 from types import SimpleNamespace
 
@@ -405,13 +406,16 @@ def _slab_family_cases(draw):
 
 
 # an empty window; a point target whose thickness bound on z0 lies below
-# the window (both fail a constant row); a line with two forms per row
+# the window (both fail a constant row); a line with two forms per row; a
+# whole-space target, which has no functional rows, at a negative
+# thickness (only the constant row 0 <= eps makes it empty)
 @example(_slab_case(2, (), (3, 1), rat(2), rat(1), (rat(0), rat(0))))
 @example(_slab_case(2, (), (2, 3), rat(1), rat(1), (rat(0), rat(0))))
 @example(_slab_case(
     3, ((rat(1), rat(1, 2), rat(0)),), (2, 4), rat(3), rat(1, 8),
     (rat(1, 64), rat(0), rat(-1, 2)),
 ))
+@example(_slab_case(1, ((rat(1),),), (0, 0), rat(0), rat(-1), (rat(0),)))
 @settings(max_examples=150, deadline=None)
 @given(_slab_family_cases())
 def test_slab_family_levels_match_projection_chain(case):
@@ -462,11 +466,19 @@ def test_half_dilation_translates_match_shifted_poly(case):
     assert sizes[0] >= 1  # the origin's translate holds the origin
 
 
-def _half_dilate_by_box(spec, c):
-    """The integer x with 2(x - c) in the slab, by a walk of the integer
-    box around c and the true thickness: the reference for
-    enumerate_slab(spec, c)."""
+def _box_walk(spec, c=None):
+    """The slab's integer points by a walk of the integer box and the true
+    thickness, with cheb_distance for the distance, so no dual functional;
+    with a center c, the integer x with 2(x - c) in the slab, walked over
+    the box around c.  The reference for enumerate_slab(spec, c)."""
     lo, hi = spec.z0_range
+    if c is None:
+        b = rat_floor(spec.box_bound)
+        ranges = [range(lo, hi + 1)] + [range(-b, b + 1)] * (spec.ambient - 1)
+        return [
+            z for z in itertools.product(*ranges)
+            if spec.thickness.cmp_dist(cheb_distance(z, spec.target)) <= 0
+        ]
     half = spec.box_bound / 2
     z0 = range(rat_ceil(c[0] + rat(lo, 2)), rat_floor(c[0] + rat(hi, 2)) + 1)
     ranges = [z0]
@@ -480,33 +492,51 @@ def _half_dilate_by_box(spec, c):
     ]
 
 
-@pytest.mark.parametrize("target", [
-    golden_span(),
-    lift(AffineSubspace(point=(CBRT2, CBRT4), directions=())),
-    lift(AffineSubspace(point=(rat(1, 3), GOLDEN), directions=((rat(1), CBRT2),))),
-], ids=["line-R2", "line-R3", "plane-R3"])
-def test_enumerate_slab_center_matches_box_walk(monkeypatch, target):
-    # an irrational thickness, and candidates from a bound 1/4 above it,
-    # so the filter of 2(x - c) must drop some of each translate's
+_POINT_R3 = LiftedSpan(basis=(), ambient=3)
+_LINE_R3 = lift(AffineSubspace(point=(CBRT2, CBRT4), directions=()))
+_PLANE_R3 = lift(AffineSubspace(point=(rat(1, 3), GOLDEN),
+                                directions=((rat(1), CBRT2),)))
+
+
+@pytest.mark.parametrize("target, rational", [
+    (golden_span(), False),
+    (_LINE_R3, False),
+    (_PLANE_R3, False),
+    (_POINT_R3, False),
+    (_POINT_R3, True),
+    (_LINE_R3, True),
+    (_PLANE_R3, True),
+], ids=["line-R2", "line-R3", "plane-R3", "point-R3", "point-R3-rational",
+        "line-R3-rational", "plane-R3-rational"])
+def test_enumerate_slab_center_matches_box_walk(monkeypatch, target, rational):
+    # the slab itself (no center) and its half-dilates; the walk tests
+    # cheb_distance, so this holds the slab's functional rows to a route
+    # that shares no geometry with them.  An irrational thickness takes
+    # candidates from a bound 1/4 above it, so the filter of 2(x - c)
+    # must drop some of each translate's
     phi = PowerLog(rat(3), rat(1, 2), rat(1), rat(2))
     spec = approach_slab(target, phi, 1, 6)
-    loose = spec.thickness.bounds[1] + rat(1, 4)
-    real_levels = lattice._slab_levels
-    monkeypatch.setattr(lattice, "_slab_levels",
-                        lambda spec, eps, center=None:
-                        real_levels(spec, loose, center))
+    if rational:
+        spec = replace(spec, thickness=Thickness.exact(rat(3, 2)))
+    else:
+        loose = spec.thickness.bounds[1] + rat(1, 4)
+        real_levels = lattice._slab_levels
+        monkeypatch.setattr(lattice, "_slab_levels",
+                            lambda spec, eps, center=None:
+                            real_levels(spec, loose, center))
     rng = random.Random(5)
-    centers = [(rat(0),) * spec.ambient] + [
+    centers = [None, (rat(0),) * spec.ambient] + [
         lattice._random_translate(rng, spec) for _ in range(12)
     ]
     kept = dropped = 0
     for c in centers:
-        expected = _half_dilate_by_box(spec, c)
+        expected = _box_walk(spec, c)
         assert enumerate_slab(spec, c) == expected
-        cands = list(enumerate_integer_points(real_levels(spec, loose, c)))
+        if not rational:
+            cands = list(enumerate_integer_points(real_levels(spec, loose, c)))
+            dropped += len(cands) - len(expected)
         kept += len(expected)
-        dropped += len(cands) - len(expected)
-    assert kept > 0 and dropped > 0
+    assert kept > 0 and (rational or dropped > 0)
 
 
 @settings(max_examples=80, deadline=None)
