@@ -42,6 +42,7 @@ from .geometry import (
     Vec,
     as_vec,
     canon_sign,
+    line_distance,
     nearest_int_dist,
     sup_norm,
 )
@@ -304,8 +305,6 @@ class SandwichReport:
     ok: bool
     min_ratio: Optional[Rat]
     max_ratio: Optional[Rat]
-    min_at: Optional[int]
-    max_at: Optional[int]
     failure_x0: Optional[int] = None
 
 
@@ -313,10 +312,7 @@ def sandwich_audit(w: Sequence, X: int) -> SandwichReport:
     wv = as_vec(w)
     lifted = (rat(1),) + wv
     one_plus = 1 + sup_norm(wv)
-    from .geometry import line_distance
-
     min_ratio = max_ratio = None
-    min_at = max_at = None
     checked = 0
     for x0 in range(1, X + 1):
         coords = [x0 * c for c in wv]
@@ -330,16 +326,13 @@ def sandwich_audit(w: Sequence, X: int) -> SandwichReport:
         dist = line_distance(z, lifted)
         if not (m / one_plus <= dist <= m):
             return SandwichReport(
-                wv, X, checked, False, min_ratio, max_ratio, min_at, max_at,
-                failure_x0=x0,
+                wv, X, checked, False, min_ratio, max_ratio, failure_x0=x0,
             )
         checked += 1
         if m > 0:
             ratio = dist / m
             if min_ratio is None or ratio < min_ratio:
-                min_ratio, min_at = ratio, x0
+                min_ratio = ratio
             if max_ratio is None or ratio > max_ratio:
-                max_ratio, max_at = ratio, x0
-    return SandwichReport(
-        wv, X, checked, True, min_ratio, max_ratio, min_at, max_at
-    )
+                max_ratio = ratio
+    return SandwichReport(wv, X, checked, True, min_ratio, max_ratio)

@@ -96,23 +96,6 @@ def solve_square(a: List[List[Rat]], b: List[Rat]) -> Optional[List[Rat]]:
     return None
 
 
-def nullspace_basis(rows: List[Sequence]) -> List[List[Rat]]:
-    """Basis of {u : rows @ u = 0} (u in the row length dimension)."""
-    if not rows:
-        return []
-    n = len(rows[0])
-    m, piv = rref([list(r) for r in rows])
-    free = [c for c in range(n) if c not in piv]
-    basis = []
-    for fc in free:
-        v = [rat(0)] * n
-        v[fc] = rat(1)
-        for ri, pc in enumerate(piv):
-            v[pc] = -m[ri][fc]
-        basis.append(v)
-    return basis
-
-
 def in_row_span(rows: List[Sequence], v: Sequence) -> bool:
     base = [list(r) for r in rows]
     return matrix_rank(base + [list(v)]) == matrix_rank(base)

@@ -5,30 +5,30 @@ independent rational directions.  Its lift is the linear span in R^(d+1)
 generated by (1, point) and (0, direction_i); approximation properties of
 the affine object become lattice statements about this span.
 
-Distances are always in the sup norm.  Spans of a single vector take a
-closed-form pair formula on integers, with the direction cleared once
-(ClearedLine); every other span goes through its dual functionals (the
-vertices of the orthogonal L1-ball section, read off the complement's
-elementary vectors), which turn "distance <= eps" into finitely many
-exact half-space tests.  cheb_distance, an exact Fourier-Motzkin
-projection, is the reference both are tested against.
+Distances are always in the sup norm.  A span's distance comes from its
+dual functionals: the elementary vectors of its orthogonal complement,
+found by Cramer's rule as primitive integer vectors U
+(dual_functionals).  The distance from z is max |U . z|/|U|_1 over them,
+so "distance <= eps" is finitely many integer half-space tests, and
+ClearedSpan compares the distance of an integer point by
+cross-multiplication for every span, from the zero span (the unit
+vectors: the sup norm) up.  ClearedLine is the per-sample kernel for a
+line: the same distance as a closed-form pair formula, with the
+direction cleared once, cheaper to build and to query where each Monte
+Carlo sample has a line of its own.  cheb_distance, an exact
+Fourier-Motzkin projection, is the reference both are tested against.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import gcd
+from operator import mul
 from typing import List, Sequence, Tuple
 
-from .exactlp import (
-    HPoly,
-    clear_vector,
-    in_row_span,
-    matrix_rank,
-    nullspace_basis,
-    vec_dot,
-)
-from .exactnum import Rat, as_rat, num_den, rat, rat_abs, rat_floor
+from .exactlp import HPoly, clear_vector, in_row_span, matrix_rank
+from .exactnum import Rat, as_rat, rat, rat_abs, rat_floor
 
 Vec = Tuple[Rat, ...]
 
@@ -188,10 +188,10 @@ class ClearedLine:
     are formed here once.
     """
 
-    __slots__ = ("scale", "coords", "pairs")
+    __slots__ = ("coords", "pairs")
 
     def __init__(self, a: Sequence):
-        self.scale, coords = clear_vector(a)
+        _, coords = clear_vector(a)
         self.coords = tuple(coords)
         n = len(coords)
         self.pairs = tuple(
@@ -213,38 +213,19 @@ class ClearedLine:
                 best_num, best_den = val, denom
         return best_num, best_den
 
-    def witness(self, Z: Sequence[int], p: int, q: int) -> Rat:
-        """Smallest t with sup_i |Z_i - t a_i| <= p/q, for an integer
-        point Z and p/q >= its distance to the line.
-
-        Each coordinate with a_i != 0 allows t in an interval whose lower
-        end is Z_i/a_i - (p/q)/|a_i|; coordinates with a_i = 0 hold for
-        every t because p/q is at least the distance.  The intervals
-        meet, so the largest lower end lies in all of them.  With
-        a_i = A_i/D that end is D (sgn(A_i) Z_i q - p) / (q |A_i|),
-        compared by cross-multiplication like the pair terms.
-        """
-        best_num, best_den = None, 1
-        for zc, ac in zip(Z, self.coords):
-            if ac == 0:
-                continue
-            lower = (zc if ac > 0 else -zc) * q - p
-            if best_num is None or lower * best_den > best_num * abs(ac):
-                best_num, best_den = lower, abs(ac)
-        return rat(self.scale * best_num, q * best_den)
-
 
 def line_distance(z: Sequence, a: Sequence) -> Rat:
     """min_t sup_i |z_i - t a_i| for a nonzero direction a, closed form.
 
-    Equals max over coordinate pairs of |z_j a_k - z_k a_j|/(|a_j|+|a_k|);
-    agrees with cheb_distance and is what inner loops use for
-    one-dimensional spans.  It clears z to Z = D_z z and a to a
-    ClearedLine, whose integer kernel gives the distance of Z; divided by
-    D_z it is the distance of z.  A caller that tests many points against
-    one direction, or one point against many, builds the ClearedLine once
-    and calls its `distance` on integer points, so nothing is cleared per
-    query.
+    Equals max over coordinate pairs of |z_j a_k - z_k a_j|/(|a_j|+|a_k|),
+    the terms |U . z|/|U|_1 of the line's dual functionals, and agrees
+    with cheb_distance.  It clears z to Z = D_z z and a to a ClearedLine,
+    whose integer kernel gives the distance of Z; divided by D_z it is the
+    distance of z.  The Monte Carlo membership test builds one ClearedLine
+    per sample (experiment.cleared_lift) and calls its `distance` on
+    integer layer points, so nothing is cleared per query; a line that
+    slabs are built around goes through its ClearedSpan like every other
+    target (lattice.span_distance).
     """
     scale, zi = clear_vector(z)
     p, q = ClearedLine(a).distance(zi)
@@ -254,50 +235,84 @@ def line_distance(z: Sequence, a: Sequence) -> Rat:
 def line_witness(z: Sequence, a: Sequence, d) -> Rat:
     """Smallest t with sup_i |z_i - t a_i| <= d, for d >= line_distance(z, a).
 
-    With Z = D_z z the condition reads sup_i |Z_i - (D_z t) a_i| <= D_z d,
-    so this is ClearedLine(a).witness for Z and D_z d, divided by D_z.
+    Each coordinate with a_i != 0 allows t in an interval whose lower end
+    is (z_i - d sgn a_i)/a_i; coordinates with a_i = 0 hold for every t
+    because d is at least the distance.  The intervals meet, so the
+    largest lower end lies in all of them.
     """
-    scale, zi = clear_vector(z)
-    p, q = num_den(d)
-    return ClearedLine(a).witness(zi, p * scale, q) / scale
+    d = as_rat(d)
+    return max((as_rat(zc) - (d if ac > 0 else -d)) / ac
+               for zc, ac in zip(z, as_vec(a)) if ac != 0)
 
 
-def dual_functionals(span: LiftedSpan) -> List[Vec]:
-    """Vertices u of {u orthogonal to span, ||u||_1 <= 1}, sorted.
+def _det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix, by cofactors along its
+    first row; the empty matrix has determinant 1."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * c * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, c in enumerate(rows[0]) if c)
 
-    By duality the sup-norm distance to the span is max_u |u . z| over
-    these finitely many rational functionals, so membership in a slab is
-    a batch of exact inequalities.  The vertices are the elementary
-    vectors of the orthogonal complement, those of minimal support,
-    scaled to unit L1 norm (Rockafellar, "The elementary vectors of a
-    subspace of R^N", 1969), one per sign pair.  A support S carries one
-    exactly when the complement's vectors that vanish off S form a line
-    whose vector is nonzero on all of S; then |S| <= dim + 1.  So each
-    support of that size costs one small null space, and the zero span
-    gets the unit vectors e_i, whose distance is the sup norm.
+
+def dual_functionals(span: LiftedSpan) -> List[Tuple[int, ...]]:
+    """The elementary vectors of the span's orthogonal complement, as
+    primitive integer vectors U with first nonzero entry positive, sorted.
+
+    Scaled to U/|U|_1 they are the vertices of {u orthogonal to span,
+    ||u||_1 <= 1}, one per sign pair (Rockafellar, "The elementary vectors
+    of a subspace of R^N", 1969), so the sup-norm distance to the span is
+    max |U . z|/|U|_1 over these finitely many functionals.  Each is a
+    fundamental circuit of the integer-cleared basis B: for a set T of
+    dim columns with det B_T != 0 and a column j outside T, Cramer's rule
+    gives the null vector U_j = det B_T, U_t = -det B_T[t <- B_j] for t in
+    T, and 0 elsewhere.  Every circuit arises this way, and the zero span
+    (T empty, det 1) gets the unit vectors, whose distance is the sup norm.
     """
     n = span.ambient
-    out = []
-    for size in range(1, span.dim + 2):
-        for support in itertools.combinations(range(n), size):
-            # a zero row keeps the system nonempty for the zero span
-            rows = [[b[i] for i in support] for b in span.basis]
-            null = nullspace_basis(rows + [[rat(0)] * size])
-            if len(null) != 1 or not all(null[0]):
+    basis = [clear_vector(b)[1] for b in span.basis]
+    # the rows of B_T transposed are these columns; transposing keeps det
+    cols = [tuple(b[i] for b in basis) for i in range(n)]
+    out = set()
+    for T in itertools.combinations(range(n), span.dim):
+        det_T = _det([cols[t] for t in T])
+        if det_T == 0:
+            continue
+        for j in range(n):
+            if j in T:
                 continue
-            u = [rat(0)] * n
-            for i, c in zip(support, null[0]):
-                u[i] = c
-            out.append(canon_sign(vec_scale(u, 1 / sum(map(rat_abs, u)))))
+            u = [0] * n
+            u[j] = det_T
+            for t in T:
+                u[t] = -_det([cols[j] if s == t else cols[s] for s in T])
+            g = gcd(*u)
+            if next(c for c in u if c) < 0:
+                g = -g
+            out.add(tuple(c // g for c in u))
     return sorted(out)
 
 
-def distance_via_functionals(z: Sequence, functionals: Sequence[Vec]) -> Rat:
-    zv = as_vec(z)
-    best = rat(0)
-    for u in functionals:
-        v = rat_abs(vec_dot(u, zv))
-        if v > best:
-            best = v
-    return best
+class ClearedSpan:
+    """A span's dual functionals U with their L1 norms, formed once for
+    many distance queries.
 
+    The sup distance from an integer point Z to the span is the largest
+    |U . Z| / |U|_1, compared by cross-multiplication as in ClearedLine.
+    The zero span's functionals are the unit vectors, so its distance is
+    the sup norm; the whole space has none, and distance 0.
+    """
+
+    __slots__ = ("functionals",)
+
+    def __init__(self, span: LiftedSpan):
+        self.functionals = tuple(
+            (u, sum(map(abs, u))) for u in dual_functionals(span))
+
+    def distance(self, Z: Sequence[int]) -> Tuple[int, int]:
+        """The largest |U . Z| / |U|_1 as (num, den): the sup distance
+        from Z to the span, exactly num/den."""
+        best_num, best_den = 0, 1
+        for u, norm in self.functionals:
+            val = abs(sum(map(mul, u, Z)))
+            if val * best_den > best_num * norm:
+                best_num, best_den = val, norm
+        return best_num, best_den

@@ -8,29 +8,28 @@ by enumerating the slab at hi and then filtering each candidate with
 Thickness.admits, the one threshold test that slab filtering and U_T
 membership (experiment.u_t_member) share: it keeps a distance below lo
 and drops one above hi, and only a distance inside is refined.
-Distances arrive as integer pairs (num, den) from the target's one
-distance (span_distance) and meet the enclosure's ends by
-cross-multiplication; a line target is cleared to integers once per
-target (geometry.ClearedLine), not once per candidate.  Membership is
-decided by the true thickness, never by a rounded one.
+Every target, the zero span and lines included, has one distance route:
+its integer dual functionals U (geometry.dual_functionals), formed once
+per target with their L1 norms (geometry.ClearedSpan), and the distance
+max |U . z|/|U|_1.  Distances arrive as integer pairs (num, den) from
+span_distance and meet the enclosure's ends by cross-multiplication.
+Membership is decided by the true thickness, never by a rounded one.
 
 A slab's rows are written over z alone (_slab_rows): the window, the box
-and |u . z| <= eps for each of the target's dual functionals u
-(geometry.dual_functionals), since the sup distance to a span is
-max |u . z| over them.  No span coefficient is a variable, so nothing is
-eliminated to reach z.  Two enumeration routes exist on purpose, and they
-differ in the walk.  enumerate_slab projects those rows over the
-coordinates and walks the integer points of the projections;
-naive_slab_scan walks the full coordinate box and tests each point
-against the same functionals.  With an irrational thickness,
-enumerate_slab filters its candidates by span_distance, which has two
-routes: a line takes the integer pair formula (geometry.ClearedLine),
-and every other span, the zero span included, takes the functionals.
-What holds the shared rows to the geometry is geometry.cheb_distance,
-the distance by Fourier-Motzkin over the span coefficients:
-test_cheb_distance_matches_dual_functionals,
+and the integer rows |U . z| <= |U|_1 eps, one pair per functional.  No
+span coefficient is a variable, so nothing is eliminated to reach z.
+Two enumeration routes exist on purpose, and they differ in the walk.
+enumerate_slab projects those rows over the coordinates and walks the
+integer points of the projections; naive_slab_scan walks the full
+coordinate box and tests each point against the same cleared rows.
+With an irrational thickness, both filter their candidates by the
+functionals' distance.  What holds the shared rows to the geometry is
+geometry.cheb_distance, the distance by Fourier-Motzkin over the span
+coefficients: test_cheb_distance_matches_dual_functionals,
 test_span_distance_matches_cheb_distance, and a box walk that tests
-cheb_distance itself (test_enumerate_slab_center_matches_box_walk).
+cheb_distance itself (test_enumerate_slab_center_matches_box_walk);
+test_dual_functionals_are_the_circuits holds the functionals to the
+circuits of the basis's columns, found by rank alone.
 
 Slabs around one target differ only in their parameters (z0 window, box
 bound, thickness), which enter the rows as right-hand sides alone.
@@ -50,7 +49,7 @@ import itertools
 import random
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from math import lcm
+from operator import mul
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .exactlp import (
@@ -71,16 +70,7 @@ from .exactnum import (
     rat_floor,
     refine_cmp,
 )
-from .geometry import (
-    ClearedLine,
-    LiftedSpan,
-    Vec,
-    as_vec,
-    distance_via_functionals,
-    dual_functionals,
-    vec_scale,
-    vec_sub,
-)
+from .geometry import ClearedSpan, LiftedSpan, Vec, as_vec, vec_scale, vec_sub
 from .rates import RateFunction, rate_value
 
 BOX_GUARD = 10**9
@@ -190,16 +180,17 @@ class SlabSpec:
         return (hi - lo + 1) * side ** (self.ambient - 1)
 
 
-def _slab_rows(target: LiftedSpan) -> List[Tuple[Tuple[Rat, ...], Tuple[int, ...]]]:
-    """The slab's rows over z with their right-hand sides as forms over
-    the slab parameters (z0_lo, z0_hi, box, eps): z0 in the window,
-    |z_j| <= box for j >= 1, |u . z| <= eps for each of the target's
-    dual functionals u, and the constant rows 0 <= box and 0 <= eps.
+def _slab_rows(target: LiftedSpan) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+    """The slab's integer rows over z with their right-hand sides as
+    forms over the slab parameters (z0_lo, z0_hi, box, eps): z0 in the
+    window, |z_j| <= box for j >= 1, |U . z| <= |U|_1 eps for each of the
+    target's dual functionals U, and the constant rows 0 <= box and
+    0 <= eps.
 
-    The sup distance to the target is max |u . z| over its functionals,
-    so these rows hold exactly the slab's points.  The constant rows hold
-    in every slab that is not empty; a whole-space target has no
-    functionals, and nothing else bounds its eps."""
+    The sup distance to the target is max |U . z|/|U|_1 over its
+    functionals, so these rows hold exactly the slab's points.  The
+    constant rows hold in every slab that is not empty; a whole-space
+    target has no functionals, and nothing else bounds its eps."""
     n = target.ambient
     rows = []
 
@@ -209,15 +200,15 @@ def _slab_rows(target: LiftedSpan) -> List[Tuple[Tuple[Rat, ...], Tuple[int, ...
         rows.append((tuple(-v for v in coeffs), lower))
 
     for i in range(n):
-        row = [rat(0)] * n
-        row[i] = rat(1)
+        row = [0] * n
+        row[i] = 1
         if i == 0:
             pair(row, (0, 1, 0, 0), (-1, 0, 0, 0))
         else:
             pair(row, (0, 0, 1, 0), (0, 0, 1, 0))
-    for u in dual_functionals(target):
-        pair(u, (0, 0, 0, 1), (0, 0, 0, 1))
-    zero = (rat(0),) * n
+    for u, norm in ClearedSpan(target).functionals:
+        pair(u, (0, 0, 0, norm), (0, 0, 0, norm))
+    zero = (0,) * n
     rows += [(zero, (0, 0, 1, 0)), (zero, (0, 0, 0, 1))]
     return rows
 
@@ -261,21 +252,19 @@ def _slab_levels(spec: SlabSpec, eps: Rat, center: Optional[Vec] = None):
 def span_distance(target: LiftedSpan) -> Callable[[Sequence], Tuple[int, int]]:
     """The sup distance from a point z to `target`, as integers (num, den).
 
-    Two routes, with what each reuses across points built here once: a
-    line takes its ClearedLine, the integer pair formula (z is cleared
-    per call), and every other span, the zero span included, takes its
-    dual functionals, max |u . z| over geometry.dual_functionals."""
-    if target.dim == 1:
-        line = ClearedLine(target.basis[0])
+    One route for every target, the zero span and lines included: z is
+    cleared to an integer point Z = D z, and the target's
+    geometry.ClearedSpan, built here once, gives the distance of Z as
+    p/q, the largest |U . Z|/|U|_1 over its integer dual functionals U;
+    the distance of z is p/(q D)."""
+    span = ClearedSpan(target)
 
-        def distance(z):
-            scale, zi = clear_vector(z)
-            p, q = line.distance(zi)
-            return p, q * scale
+    def distance(z):
+        scale, zi = clear_vector(z)
+        p, q = span.distance(zi)
+        return p, q * scale
 
-        return distance
-    funcs = dual_functionals(target)
-    return lambda z: num_den(distance_via_functionals(z, funcs))
+    return distance
 
 
 def member_exact(spec: SlabSpec, z: Sequence) -> bool:
@@ -326,45 +315,32 @@ def enumerate_slab(
 def naive_slab_scan(spec: SlabSpec) -> List[Tuple[int, ...]]:
     """Oracle enumeration: full box walk with dual-functional membership.
 
-    Independent of the projection walk, not of the rows: every span, a
-    line included, is tested against its geometry.dual_functionals, the
-    rows enumerate_slab projects, and for any span but a line this also
-    shares its distance with span_distance.  The tests hold those rows
-    to geometry.cheb_distance.  The box guard alone bounds the walk.
+    Independent of the projection walk, not of the rows: each point is
+    tested against the target's integer rows |U . z| <= |U|_1 eps
+    (geometry.ClearedSpan), the rows enumerate_slab projects, and an
+    irrational thickness is refined on the same functionals' distance.
+    The tests hold those rows to geometry.cheb_distance.  The box guard
+    alone bounds the walk.
     """
     if spec.box_candidates() > BOX_GUARD:
         raise BoxTooLargeError("candidate box too large for the oracle scan")
-    funcs = dual_functionals(spec.target)
+    span = ClearedSpan(spec.target)
     eps_lo, eps_hi = spec.thickness.bounds
-    # integer-cleared rows: L*u . z <= floor(L*eps) exactly, for integer z
-    rows_c: List[Tuple[int, ...]] = []
-    rows_r: List[int] = []
-    for u in funcs:
-        dens = [int(c.denominator) for c in u] + [int(eps_hi.denominator)]
-        L = lcm(*dens)
-        iu = tuple(int(c * L) for c in u)
-        rr = rat_floor(eps_hi * L)
-        rows_c.append(iu)
-        rows_r.append(rr)
-        rows_c.append(tuple(-v for v in iu))
-        rows_r.append(rr)
+    # |U . z| <= |U|_1 eps_hi exactly when |U . z| <= floor(|U|_1 eps_hi),
+    # for integer z
+    rows = [(u, rat_floor(norm * eps_hi)) for u, norm in span.functionals]
     lo, hi = spec.z0_range
     b = rat_floor(spec.box_bound)
     ranges = [range(lo, hi + 1)] + [range(-b, b + 1)] * (spec.ambient - 1)
     pts = [
         p
         for p in itertools.product(*ranges)
-        if all(
-            sum(c * z for c, z in zip(row, p)) <= rhs
-            for row, rhs in zip(rows_c, rows_r)
-        )
+        if all(abs(sum(map(mul, u, p))) <= rhs for u, rhs in rows)
     ]
     if eps_lo == eps_hi:
         return pts
     return [
-        p
-        for p in pts
-        if spec.thickness.cmp_dist(distance_via_functionals(p, funcs)) <= 0
+        p for p in pts if spec.thickness.cmp_dist(rat(*span.distance(p))) <= 0
     ]
 
 

@@ -36,6 +36,7 @@ from .exactnum import (
     format_rat,
     num,
     num_den,
+    parse_rat,
     rat,
     rat_ceil,
     rat_cmp_power,
@@ -391,8 +392,6 @@ def parse_rate(kind: str, **values) -> RateFunction:
 
 def rate_from_text(text: str) -> RateFunction:
     """Inverse of describe(): 'powerlaw c=1 alpha=1/2' and friends."""
-    from .exactnum import parse_rat
-
     parts = text.split()
     if not parts:
         raise ValueError("empty rate")

@@ -18,13 +18,8 @@ from badlab.badness import (
     vector_badness,
 )
 from badlab.exactnum import format_rat, rat, rat_ceil, refine_cmp
-from badlab.geometry import (
-    AffineSubspace,
-    LiftedSpan,
-    distance_via_functionals,
-    dual_functionals,
-    lift,
-)
+from badlab.geometry import AffineSubspace, LiftedSpan, lift
+from badlab.lattice import span_distance
 from badlab.rates import (
     PowerLaw,
     PowerLog,
@@ -302,13 +297,13 @@ def _brute_subspace_badness(span, psi, height):
     integer x with 0 < |x| <= height whose first nonzero coordinate is
     positive, met in order of shell and then lexicographically; or a
     ZeroHit at the first such x on the span."""
-    funcs = dual_functionals(span)
+    distance = span_distance(span)
     box = itertools.product(range(-height, height + 1), repeat=span.ambient)
     points = [x for x in box if any(x) and next(c for c in x if c) > 0]
     best = None
     for x in sorted(points, key=lambda x: (max(map(abs, x)), x)):
         s = max(map(abs, x))
-        d = distance_via_functionals(x, funcs)
+        d = rat(*distance(x))
         if d == 0:
             return ZeroHit(witness=x, shell=s)
         if best is None or cmp_scaled_ratios(d, s, best[0], best[1], psi) < 0:

@@ -16,7 +16,6 @@ from badlab.exactlp import (
     in_row_span,
     integer_levels,
     matrix_rank,
-    nullspace_basis,
     solve_square,
     vec_dot,
 )
@@ -37,15 +36,6 @@ def test_solve_square():
     assert x == [rat(1), rat(3)]
     sing = [[rat(1), rat(2)], [rat(2), rat(4)]]
     assert solve_square(sing, [rat(1), rat(1)]) is None
-
-
-def test_nullspace_basis():
-    rows = [[rat(1), rat(1), rat(1)]]
-    ns = nullspace_basis(rows)
-    assert len(ns) == 2
-    for v in ns:
-        assert vec_dot(rows[0], v) == 0
-    assert matrix_rank(ns) == 2
 
 
 # -- projection bounds -------------------------------------------------

@@ -1,4 +1,6 @@
+import itertools
 import random
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -12,7 +14,6 @@ from badlab.geometry import (
     LiftedSpan,
     canon_sign,
     cheb_distance,
-    distance_via_functionals,
     dual_functionals,
     lift,
     line_distance,
@@ -103,6 +104,12 @@ def _random_span(rng, ambient, dim):
             continue
 
 
+def _functional_distance(z, funcs):
+    """max |U . z| / |U|_1 over the integer functionals U, in Fractions."""
+    return max((abs(vec_dot(u, z)) / sum(map(abs, u)) for u in funcs),
+               default=rat(0))
+
+
 def test_three_distance_routes_agree():
     rng = random.Random(5)
     for _ in range(40):
@@ -111,7 +118,7 @@ def test_three_distance_routes_agree():
         z = tuple(rat(rng.randint(-8, 8), rng.randint(1, 3)) for _ in range(ambient))
         d_lp = cheb_distance(z, sp)
         d_line = line_distance(z, sp.basis[0])
-        d_dual = distance_via_functionals(z, dual_functionals(sp))
+        d_dual = _functional_distance(z, dual_functionals(sp))
         assert d_lp == d_line == d_dual
 
 
@@ -131,8 +138,43 @@ def test_cheb_distance_matches_dual_functionals(data):
     assume(matrix_rank([list(r) for r in rows]) == m)
     sp = LiftedSpan(tuple(rows), n)
     z = data.draw(st.tuples(*[_small_rationals] * n))
-    assert cheb_distance(z, sp) == distance_via_functionals(
+    assert cheb_distance(z, sp) == _functional_distance(
         z, dual_functionals(sp))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_dual_functionals_are_the_circuits(data):
+    # the supports of the functionals are the circuits of B's columns,
+    # found with matrix_rank alone: the S with rank B_S = |S| - 1 =
+    # rank B_{S-i} for every i in S.  A circuit fixes its null vector up to
+    # scale, so one primitive vector per circuit, first nonzero entry
+    # positive and orthogonal to B, pins the whole list
+    n = data.draw(st.integers(1, 6), label="ambient")
+    m = data.draw(st.integers(0, n), label="dim")
+    rows = data.draw(st.lists(
+        st.tuples(*[_small_rationals] * n), min_size=m, max_size=m))
+    assume(matrix_rank([list(r) for r in rows]) == m)
+    funcs = dual_functionals(LiftedSpan(tuple(rows), n))
+
+    def rank(S):
+        return matrix_rank([[r[i] for i in S] for r in rows])
+
+    circuits = {
+        S
+        for size in range(1, n + 1)
+        for S in itertools.combinations(range(n), size)
+        if rank(S) == size - 1
+        and all(rank(S[:i] + S[i + 1:]) == size - 1 for i in range(size))
+    }
+    assert funcs == sorted(funcs)
+    assert {tuple(i for i, c in enumerate(u) if c) for u in funcs} == circuits
+    assert len(funcs) == len(circuits)
+    for u in funcs:
+        assert all(isinstance(c, int) for c in u)
+        assert gcd(*u) == 1
+        assert next(c for c in u if c) > 0
+        assert all(vec_dot(u, r) == 0 for r in rows)
 
 
 def _rationals(max_den_bits):
@@ -200,9 +242,6 @@ def test_cleared_line_kernel_matches_line_distance(data):
         assert [rat(c, scale) for c in zi] == z
         p, q = line.distance(zi)
         assert rat(p, q * scale) == line_distance(z, a) == _pair_formula(z, a)
-        # the cleared point's witness reaches exactly the kernel's distance
-        t = line.witness(zi, p, q)
-        assert sup_norm([zc - t * ac for zc, ac in zip(zi, a)]) == rat(p, q)
 
 
 @settings(max_examples=60, deadline=None)
@@ -229,14 +268,11 @@ def test_dual_functionals_plane_case():
                 assert vec_dot(u, b) == 0
         z = tuple(rat(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(3))
         d_lp = cheb_distance(z, sp)
-        assert distance_via_functionals(z, funcs) == d_lp
+        assert _functional_distance(z, funcs) == d_lp
 
 
 def test_dual_functionals_golden():
     sp = LiftedSpan(basis=((rat(1), GOLDEN),), ambient=2)
-    funcs = dual_functionals(sp)
-    assert len(funcs) == 1
-    u = funcs[0]
-    # orthogonal to (1, g) and L1-normalized: +-(g, -1)/(1+g)
-    assert vec_dot(u, (rat(1), GOLDEN)) == 0
-    assert abs(u[0]) + abs(u[1]) == rat(1)
+    # the one functional orthogonal to (1, g) = (1, N/D), primitive and
+    # first entry positive: (N, -D)
+    assert dual_functionals(sp) == [(GOLDEN.numerator, -GOLDEN.denominator)]

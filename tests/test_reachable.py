@@ -17,6 +17,10 @@ inputs with.  Each entry names a test that uses it.  KEPT_FOR_PERFBENCH
 holds the code that only the benchmark reaches: perfbench/*.py names it
 as an attribute or in a string (the tracer names the functions it wraps
 as strings), and nothing in src/badlab uses it.
+
+Every field of a dataclass in src/badlab is read too: its name appears
+as an attribute read somewhere in src/badlab, tests/ or perfbench/.  A
+field that is only ever set is bookkeeping nothing consumes.
 """
 
 import ast
@@ -233,6 +237,46 @@ def test_perfbench_list_is_current():
     assert not unnamed, f"entries perfbench/*.py does not name: {unnamed}"
     used = [q for q in KEPT_FOR_PERFBENCH if q not in dead_code(ROOTS - {q})]
     assert not used, f"entries that src/badlab uses, or that are gone: {used}"
+
+
+def _is_dataclass(node):
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        name = getattr(target, "id", None) or getattr(target, "attr", None)
+        if name == "dataclass":
+            return True
+    return False
+
+
+def unread_fields():
+    """Qualified names of the dataclass fields in src/badlab whose name
+    no attribute read in src/badlab, tests/ or perfbench/ uses."""
+    read = set()
+    for pattern in (os.path.join(SRC, "**", "*.py"),
+                    os.path.join(ROOT, "tests", "*.py"),
+                    os.path.join(ROOT, "perfbench", "*.py")):
+        for path in glob.glob(pattern, recursive=True):
+            tree = ast.parse(open(path, encoding="utf-8").read(), path)
+            read.update(sub.attr for sub in ast.walk(tree)
+                        if isinstance(sub, ast.Attribute)
+                        and isinstance(sub.ctx, ast.Load))
+    classes = [(qual, node) for qual, _, node, cls in DEFS
+               if isinstance(node, ast.ClassDef) and _is_dataclass(node)]
+    # an annotation inside ClassVar[...] is a class attribute, not a field
+    return [f"{qual}.{stmt.target.id}"
+            for qual, node in classes for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign)
+            and isinstance(stmt.target, ast.Name)
+            and "ClassVar" not in ast.unparse(stmt.annotation)
+            and stmt.target.id not in read]
+
+
+def test_every_dataclass_field_is_read():
+    unread = unread_fields()
+    assert not unread, (
+        f"dataclass fields that nothing reads as an attribute: {unread}; "
+        "delete them and the code that sets them"
+    )
 
 
 # parameter defaults no call in src/badlab overrides, each with the test
